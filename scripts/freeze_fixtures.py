@@ -126,7 +126,7 @@ def main():
             "baseline_energy_mean": float(base.mean()),
             "vs_energy_min": float(0.8 * vs.mean()),
             "baseline_energy_max": float(1.25 * base.mean()),
-            "baseline_energy_item_max": float(base.max()),
+            "baseline_energy_item_max": float(1.25 * base.max()),
         },
         "refinement": {
             "energy_min": float(0.5 * refine_energy.min()),

@@ -150,7 +150,10 @@ class FeatureStats:
             raise ValueError("non-finite statistics")
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh((cov + cov.T) / 2.0).min() < -1e-10:
+        # Same round-off allowance as numerics.sqrtm_psd: relative to the top
+        # eigenvalue, since the projection's error scales with the matrix.
+        vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
+        if vals.min() < -1e-10 * max(1.0, float(vals.max())):
             raise ValueError("covariance must be PSD within tolerance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)

@@ -201,6 +201,11 @@ class ToyDenoiser:
     Y = H1 W2 + b2; the final prediction mixes frames: OUT = M Y.  W2 starts
     at zero so an untrained model predicts exactly zero noise, and M starts
     at identity so early training is frame-local.
+
+    The context columns [cond image | t-embed | one-hot] are the same for
+    every frame of a video, so layer 1 is evaluated by row block of W1: the
+    frame block multiplies each frame's latent, while the context block is
+    projected once per video and broadcast across the L frames.
     """
 
     def __init__(
@@ -251,20 +256,18 @@ class ToyDenoiser:
         if cond.motion_label >= self.n_labels:
             raise ValueError(f"motion_label {cond.motion_label} out of range (< {self.n_labels})")
 
-    def _input_rows(self, z_flat: np.ndarray, cond: Condition, t: int) -> np.ndarray:
-        """Assemble the (L, in_dim) input block for one video."""
-        L = self.frames
-        cond_flat = np.broadcast_to(cond.image.grid.reshape(1, -1), (L, self.frame_dim))
-        temb = np.broadcast_to(time_embedding(t, self.t_embed), (L, self.t_embed))
-        onehot = np.zeros((L, self.n_labels))
-        onehot[:, cond.motion_label] = 1.0
-        return np.concatenate([z_flat, cond_flat, temb, onehot], axis=1)
+    def _forward(self, z: np.ndarray, ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z: (..., L, frame_dim) latents, ctx: (..., ctx_dim) one row per video.
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x: (..., L, in_dim) -> (out, h1, y), out mixed across frames."""
-        h1 = np.tanh(x @ self.w1 + self.b1)
-        y = h1 @ self.w2 + self.b2
-        out = np.einsum("lm,...mf->...lf", self.mix, y)
+        Returns (out, h1, y), with out mixed across frames.
+        """
+        fd = self.frame_dim
+        # One matmul over all (B*L) frame rows beats B stacked (L)-row ones.
+        lead = z.shape[:-1]
+        proj = (z.reshape(-1, fd) @ self.w1[:fd]).reshape(*lead, self.hidden)
+        h1 = np.tanh(proj + (ctx @ self.w1[fd:] + self.b1)[..., None, :])
+        y = (h1.reshape(-1, self.hidden) @ self.w2 + self.b2).reshape(*lead, fd)
+        out = self.mix @ y
         return out, h1, y
 
     def predict_noise(self, z_t: VideoLatent, cond: Condition, t: int) -> VideoLatent:
@@ -273,8 +276,10 @@ class ToyDenoiser:
         self._check_cond(cond)
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        x = self._input_rows(z_t.frames.reshape(self.frames, -1), cond, t)
-        out, _, _ = self._forward(x)
+        onehot = np.zeros(self.n_labels)
+        onehot[cond.motion_label] = 1.0
+        ctx = np.concatenate([cond.image.grid.reshape(-1), time_embedding(t, self.t_embed), onehot])
+        out, _, _ = self._forward(z_t.frames.reshape(self.frames, -1), ctx)
         return VideoLatent(out.reshape(self.video_shape))
 
 
@@ -295,7 +300,8 @@ class TrainResult:
 
 def _batch_loss_and_grads(
     model: ToyDenoiser,
-    x: np.ndarray,  # (B, L, in_dim)
+    z: np.ndarray,  # (B, L, frame_dim)
+    ctx: np.ndarray,  # (B, ctx_dim)
     eps_flat: np.ndarray,  # (B, L, frame_dim)
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared-error loss over a batch and its exact parameter gradients.
@@ -303,20 +309,25 @@ def _batch_loss_and_grads(
     The scalar objective is the mean over every output element; the reported
     per-sample loss elsewhere is this value times L * frame_dim.
     """
-    out, h1, y = model._forward(x)
+    out, h1, y = model._forward(z, ctx)
     resid = out - eps_flat
     n_elem = resid.size
     loss = float((resid**2).sum() / n_elem)
 
+    fd, hid = model.frame_dim, model.hidden
     g = 2.0 * resid / n_elem  # dJ/d(out)
-    d_mix = np.einsum("blf,bmf->lm", g, y)
-    dy = np.einsum("ml,bmf->blf", model.mix, g)
-    d_w2 = np.einsum("blh,blf->hf", h1, dy)
-    d_b2 = dy.sum(axis=(0, 1))
-    dh1 = dy @ model.w2.T
-    da = dh1 * (1.0 - h1**2)
-    d_w1 = np.einsum("bld,blh->dh", x, da)
-    d_b1 = da.sum(axis=(0, 1))
+    d_mix = (g @ y.swapaxes(1, 2)).sum(axis=0)
+    dy = model.mix.T @ g
+    dy_rows = dy.reshape(-1, fd)
+    d_w2 = h1.reshape(-1, hid).T @ dy_rows
+    d_b2 = dy_rows.sum(axis=0)
+    da = (dy_rows @ model.w2.T) * (1.0 - h1.reshape(-1, hid) ** 2)
+    # Written block by block in place: a concatenation would hold a second
+    # (in_dim, H) copy.  The context block sees each video's rows summed.
+    d_w1 = np.empty_like(model.w1)
+    np.matmul(z.reshape(-1, fd).T, da, out=d_w1[:fd])
+    np.matmul(ctx.T, da.reshape(*z.shape[:2], hid).sum(axis=1), out=d_w1[fd:])
+    d_b1 = da.sum(axis=0)
     return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "mix": d_mix}
 
 
@@ -343,16 +354,12 @@ def _assemble_batch(
     ts: np.ndarray,
     eps: np.ndarray,
     sched: NoiseSchedule,
-) -> np.ndarray:
-    """Noise each sample to its own step t and assemble (B, L, in_dim) inputs."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noise each sample to its own step t: (B, L, frame_dim) z_t, (B, ctx_dim) context."""
     ab = sched.alpha_bars[ts - 1][:, None, None]
     z_t = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
-    b, L = z0.shape[0], model.frames
-    cond_block = np.broadcast_to(cond_img[:, None, :], (b, L, model.frame_dim))
     temb = np.stack([time_embedding(int(t), model.t_embed) for t in ts])
-    temb_block = np.broadcast_to(temb[:, None, :], (b, L, model.t_embed))
-    onehot_block = np.broadcast_to(onehot[:, None, :], (b, L, model.n_labels))
-    return np.concatenate([z_t, cond_block, temb_block, onehot_block], axis=2)
+    return z_t, np.concatenate([cond_img, temb, onehot], axis=1)
 
 
 def train(
@@ -384,8 +391,8 @@ def train(
             idx = order[lo : lo + batch_size]
             ts = rng.integers(1, sched.steps + 1, size=idx.size)
             eps = rng.standard_normal((idx.size, model.frames, model.frame_dim))
-            x = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
-            loss, grads = _batch_loss_and_grads(model, x, eps)
+            z_t, ctx = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
+            loss, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}")
             for name, p in params.items():
@@ -413,8 +420,8 @@ def evaluate_loss(
     for _ in range(rounds):
         ts = rng.integers(1, sched.steps + 1, size=n)
         eps = rng.standard_normal((n, model.frames, model.frame_dim))
-        x = _assemble_batch(model, z0_all, cond_all, onehot_all, ts, eps, sched)
-        loss, _ = _batch_loss_and_grads(model, x, eps)
+        z_t, ctx = _assemble_batch(model, z0_all, cond_all, onehot_all, ts, eps, sched)
+        loss, _ = _batch_loss_and_grads(model, z_t, ctx, eps)
         total += loss
     return total / rounds * model.frames * model.frame_dim
 
@@ -437,8 +444,8 @@ def gradient_check(
     idx = rng.permutation(len(dataset))[: min(4, len(dataset))]
     ts = rng.integers(1, sched.steps + 1, size=idx.size)
     eps = rng.standard_normal((idx.size, model.frames, model.frame_dim))
-    x = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
-    _, grads = _batch_loss_and_grads(model, x, eps)
+    z_t, ctx = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
+    _, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
 
     params = model.parameters()
     names = sorted(params)
@@ -449,9 +456,9 @@ def gradient_check(
         flat_i = int(rng.integers(p.size))
         orig = p.flat[flat_i]
         p.flat[flat_i] = orig + step
-        lp, _ = _batch_loss_and_grads(model, x, eps)
+        lp, _ = _batch_loss_and_grads(model, z_t, ctx, eps)
         p.flat[flat_i] = orig - step
-        lm, _ = _batch_loss_and_grads(model, x, eps)
+        lm, _ = _batch_loss_and_grads(model, z_t, ctx, eps)
         p.flat[flat_i] = orig
         numeric = (lp - lm) / (2.0 * step)
         analytic = grads[name].flat[flat_i]

@@ -152,6 +152,19 @@ def test_feature_stats_from_features_projects_to_psd():
         FeatureStats.from_features(feats.ravel())
 
 
+def test_feature_stats_psd_tolerance_scales_with_covariance():
+    # Rank-deficient features (N < d) scaled so the top eigenvalue is ~5e5:
+    # the projection's reconstruction round-off then reaches ~1e-10 in
+    # absolute terms, which an absolute tolerance wrongly rejects.
+    for seed in range(20):
+        feats = stream(seed, "metrics-test").standard_normal((4, 12))
+        top = np.linalg.eigvalsh(np.cov(feats, rowvar=False)).max()
+        stats = FeatureStats.from_features(feats * np.sqrt(5e5 / top))
+        vals = np.linalg.eigvalsh(stats.covariance)
+        assert vals.max() == pytest.approx(5e5)
+        assert vals.min() >= -1e-10 * vals.max()
+
+
 # ---------------------------------------------------------------------------
 # alignment
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.metrics import displacement_estimate, per_frame_sizes
@@ -10,6 +12,7 @@ from latent_awaken.toydenoiser import (
     DIRECTIONS,
     MOTION_LABELS,
     DatasetParams,
+    MotionDataset,
     ToyDenoiser,
     TrainingDiverged,
     evaluate_loss,
@@ -22,6 +25,8 @@ from latent_awaken.toydenoiser import (
     schedule_digest,
     time_embedding,
     train,
+    _assemble_batch,
+    _batch_loss_and_grads,
 )
 
 
@@ -176,6 +181,111 @@ def test_predict_noise_validates_inputs(small_dataset):
     bad = VideoLatent(np.zeros((16, 1, 8, 8)))
     with pytest.raises(ValueError):
         model.predict_noise(bad, s.cond, 10)
+
+
+# --------------------------------------------------------------------------
+# split layer 1 against the concatenated-row reference
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def random_model():
+    """Small model with every parameter perturbed, so no layer is trivial."""
+    model = ToyDenoiser(hidden=48, seed=3)
+    gen = stream(3, "random-model")
+    model.b1[...] = 0.1 * gen.standard_normal(model.b1.shape)
+    model.w2[...] = 0.05 * gen.standard_normal(model.w2.shape)
+    model.b2[...] = 0.05 * gen.standard_normal(model.b2.shape)
+    model.mix[...] += 0.05 * gen.standard_normal(model.mix.shape)
+    return model
+
+
+def _reference_rows(model, z, cond_img, ts, labels):
+    """(B, L, in_dim) rows: each frame's latent next to its video's context."""
+    rows = []
+    for b in range(len(ts)):
+        onehot = np.zeros(model.n_labels)
+        onehot[labels[b]] = 1.0
+        ctx = np.concatenate([cond_img[b], time_embedding(int(ts[b]), model.t_embed), onehot])
+        rows.append(np.concatenate([z[b], np.tile(ctx, (model.frames, 1))], axis=1))
+    return np.stack(rows)
+
+
+def _reference_loss_and_grads(model, x, eps):
+    """The unsplit forward and backward pass over concatenated rows."""
+    h1 = np.tanh(x @ model.w1 + model.b1)
+    y = h1 @ model.w2 + model.b2
+    out = np.einsum("lm,bmf->blf", model.mix, y)
+    resid = out - eps
+    g = 2.0 * resid / resid.size
+    dy = np.einsum("ml,bmf->blf", model.mix, g)
+    da = (dy @ model.w2.T) * (1.0 - h1**2)
+    grads = {
+        "w1": np.einsum("bld,blh->dh", x, da),
+        "b1": da.sum(axis=(0, 1)),
+        "w2": np.einsum("blh,blf->hf", h1, dy),
+        "b2": dy.sum(axis=(0, 1)),
+        "mix": np.einsum("blf,bmf->lm", g, y),
+    }
+    return out, float((resid**2).mean()), grads
+
+
+def _rel_err(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+draws = st.lists(
+    st.tuples(st.integers(1, 120), st.integers(0, len(MOTION_LABELS) - 1)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.integers(1, 120), label=st.integers(0, len(MOTION_LABELS) - 1), seed=st.integers(0, 2**16))
+def test_predict_noise_matches_concatenated_reference(random_model, t, label, seed):
+    model = random_model
+    gen = stream(seed, "forward-equivalence")
+    z = gen.standard_normal(model.video_shape)
+    cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, model.video_shape[1:])), label)
+    x = _reference_rows(model, z.reshape(1, model.frames, -1), cond.image.grid.reshape(1, -1), [t], [label])
+    expected, _, _ = _reference_loss_and_grads(model, x, np.zeros((1, model.frames, model.frame_dim)))
+    got = model.predict_noise(VideoLatent(z), cond, t).frames.reshape(expected.shape)
+    assert _rel_err(got, expected) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=draws, seed=st.integers(0, 2**16))
+def test_batch_forward_and_gradients_match_concatenated_reference(random_model, sched, batch, seed):
+    model = random_model
+    ts = np.array([t for t, _ in batch])
+    labels = [label for _, label in batch]
+    gen = stream(seed, "batch-equivalence")
+    z0 = gen.uniform(-1.0, 1.0, (len(batch), model.frames, model.frame_dim))
+    cond_img = gen.uniform(-1.0, 1.0, (len(batch), model.frame_dim))
+    onehot = np.eye(model.n_labels)[labels]
+    eps = gen.standard_normal(z0.shape)
+    z_t, ctx = _assemble_batch(model, z0, cond_img, onehot, ts, eps, sched)
+    x = _reference_rows(model, z_t, cond_img, ts, labels)
+    expected_out, expected_loss, expected_grads = _reference_loss_and_grads(model, x, eps)
+    out, _, _ = model._forward(z_t, ctx)
+    loss, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
+    assert _rel_err(out, expected_out) < 1e-12
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
+    for name, expected in expected_grads.items():
+        assert _rel_err(grads[name], expected) < 1e-12, name
+
+
+@settings(max_examples=10, deadline=None)
+@given(labels=st.lists(st.sampled_from(MOTION_LABELS), min_size=2, max_size=4, unique=True), seed=st.integers(0, 2**16))
+def test_gradient_check_on_mixed_label_batch(random_model, sched, labels, seed):
+    # At most four samples, so gradient_check's batch is all of them.
+    samples = tuple(
+        generate_dataset(1, DatasetParams(labels=(label,)), seed=seed + i).samples[0]
+        for i, label in enumerate(labels)
+    )
+    data = MotionDataset(samples, DatasetParams())
+    assert gradient_check(random_model, data, sched, n_coords=20, seed=seed) < 1e-4
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .diffusion import (
     NoiseSchedule,
     VideoLatent,
     forward_noise,
-    noise_to_level,
     replicate_static,
     reverse_sample,
 )

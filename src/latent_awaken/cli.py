@@ -23,7 +23,7 @@ from .numerics import read_ltn1, write_ltn1
 from .pipeline import AblationReport, PipelineVariant, animate, parse_variant, run_ablation
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
 from .rng import stream
-from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, train
+from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train
 from .vsds import WeightCurve, parse_curve_kind
 
 THREADS_ENV = "LATENT_AWAKEN_THREADS"
@@ -44,11 +44,25 @@ def _write_log(out_dir: Path, lines: list[str]) -> None:
     (out_dir / "run.log").write_text("\n".join([f"[{stamp}]"] + lines) + "\n")
 
 
-def _load_model(ckpt: str) -> tuple[ToyDenoiser, dict]:
+def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
+    """Load a checkpoint and refuse it if it was trained under another
+    schedule or never saw one of ``labels``."""
     ckpt_path = Path(ckpt)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    return load_checkpoint(ckpt_path)
+    model, manifest = load_checkpoint(ckpt_path)
+    trained, configured = manifest.get("schedule_digest"), schedule_digest(cfg.schedule())
+    if trained is not None and trained != configured:
+        raise ConfigError(
+            f"checkpoint {ckpt_path} was trained under schedule digest {trained}, "
+            f"but the config's schedule has digest {configured}"
+        )
+    if manifest.get("dataset") is not None:
+        trained_labels = manifest["dataset"]["labels"]
+        missing = [label for label in labels if label not in trained_labels]
+        if missing:
+            raise ConfigError(f"checkpoint {ckpt_path} was never trained on label(s) {missing}; it knows {trained_labels}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +107,7 @@ def cmd_train(args) -> int:
 
 def cmd_animate(args) -> int:
     cfg = load_config(args.config)
-    model, _ = _load_model(args.ckpt)
+    model = _load_model(args.ckpt, cfg, [args.label])
     image_path = Path(args.image)
     if not image_path.exists():
         raise ConfigError(f"input image not found: {image_path}")
@@ -175,7 +189,7 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    model, _ = _load_model(args.ckpt)
+    model = _load_model(args.ckpt, cfg, cfg["dataset.labels"])
     threads = _max_threads()
 
     bench = generate_dataset(args.n, cfg.dataset_params(), seed=stream(cfg.seed, "ablate/bench"))

@@ -187,12 +187,6 @@ def forward_noise(z0: VideoLatent, t: int, eps: np.ndarray, sched: NoiseSchedule
     return VideoLatent(np.sqrt(ab) * z0.frames + np.sqrt(1.0 - ab) * eps)
 
 
-def noise_to_level(z0: VideoLatent, t: int, eps: np.ndarray, sched: NoiseSchedule) -> VideoLatent:
-    """Alias of the forward process, named for its pipeline role: push a
-    clean (or refined) latent out to noise level ``t`` before resampling."""
-    return forward_noise(z0, t, eps, sched)
-
-
 def reverse_sample(
     z_start: VideoLatent,
     t_start: int,

@@ -34,7 +34,7 @@ from .diffusion import (
     FrameLatent,
     NoiseSchedule,
     VideoLatent,
-    noise_to_level,
+    forward_noise,
     replicate_static,
     reverse_sample,
 )
@@ -196,7 +196,7 @@ def animate(
 
     def renoise():
         eps = stream(seed, "resample").standard_normal(pre_latent.shape)
-        return noise_to_level(pre_latent, t_start, eps, sched)
+        return forward_noise(pre_latent, t_start, eps, sched)
 
     z_t = run_stage("resample", renoise)
     output = run_stage(

@@ -193,6 +193,18 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
+PARAMETER_NAMES = ("w1", "b1", "w2", "b2", "mix")
+
+
+def _read_only(x) -> np.ndarray:
+    """``x`` itself if it is a read-only float64 array owning its memory,
+    otherwise a read-only copy, so no outside handle can write to it."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable):
+        x = np.array(x, dtype=np.float64)
+        x.flags.writeable = False
+    return x
+
+
 class ToyDenoiser:
     """Per-frame tanh MLP with a learned temporal mixing matrix.
 
@@ -206,6 +218,14 @@ class ToyDenoiser:
     every frame of a video, so layer 1 is evaluated by row block of W1: the
     frame block multiplies each frame's latent, while the context block is
     projected once per video and broadcast across the L frames.
+
+    Parameters are read-only arrays; an update replaces an array instead of
+    writing into it, and assigning one stores a read-only copy unless the
+    array is already read-only and owns its memory.  This is what makes it
+    safe for ``predict_noise`` to memoise its context projection: the
+    condition part (cond image, label and b1) is kept for the last two
+    ``Condition`` objects seen, the time part for every ``t`` seen, and both
+    are dropped as soon as ``w1`` or ``b1`` is a different object.
     """
 
     def __init__(
@@ -232,15 +252,31 @@ class ToyDenoiser:
         self.in_dim = 2 * self.frame_dim + t_embed + n_labels
 
         rng = stream(seed, "denoiser-init")
-        self.w1 = rng.standard_normal((self.in_dim, hidden)) / np.sqrt(self.in_dim)
-        self.b1 = np.zeros(hidden)
-        self.w2 = np.zeros((hidden, self.frame_dim))
-        self.b2 = np.zeros(self.frame_dim)
-        self.mix = np.eye(frames)
+        initial = {
+            "w1": rng.standard_normal((self.in_dim, hidden)) / np.sqrt(self.in_dim),
+            "b1": np.zeros(hidden),
+            "w2": np.zeros((hidden, self.frame_dim)),
+            "b2": np.zeros(self.frame_dim),
+            "mix": np.eye(frames),
+        }
+        for name, p in initial.items():
+            p.flags.writeable = False  # nothing else holds p, so it need not be copied
+            setattr(self, name, p)
+        # (w1, b1, ((cond, row), ...), {t: row}): see _context_row.
+        self._memo = (None, None, (), {})
+
+    def __setattr__(self, name, value):
+        if name in PARAMETER_NAMES:
+            value = _read_only(value)
+        object.__setattr__(self, name, value)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays, keyed by layer name."""
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2, "mix": self.mix}
+        """Read-only parameter arrays, keyed by layer name.
+
+        Writing into one raises ``ValueError``; to change a parameter, assign
+        a new array to the attribute of the same name.
+        """
+        return {name: getattr(self, name) for name in PARAMETER_NAMES}
 
     @property
     def param_count(self) -> int:
@@ -256,8 +292,9 @@ class ToyDenoiser:
         if cond.motion_label >= self.n_labels:
             raise ValueError(f"motion_label {cond.motion_label} out of range (< {self.n_labels})")
 
-    def _forward(self, z: np.ndarray, ctx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """z: (..., L, frame_dim) latents, ctx: (..., ctx_dim) one row per video.
+    def _forward(self, z: np.ndarray, ctx_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z: (..., L, frame_dim) latents; ctx_rows: (..., hidden), each
+        video's context already projected through W1's context block plus b1.
 
         Returns (out, h1, y), with out mixed across frames.
         """
@@ -265,10 +302,33 @@ class ToyDenoiser:
         # One matmul over all (B*L) frame rows beats B stacked (L)-row ones.
         lead = z.shape[:-1]
         proj = (z.reshape(-1, fd) @ self.w1[:fd]).reshape(*lead, self.hidden)
-        h1 = np.tanh(proj + (ctx @ self.w1[fd:] + self.b1)[..., None, :])
-        y = (h1.reshape(-1, self.hidden) @ self.w2 + self.b2).reshape(*lead, fd)
+        proj += ctx_rows[..., None, :]
+        h1 = np.tanh(proj, out=proj)
+        y = h1.reshape(-1, self.hidden) @ self.w2
+        y += self.b2
+        y = y.reshape(*lead, fd)
         out = self.mix @ y
         return out, h1, y
+
+    def _context_row(self, cond: Condition, t: int) -> np.ndarray:
+        """``[cond image | t-embed | one-hot] @ W1[frame_dim:] + b1`` from
+        the memo: cond image, label and b1 per condition, t-embed per step."""
+        w1, b1, conds, t_rows = self._memo
+        if w1 is not self.w1 or b1 is not self.b1:
+            w1, b1, conds, t_rows = self._memo = (self.w1, self.b1, (), {})
+        fd, te = self.frame_dim, self.t_embed
+        # Conditions are compared by identity while the memo holds them, so
+        # a collected object's id can never be mistaken for a live one.
+        for held, cond_row in conds:
+            if held is cond:
+                break
+        else:
+            cond_row = cond.image.grid.reshape(-1) @ w1[fd : 2 * fd] + w1[2 * fd + te + cond.motion_label] + b1
+            self._memo = (w1, b1, conds[-1:] + ((cond, cond_row),), t_rows)
+        t_row = t_rows.get(t)
+        if t_row is None:
+            t_row = t_rows[t] = time_embedding(t, te) @ w1[2 * fd : 2 * fd + te]
+        return cond_row + t_row
 
     def predict_noise(self, z_t: VideoLatent, cond: Condition, t: int) -> VideoLatent:
         if z_t.shape != self.video_shape:
@@ -276,10 +336,7 @@ class ToyDenoiser:
         self._check_cond(cond)
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        onehot = np.zeros(self.n_labels)
-        onehot[cond.motion_label] = 1.0
-        ctx = np.concatenate([cond.image.grid.reshape(-1), time_embedding(t, self.t_embed), onehot])
-        out, _, _ = self._forward(z_t.frames.reshape(self.frames, -1), ctx)
+        out, _, _ = self._forward(z_t.frames.reshape(self.frames, -1), self._context_row(cond, int(t)))
         return VideoLatent(out.reshape(self.video_shape))
 
 
@@ -309,12 +366,12 @@ def _batch_loss_and_grads(
     The scalar objective is the mean over every output element; the reported
     per-sample loss elsewhere is this value times L * frame_dim.
     """
-    out, h1, y = model._forward(z, ctx)
+    fd, hid = model.frame_dim, model.hidden
+    out, h1, y = model._forward(z, ctx @ model.w1[fd:] + model.b1)
     resid = out - eps_flat
     n_elem = resid.size
     loss = float((resid**2).sum() / n_elem)
 
-    fd, hid = model.frame_dim, model.hidden
     g = 2.0 * resid / n_elem  # dJ/d(out)
     d_mix = (g @ y.swapaxes(1, 2)).sum(axis=0)
     dy = model.mix.T @ g
@@ -373,8 +430,9 @@ def train(
 ) -> tuple[ToyDenoiser, TrainResult]:
     """SGD on noise prediction: for random (sample, t, eps) predict eps.
 
-    Returns the same model object (updated in place) plus the per-epoch loss
-    curve, where loss is the mean per-sample sum of squared errors.
+    Returns the same model object, whose parameter arrays each step has
+    replaced, plus the per-epoch loss curve, where loss is the mean
+    per-sample sum of squared errors.
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
@@ -382,7 +440,6 @@ def train(
     z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
     n = len(dataset)
     per_sample_scale = model.frames * model.frame_dim
-    params = model.parameters()
     losses = []
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -395,10 +452,14 @@ def train(
             loss, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}")
-            for name, p in params.items():
-                p -= lr * grads[name]
-                if not np.isfinite(p).all():
+            for name, g in grads.items():
+                # p - lr * g, written into the gradient's own buffer, which
+                # then becomes the parameter: no array is allocated.
+                np.subtract(getattr(model, name), np.multiply(g, lr, out=g), out=g)
+                if not np.isfinite(g).all():
                     raise TrainingDiverged(f"non-finite parameter {name!r} at epoch {epoch + 1}")
+                g.flags.writeable = False
+                setattr(model, name, g)
             epoch_loss += loss * idx.size
         losses.append(epoch_loss / n * per_sample_scale)
     curve = np.asarray(losses)
@@ -447,20 +508,20 @@ def gradient_check(
     z_t, ctx = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
     _, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
 
-    params = model.parameters()
-    names = sorted(params)
+    names = sorted(PARAMETER_NAMES)
     worst = 0.0
     for _ in range(n_coords):
         name = names[rng.integers(len(names))]
-        p = params[name]
+        p = getattr(model, name)
         flat_i = int(rng.integers(p.size))
-        orig = p.flat[flat_i]
-        p.flat[flat_i] = orig + step
-        lp, _ = _batch_loss_and_grads(model, z_t, ctx, eps)
-        p.flat[flat_i] = orig - step
-        lm, _ = _batch_loss_and_grads(model, z_t, ctx, eps)
-        p.flat[flat_i] = orig
-        numeric = (lp - lm) / (2.0 * step)
+        losses = []
+        for delta in (step, -step):
+            probe = p.copy()
+            probe.flat[flat_i] += delta
+            setattr(model, name, probe)
+            losses.append(_batch_loss_and_grads(model, z_t, ctx, eps)[0])
+        setattr(model, name, p)
+        numeric = (losses[0] - losses[1]) / (2.0 * step)
         analytic = grads[name].flat[flat_i]
         denom = max(abs(numeric) + abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / denom)
@@ -530,8 +591,13 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     )
     params = model.parameters()
     for name, shape in manifest["layers"].items():
+        if name not in params:
+            raise ValueError(f"checkpoint layer {name!r} is not a ToyDenoiser parameter")
         arr = read_ltn1(ckpt_dir / f"{name}.ltn1")
-        if list(arr.shape) != shape or name not in params:
+        if list(arr.shape) != shape:
             raise ValueError(f"checkpoint layer {name!r} has shape {arr.shape}, manifest says {shape}")
-        params[name][...] = arr
+        if arr.shape != params[name].shape:
+            raise ValueError(f"checkpoint layer {name!r} has shape {arr.shape}, the manifest's model needs {params[name].shape}")
+        arr.flags.writeable = False
+        setattr(model, name, arr)
     return model, manifest

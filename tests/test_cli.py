@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -260,6 +261,33 @@ def test_unknown_label_is_usage_error(workspace, tmp_path, capsys):
     rc = main(animate_args(workspace, tmp_path / "out", label="diagonal"))
     assert rc == 2
     assert "diagonal" in capsys.readouterr().err
+
+
+def ablate_args(cfg, ckpt, out):
+    return ["ablate", "--config", str(cfg), "--ckpt", str(ckpt), "--n", "1", "--out", str(out)]
+
+
+def test_checkpoint_from_another_schedule_is_refused(workspace, tmp_path, capsys):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text(CFG_TEXT.replace("schedule.steps = 40", "schedule.steps = 60"))
+    assert main(animate_args(dict(workspace, cfg=cfg), tmp_path / "anim")) == 2
+    assert "schedule digest" in capsys.readouterr().err
+    assert main(ablate_args(cfg, workspace["ckpt"], tmp_path / "ablate")) == 2
+    assert "schedule digest" in capsys.readouterr().err
+
+
+def test_label_the_checkpoint_never_saw_is_refused(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["dataset"]["labels"] = ["right", "left"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    ws = dict(workspace, ckpt=ckpt)
+    assert main(animate_args(ws, tmp_path / "known", label="left")) == 0
+    assert main(animate_args(ws, tmp_path / "unknown", label="up")) == 2
+    assert "['up']" in capsys.readouterr().err
+    assert main(ablate_args(workspace["cfg"], ckpt, tmp_path / "ablate")) == 2
+    assert "['static', 'up', 'down', 'grow']" in capsys.readouterr().err
 
 
 def test_corrupt_video_is_usage_error(tmp_path, capsys):

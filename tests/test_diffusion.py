@@ -8,7 +8,6 @@ from latent_awaken.diffusion import (
     NoiseSchedule,
     VideoLatent,
     forward_noise,
-    noise_to_level,
     replicate_static,
     reverse_sample,
 )
@@ -104,14 +103,6 @@ def test_forward_noise_validates_inputs(sched):
         forward_noise(z0, 0, eps, sched)
     with pytest.raises(ValueError):
         forward_noise(z0, 1001, eps, sched)
-
-
-def test_noise_to_level_matches_forward(sched):
-    z0 = _video(13, (4, 1, 8, 8))
-    eps = stream(14, "eps").standard_normal(z0.shape)
-    a = forward_noise(z0, 321, eps, sched)
-    b = noise_to_level(z0, 321, eps, sched)
-    assert a.frames.tobytes() == b.frames.tobytes()
 
 
 def test_replicate_static_tiles_frame():

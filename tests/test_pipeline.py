@@ -18,6 +18,7 @@ from latent_awaken.pipeline import (
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import (
     DatasetParams,
+    ToyDenoiser,
     generate_dataset,
     label_id,
     render_pattern,
@@ -283,13 +284,17 @@ def test_run_ablation_row_order_and_csv():
 
 def test_run_ablation_threads_do_not_change_results():
     sched = small_sched()
-    model = ZeroDenoiser(frames=6)
+    # The ToyDenoiser's context memo is shared by the threads; ZeroDenoiser has none.
+    toy = ToyDenoiser(frames=6, hidden=16, seed=8)
+    toy.w2 = 0.05 * stream(8, "small-toy").standard_normal(toy.w2.shape)
     items = bench_items(4)
     kwargs = dict(vsds_cfg=VsdsConfig(p=0.5), base_seed=20)
-    serial = run_ablation(items, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched, **kwargs)
-    threaded = run_ablation(items, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched,
-                            threads=2, **kwargs)
-    assert serial.to_csv() == threaded.to_csv()
+    for model in (ZeroDenoiser(frames=6), toy):
+        serial = run_ablation(items, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched, **kwargs)
+        threaded = run_ablation(items, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched,
+                                threads=2, **kwargs)
+        assert not serial.failures
+        assert serial.to_csv() == threaded.to_csv()
 
 
 def test_run_ablation_records_failures():

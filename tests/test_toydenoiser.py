@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,10 +195,10 @@ def random_model():
     """Small model with every parameter perturbed, so no layer is trivial."""
     model = ToyDenoiser(hidden=48, seed=3)
     gen = stream(3, "random-model")
-    model.b1[...] = 0.1 * gen.standard_normal(model.b1.shape)
-    model.w2[...] = 0.05 * gen.standard_normal(model.w2.shape)
-    model.b2[...] = 0.05 * gen.standard_normal(model.b2.shape)
-    model.mix[...] += 0.05 * gen.standard_normal(model.mix.shape)
+    model.b1 = 0.1 * gen.standard_normal(model.b1.shape)
+    model.w2 = 0.05 * gen.standard_normal(model.w2.shape)
+    model.b2 = 0.05 * gen.standard_normal(model.b2.shape)
+    model.mix = model.mix + 0.05 * gen.standard_normal(model.mix.shape)
     return model
 
 
@@ -242,16 +244,25 @@ draws = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(t=st.integers(1, 120), label=st.integers(0, len(MOTION_LABELS) - 1), seed=st.integers(0, 2**16))
-def test_predict_noise_matches_concatenated_reference(random_model, t, label, seed):
+@given(
+    calls=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 120)), min_size=1, max_size=6),
+    labels=st.lists(st.integers(0, len(MOTION_LABELS) - 1), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_predict_noise_matches_concatenated_reference(random_model, calls, labels, seed):
+    # Calls draw from three conditions and repeat steps, so they hit and miss
+    # the context memo in every combination; the module-wide model also
+    # carries memo entries over from earlier examples.
     model = random_model
     gen = stream(seed, "forward-equivalence")
-    z = gen.standard_normal(model.video_shape)
-    cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, model.video_shape[1:])), label)
-    x = _reference_rows(model, z.reshape(1, model.frames, -1), cond.image.grid.reshape(1, -1), [t], [label])
-    expected, _, _ = _reference_loss_and_grads(model, x, np.zeros((1, model.frames, model.frame_dim)))
-    got = model.predict_noise(VideoLatent(z), cond, t).frames.reshape(expected.shape)
-    assert _rel_err(got, expected) < 1e-12
+    conds = [Condition(FrameLatent(gen.uniform(-1.0, 1.0, model.video_shape[1:])), label) for label in labels]
+    for which, t in calls:
+        cond = conds[which]
+        z = gen.standard_normal(model.video_shape)
+        x = _reference_rows(model, z.reshape(1, model.frames, -1), cond.image.grid.reshape(1, -1), [t], [cond.motion_label])
+        expected, _, _ = _reference_loss_and_grads(model, x, np.zeros((1, model.frames, model.frame_dim)))
+        got = model.predict_noise(VideoLatent(z), cond, t).frames.reshape(expected.shape)
+        assert _rel_err(got, expected) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -268,7 +279,7 @@ def test_batch_forward_and_gradients_match_concatenated_reference(random_model, 
     z_t, ctx = _assemble_batch(model, z0, cond_img, onehot, ts, eps, sched)
     x = _reference_rows(model, z_t, cond_img, ts, labels)
     expected_out, expected_loss, expected_grads = _reference_loss_and_grads(model, x, eps)
-    out, _, _ = model._forward(z_t, ctx)
+    out, _, _ = model._forward(z_t, ctx @ model.w1[model.frame_dim :] + model.b1)
     loss, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
     assert _rel_err(out, expected_out) < 1e-12
     assert loss == pytest.approx(expected_loss, rel=1e-12)
@@ -285,7 +296,73 @@ def test_gradient_check_on_mixed_label_batch(random_model, sched, labels, seed):
         for i, label in enumerate(labels)
     )
     data = MotionDataset(samples, DatasetParams())
+    before = random_model.parameters()
     assert gradient_check(random_model, data, sched, n_coords=20, seed=seed) < 1e-4
+    for name, p in random_model.parameters().items():
+        assert p is before[name], name
+
+
+# --------------------------------------------------------------------------
+# context memo and read-only parameters
+# --------------------------------------------------------------------------
+
+
+def _perturbed_model(seed):
+    model = ToyDenoiser(hidden=16, seed=seed)
+    model.w2 = 0.05 * stream(seed, "perturbed-model").standard_normal(model.w2.shape)
+    return model
+
+
+def _copy_of(model):
+    """A fresh model holding the same parameters, so its memo is empty."""
+    fresh = ToyDenoiser(hidden=model.hidden, t_embed=model.t_embed, seed=0)
+    for name, p in model.parameters().items():
+        setattr(fresh, name, p)
+    return fresh
+
+
+def test_memo_follows_training(small_dataset, sched):
+    model = _perturbed_model(11)
+    s = small_dataset.samples[2]
+    z_t = VideoLatent(s.video.frames + 0.1)
+    before = model.predict_noise(z_t, s.cond, 40)
+    w1, b1 = model.w1, model.b1
+    train(model, MotionDataset(small_dataset.samples[:8], DatasetParams()), sched, epochs=1, seed=3, batch_size=4)
+    assert not np.array_equal(model.w1, w1) and not np.array_equal(model.b1, b1)
+    after = model.predict_noise(z_t, s.cond, 40)
+    assert after.frames.tobytes() == _copy_of(model).predict_noise(z_t, s.cond, 40).frames.tobytes()
+    assert not np.array_equal(after.frames, before.frames)
+
+
+def test_memo_call_order_does_not_change_bytes(small_dataset):
+    model = _perturbed_model(12)
+    gen = stream(12, "memo-order")
+    conds = [small_dataset.samples[i].cond for i in range(3)]
+    order = [(0, 7), (1, 7), (0, 90), (2, 7)]  # A, B, A, C
+    for which, t in order:
+        z_t = VideoLatent(gen.standard_normal(model.video_shape))
+        alone = _copy_of(model).predict_noise(z_t, conds[which], t)
+        assert model.predict_noise(z_t, conds[which], t).frames.tobytes() == alone.frames.tobytes()
+
+
+def _assert_read_only(model):
+    for name, p in model.parameters().items():
+        with pytest.raises(ValueError):
+            p[...] = 0.0
+        with pytest.raises(ValueError):
+            p += 1.0
+
+
+def test_parameters_are_read_only(small_dataset, sched):
+    model = ToyDenoiser(hidden=16, seed=13)
+    _assert_read_only(model)
+    train(model, MotionDataset(small_dataset.samples[:4], DatasetParams()), sched, epochs=1, seed=4)
+    _assert_read_only(model)
+    # Assignment keeps a copy: the caller's array stays writable and apart.
+    b1 = np.ones(model.hidden)
+    model.b1 = b1
+    b1[...] = 2.0
+    assert np.all(model.b1 == 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +408,7 @@ def test_gradient_check_small_relative_error(trained_small, sched):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_training_diverges_loudly(small_dataset, sched):
     model = ToyDenoiser(hidden=32, seed=1)
     with pytest.raises(TrainingDiverged):
@@ -365,6 +443,38 @@ def test_checkpoint_round_trip(trained_small, sched, tmp_path):
 def test_checkpoint_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nowhere")
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(2, 4), st.integers(2, 4), st.integers(1, 8),
+                   st.sampled_from([2, 4, 8]), st.integers(1, len(MOTION_LABELS))),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.0, 0.999),
+)
+def test_checkpoint_round_trip_is_exact(dims, seed, keep):
+    frames, height, width, hidden, t_embed, n_labels = dims
+    model = ToyDenoiser(frames=frames, height=height, width=width, hidden=hidden, t_embed=t_embed,
+                        n_labels=n_labels, seed=seed)
+    gen = stream(seed, "checkpoint-round-trip")
+    for name, p in model.parameters().items():
+        setattr(model, name, gen.standard_normal(p.shape))
+    cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, (1, height, width))), int(gen.integers(n_labels)))
+    z_t = VideoLatent(gen.standard_normal(model.video_shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = save_checkpoint(model, Path(tmp) / "ckpt")
+        loaded, _ = load_checkpoint(ckpt)
+        for name, p in model.parameters().items():
+            got = loaded.parameters()[name]
+            assert got.tobytes() == p.tobytes() and got.shape == p.shape, name
+            assert not got.flags.writeable, name
+        expected = model.predict_noise(z_t, cond, 5).frames.tobytes()
+        assert loaded.predict_noise(z_t, cond, 5).frames.tobytes() == expected
+        w1_file = ckpt / "w1.ltn1"
+        raw = w1_file.read_bytes()
+        w1_file.write_bytes(raw[: int(keep * len(raw))])
+        with pytest.raises(ValueError):
+            load_checkpoint(ckpt)
 
 
 def test_checkpoint_rejects_shape_drift(trained_small, sched, tmp_path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
-from .fusion import AngleScope, FusionConfig, FusionMode
+from .fusion import AngleScope, FusionConfig
 from .pipeline import PipelineVariant, parse_variant
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams
@@ -76,7 +76,6 @@ _SCHEMA: dict[str, tuple] = {
     "vsds.w_lo": (1.0, float),
     "vsds.omega": ("one_minus_alpha_bar", str),
     "vsds.shared_noise": (False, _parse_bool),
-    "fusion.mode": ("slerp", str),
     "fusion.angle_scope": ("global", str),
     "fusion.epsilon_theta": (1e-6, float),
     "proxy.strength": (0.5, float),
@@ -151,12 +150,8 @@ class ExperimentConfig:
 
     def fusion_config(self) -> FusionConfig:
         v = self.values
-        try:
-            mode = FusionMode(v["fusion.mode"].strip().lower())
-            scope = AngleScope(v["fusion.angle_scope"].strip().lower())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return FusionConfig(mode=mode, angle_scope=scope, epsilon_theta=v["fusion.epsilon_theta"])
+        scope = AngleScope(v["fusion.angle_scope"].strip().lower())
+        return FusionConfig(angle_scope=scope, epsilon_theta=v["fusion.epsilon_theta"])
 
     def proxy_params(self) -> SyntheticProviderParams:
         return SyntheticProviderParams(motion_hint_strength=self.values["proxy.strength"])

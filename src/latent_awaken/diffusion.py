@@ -1,7 +1,7 @@
 """Denoising-diffusion plumbing: latent containers, noise schedule, forward
 noising and ancestral reverse sampling.
 
-The latent space is pixel-shaped (identity codec): a frame latent is a
+The latent space is pixel-shaped (there is no codec): a frame latent is a
 (C, H, W) grid in roughly [-1, 1], a video latent stacks L of them.  All
 containers are immutable and finite by construction.
 """
@@ -83,25 +83,6 @@ class Denoiser(Protocol):
     """Anything that predicts the noise component of a noised video latent."""
 
     def predict_noise(self, z_t: VideoLatent, cond: Condition, t: int) -> VideoLatent: ...
-
-
-class ImageCodec(Protocol):
-    def encode(self, pixels: np.ndarray) -> FrameLatent: ...
-
-    def decode(self, latent: FrameLatent) -> np.ndarray: ...
-
-
-class IdentityCodec:
-    """Maps [0, 1] pixels to [-1, 1] latents and back; shapes untouched."""
-
-    def encode(self, pixels: np.ndarray) -> FrameLatent:
-        arr = np.asarray(pixels, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[None]
-        return FrameLatent(2.0 * arr - 1.0)
-
-    def decode(self, latent: FrameLatent) -> np.ndarray:
-        return np.clip((latent.grid + 1.0) / 2.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,10 @@
 
 The fused video walks from the real-image latent toward the proxy latent as
 the frame index advances: frame l mixes the two paths with weight
-beta_l = l / (L - 1).  Spherical interpolation (the default) keeps each
-fused frame on the great-circle arc between its sources, preserving norms
-that plain linear mixing would shrink mid-sequence; ``uniform_fuse`` is that
-linear baseline, kept for ablation.
+beta_l = l / (L - 1).  Spherical interpolation keeps each fused frame on the
+great-circle arc between its sources, preserving norms that plain linear
+mixing would shrink mid-sequence; ``uniform_fuse`` is that linear baseline,
+kept for ablation.  The pipeline variant decides which of the two runs.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ from .diffusion import VideoLatent
 from .numerics import angle_between
 
 
-class FusionMode(Enum):
-    SLERP = "slerp"
-    UNIFORM = "uniform"
-
-
 class AngleScope(Enum):
     """Where the slerp angle is measured: one angle for the whole flattened
     video pair, or a separate angle per frame slice."""
@@ -34,7 +29,6 @@ class AngleScope(Enum):
 
 @dataclass(frozen=True)
 class FusionConfig:
-    mode: FusionMode = FusionMode.SLERP
     angle_scope: AngleScope = AngleScope.GLOBAL
     epsilon_theta: float = 1e-6
 
@@ -107,10 +101,3 @@ def uniform_fuse(zr: VideoLatent, zs: VideoLatent) -> VideoLatent:
     _check_pair(zr, zs)
     betas = beta_schedule(zr.frame_count)[:, None, None, None]
     return VideoLatent(zr.frames + betas * (zs.frames - zr.frames))
-
-
-def fuse(zr: VideoLatent, zs: VideoLatent, cfg: FusionConfig = FusionConfig()) -> VideoLatent:
-    """Dispatch on ``cfg.mode``."""
-    if cfg.mode is FusionMode.SLERP:
-        return slerp_fuse(zr, zs, cfg)
-    return uniform_fuse(zr, zs)

@@ -1,8 +1,8 @@
 """Small numeric kernels shared across the package.
 
-Vector geometry (dot products, angles), a PSD matrix square root, the
-principal-axis statistics behind the trajectory-linearity metric, and the
-LTN1 tensor file format used for checkpoints and latent videos.
+Vector angles, a PSD matrix square root, the principal-axis statistics
+behind the trajectory-linearity metric, and the LTN1 tensor file format used
+for checkpoints and latent videos.
 """
 
 from __future__ import annotations
@@ -20,21 +20,6 @@ def _as_finite_array(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
-
-
-def dot(a, b) -> float:
-    """Dot product of two tensors of identical shape, flattened."""
-    a = _as_finite_array(a, "a")
-    b = _as_finite_array(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
-def norm(a) -> float:
-    """Euclidean norm of a tensor, flattened."""
-    a = _as_finite_array(a, "a")
-    return float(np.linalg.norm(a.ravel()))
 
 
 def angle_between(a, b) -> float:

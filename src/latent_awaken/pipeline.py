@@ -5,13 +5,14 @@ stages: replicate the image into a static video, fabricate a proxy image,
 score-distill both latents, fuse them into a hybrid latent, push the result
 back out to an intermediate noise level and finish with ancestral sampling.
 Five variants cover the ablation grid, from the plain sampler (Baseline) to
-the full method (VS):
+the full method (VS).  ``VARIANT_STAGES`` is the one place that says which
+refinement and which fusion each variant runs:
 
-    Baseline  replicate -> noise to T      -> sample from T
-    V         refine real path only        -> noise to tau -> sample
-    S         fuse the two *un-refined* statics (slerp)    -> sample
-    VU        dual-path refine + uniform (linear) fusion   -> sample
-    VS        dual-path refine + spherical fusion          -> sample
+    Baseline  no refinement, no fusion  -> noise to T   -> sample from T
+    V         refine real path only     -> noise to tau -> sample
+    S         fuse the two *un-refined* statics (slerp)  -> sample
+    VU        dual-path refine + uniform (linear) fusion -> sample
+    VS        dual-path refine + spherical fusion        -> sample
 
 ``run_ablation`` scores variants over a benchmark set with the metrics
 module and serializes a fixed-column table.
@@ -60,6 +61,17 @@ VARIANT_ORDER = (
     PipelineVariant.VS,
 )
 
+# variant -> (refinement: None/"real"/"dual", fusion: None/"slerp"/"uniform").
+# The proxy is made whenever a fusion runs; the row with neither is the plain
+# sampler and restarts from T.
+VARIANT_STAGES = {
+    PipelineVariant.BASELINE: (None, None),
+    PipelineVariant.V: ("real", None),
+    PipelineVariant.S: (None, "slerp"),
+    PipelineVariant.VU: ("dual", "uniform"),
+    PipelineVariant.VS: ("dual", "slerp"),
+}
+
 
 def parse_variant(name: str) -> PipelineVariant:
     key = name.strip().lower()
@@ -100,7 +112,6 @@ def _config_snapshot(variant, seed, sched, vsds_cfg, fusion_cfg, resume_from) ->
             "shared_noise": vsds_cfg.shared_noise,
         },
         "fusion": {
-            "mode": fusion_cfg.mode.value,
             "angle_scope": fusion_cfg.angle_scope.value,
             "epsilon_theta": fusion_cfg.epsilon_theta,
         },
@@ -149,30 +160,26 @@ def animate(
         timing[name] = time.perf_counter() - t0
         return result
 
-    static = run_stage("replicate", lambda: replicate_static(image, frames))
-    stages["static"] = static
+    refinement, fusion = VARIANT_STAGES[variant]
+    real = run_stage("replicate", lambda: replicate_static(image, frames))
+    stages["static"] = real
 
-    needs_proxy = variant in (PipelineVariant.S, PipelineVariant.VU, PipelineVariant.VS)
-    if needs_proxy:
+    if fusion is not None:
         proxy_image = run_stage("proxy", lambda: proxy_provider.synthesize(image, cond))
-        proxy_static = replicate_static(proxy_image, frames)
+        proxy = replicate_static(proxy_image, frames)
         stages["proxy_image"] = proxy_image
 
-    if variant is PipelineVariant.BASELINE:
-        pre_latent = static
-    elif variant is PipelineVariant.V:
-        pre_latent = run_stage(
-            "vsds", lambda: vsds_refine(static, cond, denoiser, sched, vsds_cfg, rng=stream(seed, "vsds/real"))
+    if refinement == "real":
+        real = run_stage(
+            "vsds", lambda: vsds_refine(real, cond, denoiser, sched, vsds_cfg, rng=stream(seed, "vsds/real"))
         )
-        stages["refined_real"] = pre_latent
-    elif variant is PipelineVariant.S:
-        pre_latent = run_stage("fusion", lambda: slerp_fuse(static, proxy_static, fusion_cfg))
-    else:  # VU, VS
-        refined_real, refined_proxy = run_stage(
+        stages["refined_real"] = real
+    elif refinement == "dual":
+        real, proxy = run_stage(
             "vsds",
             lambda: dual_path_refine(
-                static,
-                proxy_static,
+                real,
+                proxy,
                 cond,
                 denoiser,
                 sched,
@@ -181,15 +188,18 @@ def animate(
                 rng_proxy=stream(seed, "vsds/proxy"),
             ),
         )
-        stages["refined_real"] = refined_real
-        stages["refined_proxy"] = refined_proxy
-        if variant is PipelineVariant.VU:
-            pre_latent = run_stage("fusion", lambda: uniform_fuse(refined_real, refined_proxy))
-        else:
-            pre_latent = run_stage("fusion", lambda: slerp_fuse(refined_real, refined_proxy, fusion_cfg))
+        stages["refined_real"] = real
+        stages["refined_proxy"] = proxy
+
+    if fusion == "slerp":
+        pre_latent = run_stage("fusion", lambda: slerp_fuse(real, proxy, fusion_cfg))
+    elif fusion == "uniform":
+        pre_latent = run_stage("fusion", lambda: uniform_fuse(real, proxy))
+    else:
+        pre_latent = real
     stages["pre_latent"] = pre_latent
 
-    if variant is PipelineVariant.BASELINE or resume_from == "T":
+    if (refinement, fusion) == (None, None) or resume_from == "T":
         t_start = sched.steps
     else:
         t_start = tau_step(sched.steps, vsds_cfg.p)

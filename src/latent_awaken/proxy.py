@@ -95,7 +95,8 @@ def load_proxy(path, expected_shape: tuple[int, int, int] | None = None) -> Fram
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"proxy file not found: {path}")
-    magic = path.open("rb").read(4)
+    with path.open("rb") as fh:
+        magic = fh.read(4)
     if magic == LTN1_MAGIC:
         arr = read_ltn1(path)
         if arr.ndim == 2:

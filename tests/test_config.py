@@ -1,10 +1,13 @@
 """Config parsing, validation, canonical hashing, typed views."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_awaken.config import ConfigError, load_config, parse_config, with_overrides
-from latent_awaken.fusion import AngleScope, FusionMode
+from latent_awaken.fusion import AngleScope
 from latent_awaken.pipeline import PipelineVariant
+from latent_awaken.toydenoiser import MOTION_LABELS
 from latent_awaken.vsds import CurveKind
 
 
@@ -15,7 +18,6 @@ def test_defaults():
     assert cfg["schedule.steps"] == 1000
     assert cfg["pipeline.variants"] == ("Baseline", "V", "S", "VU", "VS")
     assert cfg.vsds_config().curve.kind is CurveKind.STEPWISE_DECREASING
-    assert cfg.fusion_config().mode is FusionMode.SLERP
     assert cfg.fusion_config().angle_scope is AngleScope.GLOBAL
     assert cfg.resume_from == "tau"
 
@@ -70,7 +72,8 @@ def test_bad_value_names_key():
         ("train.epochs = 0", "train.epochs"),
         ("train.lr = -0.5", "train.lr"),
         ("vsds.curve = zigzag", "unknown weight curve"),
-        ("fusion.mode = hyper", "hyper"),
+        ("fusion.angle_scope = diagonal", "diagonal"),
+        ("fusion.mode = slerp", "unknown config key 'fusion.mode'"),
         ("dataset.shapes = triangle", "unknown shape kind"),
         ("pipeline.variants = Baseline, XX", "unknown pipeline variant"),
         ("ablate.p_grid = 0.0, 0.5", "ablate.p_grid"),
@@ -104,13 +107,39 @@ def test_config_hash_ignores_formatting():
     assert a.config_hash() != c.config_hash()
 
 
-def test_canonical_is_sorted_and_parseable():
-    cfg = parse_config("seed = 7\n")
+unit_interval = st.floats(0.0, 1.0, exclude_min=True)
+positive = st.floats(1e-9, 1e3)
+
+# Valid override lines for a spread of keys, one strategy per key; each
+# draws the value's text as a user would write it.
+override_lines = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2**31).map(str),
+    "dataset.labels": st.lists(st.sampled_from(MOTION_LABELS), min_size=1, unique=True).map(", ".join),
+    "dataset.velocities": st.lists(positive, min_size=1, max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
+    "train.lr": positive.map(repr),
+    "vsds.p": unit_interval.map(repr),
+    "vsds.curve": st.sampled_from(["LD", "SD", "SI", "LI", "constant"]),
+    "vsds.shared_noise": st.sampled_from(["true", "no", "1", "off"]),
+    "fusion.angle_scope": st.sampled_from(["global", "per_frame", " Per_Frame "]),
+    "fusion.epsilon_theta": positive.map(repr),
+    "proxy.strength": st.floats(0.0, 1.0).map(repr),
+    "pipeline.variants": st.lists(st.sampled_from(["Baseline", "V", "S", "VU", "VS"]), min_size=1).map(",".join),
+    "pipeline.resume_from": st.sampled_from(["tau", "T"]),
+    "ablate.p_grid": st.lists(unit_interval, min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(overrides=override_lines)
+def test_canonical_is_sorted_and_parseable(overrides):
+    cfg = parse_config("".join(f"{key} = {text}\n" for key, text in overrides.items()))
     text = cfg.canonical()
     keys = [line.split(" = ")[0] for line in text.strip().splitlines()]
     assert keys == sorted(keys)
-    # canonical text round-trips through the parser to the same hash
-    assert parse_config(text).config_hash() == cfg.config_hash()
+    # canonical text round-trips through the parser to the same values and hash
+    again = parse_config(text)
+    assert again.values == cfg.values
+    assert again.config_hash() == cfg.config_hash()
 
 
 def test_load_config(tmp_path):

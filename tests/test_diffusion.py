@@ -4,7 +4,6 @@ import pytest
 from latent_awaken.diffusion import (
     Condition,
     FrameLatent,
-    IdentityCodec,
     NoiseSchedule,
     VideoLatent,
     forward_noise,
@@ -203,12 +202,3 @@ def test_condition_rejects_negative_label():
     image = FrameLatent(np.zeros((1, 4, 4)))
     with pytest.raises(ValueError):
         Condition(image, -1)
-
-
-def test_identity_codec_round_trip():
-    codec = IdentityCodec()
-    pixels = stream(26, "px").uniform(0.0, 1.0, (1, 8, 8))
-    latent = codec.encode(pixels)
-    assert np.allclose(latent.grid, 2.0 * pixels - 1.0)
-    back = codec.decode(latent)
-    assert np.allclose(back, pixels, atol=1e-12)

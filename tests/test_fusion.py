@@ -2,17 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_awaken.diffusion import VideoLatent
-from latent_awaken.fusion import (
-    AngleScope,
-    FusionConfig,
-    FusionMode,
-    beta_schedule,
-    fuse,
-    slerp_fuse,
-    uniform_fuse,
-)
+from latent_awaken.fusion import AngleScope, FusionConfig, beta_schedule, slerp_fuse, uniform_fuse
 from latent_awaken.rng import stream
 
 PER_FRAME = FusionConfig(angle_scope=AngleScope.PER_FRAME)
@@ -70,12 +64,18 @@ def test_slerp_equal_inputs_is_identity():
         assert np.array_equal(out.frames, v.frames)
 
 
-def test_slerp_endpoints_exact():
-    zr, zs = random_video(2), random_video(3)
-    for cfg in (FusionConfig(), PER_FRAME):
-        out = slerp_fuse(zr, zs, cfg)
-        assert np.abs(out.frames[0] - zr.frames[0]).max() <= 1e-12
-        assert np.abs(out.frames[-1] - zs.frames[-1]).max() <= 1e-12
+frame_counts = st.integers(2, 9)
+seeds = st.integers(0, 2**16)
+scopes = st.sampled_from(AngleScope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=frame_counts, seed_r=seeds, seed_s=seeds, scope=scopes)
+def test_slerp_endpoints_exact(frames, seed_r, seed_s, scope):
+    zr, zs = random_video(seed_r, frames), random_video(seed_s, frames)
+    out = slerp_fuse(zr, zs, FusionConfig(angle_scope=scope))
+    assert np.abs(out.frames[0] - zr.frames[0]).max() <= 1e-12
+    assert np.abs(out.frames[-1] - zs.frames[-1]).max() <= 1e-12
 
 
 def test_slerp_orthogonal_midframe():
@@ -92,15 +92,14 @@ def test_slerp_orthogonal_midframe():
         assert abs(np.linalg.norm(mid) - 1.0) < 1e-12
 
 
-def test_slerp_preserves_norm_of_equal_norm_frames():
-    gen = stream(4, "fusion-test")
-    for theta in (0.3, 1.2, 2.4):
-        u, v = unit_pair(gen, theta)
-        zr, zs = tiled_video(2.5 * u, frames=7), tiled_video(2.5 * v, frames=7)
-        for cfg in (FusionConfig(), PER_FRAME):
-            out = slerp_fuse(zr, zs, cfg)
-            norms = np.linalg.norm(out.frames.reshape(7, -1), axis=1)
-            assert np.abs(norms - 2.5).max() <= 1e-9
+@settings(max_examples=60, deadline=None)
+@given(frames=frame_counts, seed=seeds, scope=scopes, theta=st.floats(1e-3, 3.0))
+def test_slerp_preserves_norm_of_equal_norm_frames(frames, seed, scope, theta):
+    u, v = unit_pair(stream(seed, "fusion-test"), theta)
+    zr, zs = tiled_video(2.5 * u, frames=frames), tiled_video(2.5 * v, frames=frames)
+    out = slerp_fuse(zr, zs, FusionConfig(angle_scope=scope))
+    norms = np.linalg.norm(out.frames.reshape(frames, -1), axis=1)
+    assert np.abs(norms - 2.5).max() <= 1e-9
 
 
 def test_slerp_norm_dominates_lerp():
@@ -119,16 +118,18 @@ def test_slerp_norm_dominates_lerp():
         assert arc_norms[1] > chord_norms[1]
 
 
-def test_slerp_reversal_symmetry():
+@settings(max_examples=60, deadline=None)
+@given(frames=frame_counts, seed=seeds, scope=scopes, theta=st.floats(0.05, 3.0),
+       scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+def test_slerp_reversal_symmetry(frames, seed, scope, theta, scales):
     # For frame-constant inputs, swapping them and reading the frames
     # backwards walks the same arc (beta and 1 - beta trade places).
-    gen = stream(6, "fusion-test")
-    u, v = unit_pair(gen, 1.1)
-    zr, zs = tiled_video(1.3 * u, frames=5), tiled_video(0.8 * v, frames=5)
-    for cfg in (FusionConfig(), PER_FRAME):
-        fwd = slerp_fuse(zr, zs, cfg)
-        rev = slerp_fuse(zs, zr, cfg)
-        assert np.abs(fwd.frames - rev.frames[::-1]).max() <= 1e-12
+    u, v = unit_pair(stream(seed, "fusion-test"), theta)
+    zr, zs = tiled_video(scales[0] * u, frames=frames), tiled_video(scales[1] * v, frames=frames)
+    cfg = FusionConfig(angle_scope=scope)
+    fwd = slerp_fuse(zr, zs, cfg)
+    rev = slerp_fuse(zs, zr, cfg)
+    assert np.abs(fwd.frames - rev.frames[::-1]).max() <= 1e-12
 
 
 def test_slerp_rejects_antipodal():
@@ -152,7 +153,7 @@ def test_slerp_rejects_zero_norm():
 
 
 # ---------------------------------------------------------------------------
-# uniform baseline and dispatch
+# uniform baseline
 # ---------------------------------------------------------------------------
 
 
@@ -186,11 +187,3 @@ def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(epsilon_theta=-1e-9)
 
-
-def test_fuse_dispatches_on_mode():
-    zr, zs = random_video(12), random_video(13)
-    by_slerp = fuse(zr, zs, FusionConfig(mode=FusionMode.SLERP))
-    by_uniform = fuse(zr, zs, FusionConfig(mode=FusionMode.UNIFORM))
-    assert np.array_equal(by_slerp.frames, slerp_fuse(zr, zs).frames)
-    assert np.array_equal(by_uniform.frames, uniform_fuse(zr, zs).frames)
-    assert not np.array_equal(by_slerp.frames, by_uniform.frames)

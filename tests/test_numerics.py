@@ -3,40 +3,12 @@ import pytest
 
 from latent_awaken.numerics import (
     angle_between,
-    dot,
-    norm,
     principal_axis_stats,
     read_ltn1,
     sqrtm_psd,
     write_ltn1,
 )
 from latent_awaken.rng import stream
-
-
-def test_dot_orthogonal_is_zero():
-    assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_dot_with_self_is_squared_norm():
-    x = stream(0, "dot").standard_normal(17)
-    assert dot(x, x) == pytest.approx(norm(x) ** 2, rel=1e-12)
-
-
-def test_dot_hand_sum():
-    assert dot(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == 32.0
-
-
-def test_dot_symmetric_and_bilinear():
-    g = stream(1, "dot")
-    a, b, c = g.standard_normal((3, 40))
-    assert dot(a, b) == pytest.approx(dot(b, a), rel=1e-12)
-    lhs = dot(2.5 * a + b, c)
-    assert lhs == pytest.approx(2.5 * dot(a, c) + dot(b, c), rel=1e-10)
-
-
-def test_dot_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        dot(np.zeros(3), np.zeros(4))
 
 
 def test_angle_identical_vectors():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fixture_recipe as recipe
-from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
+from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
+from latent_awaken.fusion import slerp_fuse, uniform_fuse
 from latent_awaken.metrics import fidelity, motion_energy
 from latent_awaken.pipeline import (
     PipelineVariant,
@@ -168,6 +169,19 @@ def test_baseline_calls_once_per_level():
     assert sum(model.by_t.values()) == STEPS
 
 
+def test_s_calls_once_per_level_up_to_tau():
+    # S refines nothing and keeps its fused latent, so only the reverse pass
+    # calls the denoiser, from tau down.
+    sched = small_sched()
+    tau = tau_step(STEPS, 0.5)
+    model = CallHistogram(frames=6)
+    image = blob_image()
+    animate(image, Condition(image, label_id("right")), PipelineVariant.S,
+            model, sched, vsds_cfg=VsdsConfig(p=0.5), seed=1)
+    assert all(model.by_t[t] == 1 for t in range(1, tau + 1))
+    assert sum(model.by_t.values()) == tau
+
+
 def test_run_result_structure():
     sched = small_sched()
     image = blob_image()
@@ -182,6 +196,16 @@ def test_run_result_structure():
     assert run.config["schedule_steps"] == STEPS
     assert run.output.frame_count == 6
 
+    vu = animate(image, cond, PipelineVariant.VU, ZeroDenoiser(frames=6), sched,
+                 vsds_cfg=VsdsConfig(p=0.5), seed=7)
+    assert set(vu.timing) == set(run.timing)
+    assert set(vu.stages) == set(run.stages)
+
+    s_only = animate(image, cond, PipelineVariant.S, ZeroDenoiser(frames=6), sched,
+                     vsds_cfg=VsdsConfig(p=0.5), seed=7)
+    assert set(s_only.timing) == {"replicate", "proxy", "fusion", "resample", "reverse"}
+    assert set(s_only.stages) == {"static", "proxy_image", "pre_latent"}
+
     base = animate(image, cond, PipelineVariant.BASELINE, ZeroDenoiser(frames=6), sched, seed=7)
     assert set(base.timing) == {"replicate", "resample", "reverse"}
     assert set(base.stages) == {"static", "pre_latent"}
@@ -190,6 +214,23 @@ def test_run_result_structure():
                      vsds_cfg=VsdsConfig(p=0.5), seed=7)
     assert "proxy_image" not in v_only.stages
     assert "refined_real" in v_only.stages
+
+
+@pytest.mark.parametrize("variant, fuse", [
+    pytest.param(PipelineVariant.S, slerp_fuse, id="S"),
+    pytest.param(PipelineVariant.VU, uniform_fuse, id="VU"),
+    pytest.param(PipelineVariant.VS, slerp_fuse, id="VS"),
+])
+def test_pre_latent_is_the_variants_fusion(variant, fuse):
+    # S fuses the two un-refined statics, VU and VS the refined paths; only
+    # VU mixes them linearly.
+    sched = small_sched()
+    image = blob_image()
+    run = animate(image, Condition(image, label_id("right")), variant, ZeroDenoiser(frames=6), sched,
+                  vsds_cfg=VsdsConfig(p=0.5), seed=7)
+    real = run.stages.get("refined_real", run.stages["static"])
+    proxy = run.stages.get("refined_proxy", replicate_static(run.stages["proxy_image"], 6))
+    assert np.array_equal(run.stages["pre_latent"].frames, fuse(real, proxy).frames)
 
 
 def test_animate_validates_inputs():

@@ -1,7 +1,12 @@
 """Procedural proxy synthesis and the file-based proxy loaders."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_awaken.diffusion import Condition, FrameLatent
 from latent_awaken.numerics import write_ltn1
@@ -215,14 +220,28 @@ def test_read_pgm_rejects_other_formats(tmp_path):
         read_pgm(path)
 
 
-def test_pgm_round_trip_on_byte_lattice(tmp_path):
-    # values that sit exactly on the 8-bit grid survive write/read unchanged
-    ks = np.arange(64, dtype=np.float64).reshape(8, 8) * 4
+@st.composite
+def byte_images(draw):
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return np.array(draw(st.lists(st.integers(0, 255), min_size=height * width, max_size=height * width)),
+                    dtype=np.float64).reshape(height, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ks=byte_images(), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_pgm_round_trip_on_byte_lattice(ks, cut):
+    # values that sit exactly on the 8-bit grid survive write/read unchanged,
+    # and any cut into the payload is reported as truncation
     grid = (2.0 * ks / 255.0 - 1.0)[None]
-    path = tmp_path / "img.pgm"
-    write_pgm(path, FrameLatent(grid))
-    out = read_pgm(path)
-    assert np.array_equal(out.grid, grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img.pgm"
+        write_pgm(path, FrameLatent(grid))
+        out = read_pgm(path)
+        assert np.array_equal(out.grid, grid)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - ks.size + int(cut * ks.size)])
+        with pytest.raises(ValueError, match="truncated"):
+            read_pgm(path)
 
 
 def test_load_proxy_reads_pgm_too(tmp_path):

@@ -24,7 +24,7 @@ from .pipeline import AblationReport, PipelineVariant, animate, parse_variant, r
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
 from .rng import stream
 from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train
-from .vsds import WeightCurve, parse_curve_kind
+from .vsds import parse_curve_kind
 
 THREADS_ENV = "LATENT_AWAKEN_THREADS"
 
@@ -164,25 +164,20 @@ def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int
         return run_ablation(benchmark, cfg.variants(), vsds_cfg=cfg.vsds_config(), **common)
 
     base_vsds = cfg.vsds_config()
-    merged = None
     if sweep == "curves":
         keys_and_cfgs = [
-            (name, replace(base_vsds, curve=WeightCurve(parse_curve_kind(name), base_vsds.curve.w_hi, base_vsds.curve.w_lo)))
+            (name, replace(base_vsds, curve=replace(base_vsds.curve, kind=parse_curve_kind(name))))
             for name in cfg["ablate.curve_grid"]
         ]
     else:  # p sweep
         keys_and_cfgs = [(repr(p), replace(base_vsds, p=p)) for p in cfg["ablate.p_grid"]]
+    rows, failures = [], []
     for key, vsds_cfg in keys_and_cfgs:
         report = run_ablation(benchmark, [PipelineVariant.VS], vsds_cfg=vsds_cfg, **common)
-        row = report.rows[0]
-        row.key = key
-        if merged is None:
-            merged = report
-            merged.rows = [row]
-        else:
-            merged.rows.append(row)
-            merged.failures.extend(report.failures)
-    return merged
+        rows.append(replace(report.rows[0], key=key))
+        failures.extend({**failure, "variant": key} for failure in report.failures)
+    # Grids are non-empty (config validation), so ``report`` is bound here.
+    return AblationReport(rows, report.feature_dim, report.n_items, failures)
 
 
 def cmd_ablate(args) -> int:

@@ -1,5 +1,5 @@
 """Denoising-diffusion plumbing: latent containers, noise schedule, forward
-noising and ancestral reverse sampling.
+noising and the variance-zeroed reverse pass.
 
 The latent space is pixel-shaped (there is no codec): a frame latent is a
 (C, H, W) grid in roughly [-1, 1], a video latent stacks L of them.  All
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-
-from .rng import as_stream
 
 
 def _frozen_array(x, ndim: int, name: str) -> np.ndarray:
@@ -96,8 +94,8 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray = field(default=None)
-    alpha_bars: np.ndarray = field(default=None)
+    alphas: np.ndarray = field(init=False)
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.array(self.betas, dtype=np.float64)
@@ -146,11 +144,6 @@ class NoiseSchedule:
         t = self._check_t(t, low=0)
         return 1.0 if t == 0 else float(self.alpha_bars[t - 1])
 
-    def posterior_variance(self, t: int) -> float:
-        """Variance of q(z_{t-1} | z_t, z_0)."""
-        t = self._check_t(t)
-        return (1.0 - self.alpha_bar(t - 1)) / (1.0 - self.alpha_bar(t)) * self.beta(t)
-
 
 def replicate_static(image: FrameLatent, frame_count: int) -> VideoLatent:
     """Tile one frame into a motionless video latent."""
@@ -174,26 +167,19 @@ def reverse_sample(
     cond: Condition,
     denoiser: Denoiser,
     sched: NoiseSchedule,
-    rng: int | np.random.Generator | None = None,
-    deterministic: bool = False,
 ) -> VideoLatent:
-    """Ancestral sampling from noise level ``t_start`` down to a clean latent.
+    """Variance-zeroed reverse pass from noise level ``t_start`` to a clean latent.
 
-    Each step removes the predicted noise and, except at the final step,
-    re-injects Gaussian noise at the posterior variance.  With
-    ``deterministic=True`` the noise injection is skipped entirely, which
-    makes the trajectory a pure function of the denoiser.
-
-    ``t_start = 0`` returns the input unchanged (already clean).
+    Each step replaces z_t with the posterior mean of z_{t-1} given the
+    predicted noise and re-injects nothing, so the trajectory is a pure
+    function of the denoiser.  ``t_start = 0`` returns the input unchanged
+    (already clean).
     """
     t_start = int(t_start)
     if not 0 <= t_start <= sched.steps:
         raise ValueError(f"t_start={t_start} outside [0, {sched.steps}]")
     if t_start == 0:
         return z_start
-    if not deterministic and t_start > 1 and rng is None:
-        raise ValueError("stochastic sampling needs an rng; pass one or set deterministic=True")
-    gen = None if deterministic else as_stream(rng, 0, "reverse-sample")
 
     z = z_start.frames
     shape = z_start.shape
@@ -202,12 +188,7 @@ def reverse_sample(
         if pred.shape != shape:
             raise ValueError(f"denoiser returned shape {pred.shape}, expected {shape}")
         beta = sched.beta(t)
-        mean = (z - beta / np.sqrt(1.0 - sched.alpha_bar(t)) * pred.frames) / np.sqrt(sched.alpha(t))
-        if t > 1 and not deterministic:
-            sigma = np.sqrt(sched.posterior_variance(t))
-            z = mean + sigma * gen.standard_normal(shape)
-        else:
-            z = mean
+        z = (z - beta / np.sqrt(1.0 - sched.alpha_bar(t)) * pred.frames) / np.sqrt(sched.alpha(t))
         if not np.isfinite(z).all():
             raise ValueError(f"reverse sampling diverged at step t={t}")
     return VideoLatent(z)

@@ -18,7 +18,7 @@ from scipy import stats as sstats
 
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .numerics import principal_axis_stats, sqrtm_psd
-from .toydenoiser import DIRECTIONS, MOTION_LABELS
+from .toydenoiser import DIRECTIONS, MOTION_LABELS, wrapped_delta
 
 
 def feature_length(frame_count: int) -> int:
@@ -53,11 +53,6 @@ def _circular_centroid(weights: np.ndarray) -> tuple[float, float]:
     return cx % width, cy % height
 
 
-def _wrapped_diff(b: float, a: float, period: int) -> float:
-    """Signed shortest displacement a -> b on a circle of given period."""
-    return (b - a + period / 2.0) % period - period / 2.0
-
-
 def per_frame_centroids(v: VideoLatent) -> np.ndarray:
     """(L, 2) array of (cx, cy); constant frames inherit the previous centroid."""
     out = np.zeros((v.frame_count, 2))
@@ -76,8 +71,8 @@ def displacement_estimate(v: VideoLatent) -> tuple[float, float]:
         return 0.0, 0.0
     cents = per_frame_centroids(v)
     _, _, height, width = v.shape
-    dx = np.mean([_wrapped_diff(cents[l + 1, 0], cents[l, 0], width) for l in range(v.frame_count - 1)])
-    dy = np.mean([_wrapped_diff(cents[l + 1, 1], cents[l, 1], height) for l in range(v.frame_count - 1)])
+    dx = np.mean([wrapped_delta(cents[l + 1, 0], cents[l, 0], width) for l in range(v.frame_count - 1)])
+    dy = np.mean([wrapped_delta(cents[l + 1, 1], cents[l, 1], height) for l in range(v.frame_count - 1)])
     return float(dx), float(dy)
 
 
@@ -92,8 +87,8 @@ def per_frame_sizes(v: VideoLatent) -> np.ndarray:
         if w is None:
             continue
         cx, cy = _circular_centroid(w)
-        dx = (xs - cx + width / 2.0) % width - width / 2.0
-        dy = (ys - cy + height / 2.0) % height - height / 2.0
+        dx = wrapped_delta(xs, cx, width)
+        dy = wrapped_delta(ys, cy, height)
         sizes[l] = np.sqrt((w * (dx**2 + dy**2)).sum())
     return sizes
 

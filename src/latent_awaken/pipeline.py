@@ -3,10 +3,10 @@
 ``animate`` turns one still image into a video latent by composing the
 stages: replicate the image into a static video, fabricate a proxy image,
 score-distill both latents, fuse them into a hybrid latent, push the result
-back out to an intermediate noise level and finish with ancestral sampling.
-Five variants cover the ablation grid, from the plain sampler (Baseline) to
-the full method (VS).  ``VARIANT_STAGES`` is the one place that says which
-refinement and which fusion each variant runs:
+back out to an intermediate noise level and finish with a variance-zeroed
+reverse pass.  Five variants cover the ablation grid, from the plain sampler
+(Baseline) to the full method (VS).  ``VARIANT_STAGES`` is the one place that
+says which refinement and which fusion each variant runs:
 
     Baseline  no refinement, no fusion  -> noise to T   -> sample from T
     V         refine real path only     -> noise to tau -> sample
@@ -134,8 +134,8 @@ def animate(
 
     All randomness flows through labeled streams derived from ``seed``: each
     refinement path and the re-noising draw have their own stream, so
-    identical calls are bit-identical.  The final reverse pass runs in
-    variance-zeroed mode — it tracks the posterior mean, so the output
+    identical calls are bit-identical.  The final reverse pass is
+    variance-zeroed — it tracks the posterior mean, so the output
     reflects the prepared latent rather than fresh sampling noise (the toy
     denoiser is too small to scrub late-step noise the way a large model
     would).  Intermediate latents are kept in ``RunResult.stages``.
@@ -211,7 +211,7 @@ def animate(
     z_t = run_stage("resample", renoise)
     output = run_stage(
         "reverse",
-        lambda: reverse_sample(z_t, t_start, cond, denoiser, sched, deterministic=True),
+        lambda: reverse_sample(z_t, t_start, cond, denoiser, sched),
     )
 
     return RunResult(
@@ -282,21 +282,14 @@ def _score_outputs(
     frechet = None
     if reference_stats is not None and len(outputs) >= 2:
         frechet = metrics.frechet_distance(metrics.FeatureStats.from_features(feats), reference_stats)
-    aligns, vrs, monos, energies, fids = [], [], [], [], []
-    for _, v, cond, image in outputs:
-        aligns.append(metrics.alignment_score(v, cond))
-        vr, mono = metrics.linearity_score(v)
-        vrs.append(vr)
-        monos.append(mono)
-        energies.append(metrics.motion_energy(v))
-        fids.append(metrics.fidelity(v, image))
+    per_item = [metrics.diagnose_video(v, cond, image) for _, v, cond, image in outputs]
     report = metrics.MetricReport(
         frechet=frechet,
-        alignment=float(np.mean(aligns)),
-        linearity_vr=float(np.mean(vrs)),
-        linearity_mono=float(np.mean(monos)),
-        motion_energy=float(np.mean(energies)),
-        fidelity=float(np.mean(fids)),
+        alignment=float(np.mean([r.alignment for r in per_item])),
+        linearity_vr=float(np.mean([r.linearity_vr for r in per_item])),
+        linearity_mono=float(np.mean([r.linearity_mono for r in per_item])),
+        motion_energy=float(np.mean([r.motion_energy for r in per_item])),
+        fidelity=float(np.mean([r.fidelity for r in per_item])),
     )
     return AblationRow(key, report, len(outputs), n_failed)
 

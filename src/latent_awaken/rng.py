@@ -1,7 +1,7 @@
 """Deterministic, label-separated random streams.
 
-Every stochastic stage of the pipeline (latent noising, score-distillation
-noise, reverse sampling, dataset synthesis, ...) pulls from its own
+Every stochastic stage of the pipeline (score-distillation noise, the
+re-noising draw, dataset synthesis, training batches, ...) pulls from its own
 counter-based generator keyed by ``(seed, label)``.  Streams for different
 labels are statistically independent, and adding or removing draws in one
 stage never shifts the values seen by another.  This is what makes whole
@@ -25,15 +25,3 @@ def stream(seed: int, label: str) -> np.random.Generator:
     key = np.frombuffer(digest[:16], dtype="<u8")
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def as_stream(rng: int | np.random.Generator | None, seed: int, label: str) -> np.random.Generator:
-    """Normalize an optional rng argument to a Generator.
-
-    ``None`` falls back to ``stream(seed, label)``; an int is treated as a
-    seed for the same label; a Generator passes through untouched.
-    """
-    if rng is None:
-        return stream(seed, label)
-    if isinstance(rng, (int, np.integer)):
-        return stream(int(rng), label)
-    return rng

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from .numerics import read_ltn1, write_ltn1
-from .rng import as_stream, stream
+from .rng import stream
 
 MOTION_LABELS = ("static", "right", "left", "up", "down", "grow")
 
@@ -93,8 +93,8 @@ class MotionDataset:
         return len(self.samples)
 
 
-def _wrapped_delta(coords: np.ndarray, center: float, period: int) -> np.ndarray:
-    """Signed toroidal distance from ``center`` to each coordinate."""
+def wrapped_delta(coords, center, period: int):
+    """Signed shortest toroidal displacement from ``center`` to ``coords``."""
     return (coords - center + period / 2.0) % period - period / 2.0
 
 
@@ -104,8 +104,8 @@ def render_pattern(kind: str, cx: float, cy: float, size: float, height: int, wi
     Patterns wrap toroidally and are symmetric about their (possibly
     fractional) center, so the intensity centroid equals the center exactly.
     """
-    dx = _wrapped_delta(np.arange(width, dtype=np.float64)[None, :], cx, width)
-    dy = _wrapped_delta(np.arange(height, dtype=np.float64)[:, None], cy, height)
+    dx = wrapped_delta(np.arange(width, dtype=np.float64)[None, :], cx, width)
+    dy = wrapped_delta(np.arange(height, dtype=np.float64)[:, None], cy, height)
     if kind == "blob":
         return np.exp(-(dx**2 + dy**2) / (2.0 * size**2))
     if kind == "square":
@@ -436,7 +436,7 @@ def train(
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
-    rng = as_stream(None, seed, "train")
+    rng = stream(seed, "train")
     z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
     n = len(dataset)
     per_sample_scale = model.frames * model.frame_dim

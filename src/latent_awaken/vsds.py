@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .diffusion import Condition, Denoiser, FrameLatent, NoiseSchedule, VideoLatent, forward_noise
-from .rng import as_stream
+from .rng import stream
 
 
 class CurveKind(Enum):
@@ -36,25 +36,13 @@ class CurveKind(Enum):
     CONSTANT = "constant"
 
 
-_CURVE_ALIASES = {
-    "ld": CurveKind.LINEAR_DECREASING,
-    "lineardecreasing": CurveKind.LINEAR_DECREASING,
-    "sd": CurveKind.STEPWISE_DECREASING,
-    "stepwisedecreasing": CurveKind.STEPWISE_DECREASING,
-    "si": CurveKind.STEPWISE_INCREASING,
-    "stepwiseincreasing": CurveKind.STEPWISE_INCREASING,
-    "li": CurveKind.LINEAR_INCREASING,
-    "linearincreasing": CurveKind.LINEAR_INCREASING,
-    "constant": CurveKind.CONSTANT,
-    "const": CurveKind.CONSTANT,
-}
-
-
 def parse_curve_kind(name: str) -> CurveKind:
-    key = name.strip().lower().replace("_", "").replace("-", "")
-    if key not in _CURVE_ALIASES:
-        raise ValueError(f"unknown weight curve {name!r}; known: LD, SD, SI, LI, constant")
-    return _CURVE_ALIASES[key]
+    """Match a ``CurveKind`` value, ignoring case and surrounding spaces."""
+    key = name.strip().lower()
+    for kind in CurveKind:
+        if kind.value.lower() == key:
+            return kind
+    raise ValueError(f"unknown weight curve {name!r}; known: {', '.join(k.value for k in CurveKind)}")
 
 
 @dataclass(frozen=True)
@@ -167,10 +155,11 @@ def vsds_refine(
     denoiser: Denoiser,
     sched: NoiseSchedule,
     cfg: VsdsConfig = VsdsConfig(),
-    rng: int | np.random.Generator | None = None,
+    rng: np.random.Generator | None = None,
 ) -> VideoLatent:
-    """Refine one clean latent; draws exactly one noise tensor from ``rng``."""
-    gen = as_stream(rng, cfg.seed, "vsds/real")
+    """Refine one clean latent; draws exactly one noise tensor from ``rng``
+    (default: the ``vsds/real`` stream of ``cfg.seed``)."""
+    gen = rng if rng is not None else stream(cfg.seed, "vsds/real")
     eps = gen.standard_normal(z0.shape)
     return VideoLatent(_refine(z0.frames, cond, denoiser, sched, cfg, eps))
 
@@ -182,8 +171,8 @@ def dual_path_refine(
     denoiser: Denoiser,
     sched: NoiseSchedule,
     cfg: VsdsConfig = VsdsConfig(),
-    rng_real: int | np.random.Generator | None = None,
-    rng_proxy: int | np.random.Generator | None = None,
+    rng_real: np.random.Generator | None = None,
+    rng_proxy: np.random.Generator | None = None,
 ) -> tuple[VideoLatent, VideoLatent]:
     """Refine the real and proxy latents independently.
 
@@ -191,18 +180,19 @@ def dual_path_refine(
     own first frame as conditioning image (same motion label), so each path
     is anchored to its own source.  With ``cfg.shared_noise`` both paths see
     the same single noise draw; otherwise the real path draws first, then the
-    proxy path, each exactly once.
+    proxy path, each exactly once.  A missing generator falls back to the
+    ``vsds/shared``, ``vsds/real`` or ``vsds/proxy`` stream of ``cfg.seed``.
     """
     if real_static.shape != proxy_static.shape:
         raise ValueError(f"path shape mismatch: {real_static.shape} vs {proxy_static.shape}")
     proxy_cond = Condition(FrameLatent(proxy_static.frames[0]), cond.motion_label)
 
     if cfg.shared_noise:
-        gen = as_stream(rng_real, cfg.seed, "vsds/shared")
+        gen = rng_real if rng_real is not None else stream(cfg.seed, "vsds/shared")
         eps_real = eps_proxy = gen.standard_normal(real_static.shape)
     else:
-        gen_real = as_stream(rng_real, cfg.seed, "vsds/real")
-        gen_proxy = as_stream(rng_proxy, cfg.seed, "vsds/proxy")
+        gen_real = rng_real if rng_real is not None else stream(cfg.seed, "vsds/real")
+        gen_proxy = rng_proxy if rng_proxy is not None else stream(cfg.seed, "vsds/proxy")
         eps_real = gen_real.standard_normal(real_static.shape)
         eps_proxy = gen_proxy.standard_normal(proxy_static.shape)
 

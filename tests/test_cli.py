@@ -6,8 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
-from latent_awaken.cli import main
-from latent_awaken.diffusion import FrameLatent, replicate_static
+from latent_awaken.cli import _sweep_rows, main
+from latent_awaken.config import parse_config
+from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
 from latent_awaken.numerics import read_ltn1, write_ltn1
 from latent_awaken.proxy import write_pgm
 from latent_awaken.toydenoiser import DatasetParams, generate_dataset, render_pattern
@@ -221,6 +222,36 @@ def test_ablate_curve_sweep(workspace, tmp_path):
                  "--n", "2", "--out", str(out)]) == 0
     lines = (out / "ablation.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["LD", "SD", "SI", "LI"]
+
+
+class FailsAboveCutoff:
+    """Zero-noise denoiser that raises at every level above ``cutoff``."""
+
+    def __init__(self, frames, cutoff):
+        self.frames = frames
+        self.cutoff = cutoff
+
+    def predict_noise(self, z_t, cond, t):
+        if t > self.cutoff:
+            raise RuntimeError(f"level {t} above the cut-off")
+        return VideoLatent(np.zeros_like(z_t.frames))
+
+
+@pytest.mark.parametrize(
+    "sweep, grid, keys",
+    [("p", "ablate.p_grid = 0.4, 0.8", ["0.4", "0.8"]), ("curves", "ablate.curve_grid = LD, SI", ["LD", "SI"])],
+    ids=["p", "curves"],
+)
+def test_sweep_failures_name_their_sweep_point(sweep, grid, keys):
+    # Every refinement starts at T, above the cut-off, so each item of each
+    # sweep point fails; each failure must say which point it belongs to.
+    cfg = parse_config(CFG_TEXT + f"ablate.sweep = {sweep}\n{grid}\n")
+    samples = generate_dataset(2, cfg.dataset_params(), seed=1).samples
+    model = FailsAboveCutoff(cfg.dataset_params().frames, cutoff=cfg["schedule.steps"] // 2)
+    report = _sweep_rows(cfg, model, [(s.cond.image, s.cond) for s in samples], None, threads=1)
+    assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [(key, 0, 2) for key in keys]
+    assert [(f["item"], f["variant"]) for f in report.failures] == [(i, key) for key in keys for i in (0, 1)]
+    assert all("above the cut-off" in f["error"] for f in report.failures)
 
 
 def test_ablate_threads_env(workspace, tmp_path, monkeypatch):

@@ -58,9 +58,15 @@ def test_schedule_rejects_bad_ranges():
         NoiseSchedule.linear(10, 1e-5, 1e-4)
 
 
-def test_posterior_variance_positive_and_small_early(sched):
-    assert sched.posterior_variance(2) > 0.0
-    assert sched.posterior_variance(2) < sched.beta(2)
+def test_schedule_derived_arrays_are_not_constructor_arguments():
+    # alphas and alpha_bars are always computed from betas; passing them
+    # would be silently overwritten, so the constructor refuses them.
+    betas = np.linspace(0.1, 0.9, 5)
+    with pytest.raises(TypeError):
+        NoiseSchedule(betas, alphas=np.zeros(5))
+    with pytest.raises(TypeError):
+        NoiseSchedule(betas, alpha_bars="anything")
+    assert np.array_equal(NoiseSchedule(betas).alphas, 1.0 - betas)
 
 
 def test_forward_noise_zero_signal(sched):
@@ -136,21 +142,20 @@ def test_deterministic_reverse_recovers_oracle_latent(sched):
     z_T = forward_noise(z0, 1000, eps, sched)
     oracle = ConsistentOracle(z0, sched)
     cond = Condition(FrameLatent(z0.frames[0]), 0)
-    out = reverse_sample(z_T, 1000, cond, oracle, sched, deterministic=True)
+    out = reverse_sample(z_T, 1000, cond, oracle, sched)
     assert np.abs(out.frames - z0.frames).max() < 1e-9
 
 
-def test_stochastic_reverse_still_recovers_consistent_latent(sched):
-    # The injected posterior noise is re-absorbed at the next step because
-    # the oracle recomputes its prediction from the current z_t, so even the
-    # stochastic sampler walks back to z0.
+def test_reverse_from_intermediate_levels_recovers_consistent_latent(sched):
+    # Starting part-way down the schedule, the oracle's noise is consistent
+    # with z0 at every remaining level, so the pass still walks back to z0.
     z0 = _video(19, (8, 1, 8, 8), scale=0.5)
     oracle = ConsistentOracle(z0, sched)
     cond = Condition(FrameLatent(z0.frames[0]), 0)
     for t_start in (400, 50, 5):
         eps = stream(20 + t_start, "eps").standard_normal(z0.shape)
         z_t = forward_noise(z0, t_start, eps, sched)
-        out = reverse_sample(z_t, t_start, cond, oracle, sched, rng=1)
+        out = reverse_sample(z_t, t_start, cond, oracle, sched)
         assert np.abs(out.frames - z0.frames).max() < 1e-9
 
 
@@ -160,17 +165,9 @@ def test_reverse_seeded_twice_is_bit_identical(sched):
     z_T = forward_noise(z0, 1000, eps, sched)
     oracle = ConsistentOracle(z0, sched)
     cond = Condition(FrameLatent(z0.frames[0]), 0)
-    a = reverse_sample(z_T, 1000, cond, oracle, sched, rng=42)
-    b = reverse_sample(z_T, 1000, cond, oracle, sched, rng=42)
+    a = reverse_sample(z_T, 1000, cond, oracle, sched)
+    b = reverse_sample(z_T, 1000, cond, oracle, sched)
     assert a.frames.tobytes() == b.frames.tobytes()
-
-
-def test_stochastic_reverse_requires_rng(sched):
-    z = _video(23, (4, 1, 8, 8))
-    oracle = ConsistentOracle(z, sched)
-    cond = Condition(FrameLatent(z.frames[0]), 0)
-    with pytest.raises(ValueError):
-        reverse_sample(z, 100, cond, oracle, sched)
 
 
 def test_noised_norm_grows_with_level(sched):

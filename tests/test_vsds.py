@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_recipe as recipe
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
@@ -130,13 +132,15 @@ def test_alpha_at_validates_indices():
 
 
 def test_parse_curve_kind_aliases():
+    # Only the CurveKind values are accepted, in any case, with spaces trimmed.
     assert parse_curve_kind("LD") is CurveKind.LINEAR_DECREASING
-    assert parse_curve_kind("stepwise-decreasing") is CurveKind.STEPWISE_DECREASING
-    assert parse_curve_kind("Stepwise_Increasing") is CurveKind.STEPWISE_INCREASING
+    assert parse_curve_kind("sd") is CurveKind.STEPWISE_DECREASING
+    assert parse_curve_kind("Si") is CurveKind.STEPWISE_INCREASING
     assert parse_curve_kind(" li ") is CurveKind.LINEAR_INCREASING
-    assert parse_curve_kind("const") is CurveKind.CONSTANT
-    with pytest.raises(ValueError, match="unknown weight curve"):
-        parse_curve_kind("quadratic")
+    assert parse_curve_kind("CONSTANT") is CurveKind.CONSTANT
+    for name in ("stepwise-decreasing", "const", "quadratic"):
+        with pytest.raises(ValueError, match="unknown weight curve"):
+            parse_curve_kind(name)
 
 
 def test_weight_curve_validation():
@@ -192,15 +196,24 @@ def test_vsds_config_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_fixed_point():
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    p=st.floats(0.01, 1.0),
+    kind=st.sampled_from(CurveKind),
+    omega_mode=st.sampled_from(("one", "one_minus_alpha_bar")),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 6), st.integers(1, 6)),
+)
+def test_oracle_fixed_point(seed, p, kind, omega_mode, shape):
     # When the denoiser predicts the injected noise exactly, every gradient
-    # is zero and the latent must come back bit-for-bit.
+    # is zero and the latent must come back bit-for-bit, whatever the curve,
+    # weighting, stopping level or shape.
     sched = small_sched()
-    cfg = VsdsConfig(p=0.5, seed=0)
-    z0 = small_latent()
-    eps = stream(7, "vsds/real").standard_normal(SHAPE)
-    oracle = EchoOracle(eps, frames=SHAPE[0])
-    out = vsds_refine(z0, cond_for(z0), oracle, sched, cfg, rng=stream(7, "vsds/real"))
+    cfg = VsdsConfig(p=p, curve=WeightCurve(kind), omega_mode=omega_mode, seed=0)
+    z0 = VideoLatent(stream(seed, "test-init").standard_normal(shape) * 0.1)
+    eps = stream(seed, "vsds/real").standard_normal(shape)
+    oracle = EchoOracle(eps, frames=shape[0])
+    out = vsds_refine(z0, cond_for(z0), oracle, sched, cfg, rng=stream(seed, "vsds/real"))
     assert np.array_equal(out.frames, z0.frames)
     assert out is not z0
     assert oracle.calls == update_count(sched.steps, cfg.p)
@@ -280,10 +293,14 @@ def test_dual_path_draws_are_independent_unless_shared():
     cond = cond_for(z0)
     model = ZeroDenoiser(frames=SHAPE[0])
 
-    r, p = dual_path_refine(z0, z0, cond, model, sched, VsdsConfig(p=0.5), rng_real=3, rng_proxy=3)
+    r, p = dual_path_refine(
+        z0, z0, cond, model, sched, VsdsConfig(p=0.5),
+        rng_real=stream(3, "vsds/real"), rng_proxy=stream(3, "vsds/proxy"),
+    )
     assert not np.array_equal(r.frames, p.frames)
 
-    r, p = dual_path_refine(z0, z0, cond, model, sched, VsdsConfig(p=0.5, shared_noise=True), rng_real=3)
+    shared_cfg = VsdsConfig(p=0.5, shared_noise=True)
+    r, p = dual_path_refine(z0, z0, cond, model, sched, shared_cfg, rng_real=stream(3, "vsds/shared"))
     assert np.array_equal(r.frames, p.frames)
 
 
@@ -293,7 +310,9 @@ def test_dual_path_proxy_conditions_on_its_own_frame():
     zr, zs = small_latent(1), small_latent(2)
     cond = cond_for(zr, label=1)
     model = CondCapture(frames=SHAPE[0])
-    dual_path_refine(zr, zs, cond, model, sched, cfg, rng_real=0, rng_proxy=0)
+    dual_path_refine(
+        zr, zs, cond, model, sched, cfg, rng_real=stream(0, "vsds/real"), rng_proxy=stream(0, "vsds/proxy")
+    )
 
     n = update_count(sched.steps, cfg.p)
     assert len(model.seen) == 2 * n

@@ -1,30 +1,43 @@
 """Command-line interface: train, animate, ablate, diagnose.
 
-Artifacts are deterministic: given the same config, seed and inputs, every
-file a command writes is byte-identical across reruns.  Wall-clock timings
-are therefore kept out of result files and go to a separate ``run.log``.
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Artifacts are deterministic: given the same config, seed, inputs and BLAS
+build, every file a command writes is byte-identical across reruns, on any
+number of cores.  Wall-clock timings are therefore kept out of result files
+and go to a separate ``run.log``, which also records the BLAS build and its
+thread setting.  Exit codes: 0 success, 1 runtime failure, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-import time
-from dataclasses import replace
-from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
-from .diffusion import Condition, VideoLatent
-from .metrics import diagnose_video
-from .numerics import read_ltn1, write_ltn1
-from .pipeline import AblationReport, PipelineVariant, animate, parse_variant, run_ablation
-from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
-from .rng import stream
-from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train
-from .vsds import parse_curve_kind
+# One BLAS thread, set before numpy is first imported: multi-threaded
+# OpenBLAS kernels round differently, so the artifacts would depend on the
+# machine's core count.  The cores go to ablation items and to the two
+# refinement paths instead.  A process that loaded numpy before importing
+# this module keeps the BLAS threads it started with.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .config import ConfigError, ExperimentConfig, load_config  # noqa: E402
+from .diffusion import Condition, VideoLatent  # noqa: E402
+from .metrics import diagnose_video  # noqa: E402
+from .numerics import read_ltn1, write_ltn1  # noqa: E402
+from .pipeline import AblationReport, PipelineVariant, animate, parse_variant, run_ablation  # noqa: E402
+from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm  # noqa: E402
+from .rng import stream  # noqa: E402
+from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train  # noqa: E402
+from .vsds import parse_curve_kind  # noqa: E402
 
 THREADS_ENV = "LATENT_AWAKEN_THREADS"
 
@@ -38,10 +51,21 @@ def _max_threads() -> int:
     return max(1, n)
 
 
+def _blas_line() -> str:
+    """The BLAS build and its thread setting: the artifact bytes depend on both."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        build = "unknown"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset (OpenBLAS default: one per core)")
+    return f"blas: {build}; OPENBLAS_NUM_THREADS={threads}"
+
+
 def _write_log(out_dir: Path, lines: list[str]) -> None:
     # Timings and timestamps live here, never in the deterministic artifacts.
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
-    (out_dir / "run.log").write_text("\n".join([f"[{stamp}]"] + lines) + "\n")
+    (out_dir / "run.log").write_text("\n".join([f"[{stamp}]", _blas_line()] + lines) + "\n")
 
 
 def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:

@@ -226,6 +226,15 @@ class ToyDenoiser:
     condition part (cond image, label and b1) is kept for the last two
     ``Condition`` objects seen, the time part for every ``t`` seen, and both
     are dropped as soon as ``w1`` or ``b1`` is a different object.
+
+    The memo also lets the two paths of a dual refinement call one model
+    from two threads at once.  The two conditions it holds are exactly the
+    two paths', and every entry is a pure function of read-only weights and
+    its key: the memo tuple is replaced whole, never edited, its ``t`` dict
+    only gains rows, and a row written by both threads is written with the
+    same value.  A race can only cost a recomputation, never change a
+    prediction; the forward pass itself writes only into arrays it
+    allocates.
     """
 
     def __init__(

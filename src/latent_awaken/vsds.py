@@ -12,11 +12,14 @@ idea of a plausible video).
 ``dual_path_refine`` runs the procedure independently on the real-image
 latent and on a synthetic proxy latent, each path conditioned on its own
 first frame, so the two refined results stay anchored to their respective
-images and can be fused downstream.
+images and can be fused downstream.  The two paths share nothing but the
+read-only denoiser, so they run on two threads.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -182,6 +185,16 @@ def dual_path_refine(
     the same single noise draw; otherwise the real path draws first, then the
     proxy path, each exactly once.  A missing generator falls back to the
     ``vsds/shared``, ``vsds/real`` or ``vsds/proxy`` stream of ``cfg.seed``.
+
+    The noise draws stay on the caller's thread.  Called from the main
+    thread, the proxy path then runs on one worker thread while the real
+    path runs on the caller's, so ``denoiser.predict_noise`` sees the two
+    conditions from two threads at once; the worker is joined before this
+    returns or raises.  Called from any other thread (a worker of
+    ``run_ablation``'s item pool, which already has the cores), the paths
+    run one after the other.  Either way each path's result is computed
+    exactly as it is serially, and a failure is the one the serial order
+    raises first: the real path's, else the proxy path's.
     """
     if real_static.shape != proxy_static.shape:
         raise ValueError(f"path shape mismatch: {real_static.shape} vs {proxy_static.shape}")
@@ -196,6 +209,13 @@ def dual_path_refine(
         eps_real = gen_real.standard_normal(real_static.shape)
         eps_proxy = gen_proxy.standard_normal(proxy_static.shape)
 
-    refined_real = _refine(real_static.frames, cond, denoiser, sched, cfg, eps_real)
-    refined_proxy = _refine(proxy_static.frames, proxy_cond, denoiser, sched, cfg, eps_proxy)
+    real_args = (real_static.frames, cond, denoiser, sched, cfg, eps_real)
+    proxy_args = (proxy_static.frames, proxy_cond, denoiser, sched, cfg, eps_proxy)
+    if threading.current_thread() is not threading.main_thread():
+        return VideoLatent(_refine(*real_args)), VideoLatent(_refine(*proxy_args))
+    # Leaving the ``with`` joins the worker, also when the real path raises.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        proxy_future = pool.submit(_refine, *proxy_args)
+        refined_real = _refine(*real_args)
+        refined_proxy = proxy_future.result()
     return VideoLatent(refined_real), VideoLatent(refined_proxy)

@@ -10,6 +10,7 @@ budgets below rather than hidden in fixture setup.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -71,9 +72,11 @@ class EchoOracle:
         self.eps = eps
         self.frames = frames
         self.calls = 0
+        self._lock = threading.Lock()
 
     def predict_noise(self, z_t, cond, t):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return VideoLatent(self.eps.copy())
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latent_awaken
 from latent_awaken.cli import _sweep_rows, main
 from latent_awaken.config import parse_config
 from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
@@ -139,6 +144,43 @@ def test_animate_accepts_proxy_file(workspace, tmp_path):
     a = read_ltn1(with_file / "video.ltn1")
     b = read_ltn1(without / "video.ltn1")
     assert not np.array_equal(a, b)  # the proxy actually steers the run
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # At hidden 600 multi-threaded OpenBLAS kernels round differently.  The
+    # CLI pins one BLAS thread before numpy loads, so the caller's
+    # OPENBLAS_NUM_THREADS cannot change a byte; run.log says what was used.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_TEXT.replace("dataset.n = 16", "dataset.n = 8")
+                   .replace("denoiser.hidden = 32", "denoiser.hidden = 600")
+                   .replace("train.epochs = 3", "train.epochs = 1"))
+    image = tmp_path / "input.pgm"
+    write_pgm(image, quantized_blob())
+    src = str(Path(latent_awaken.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    artifacts = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for args in (
+            ["train", "--config", cfg, "--out", out / "ckpt"],
+            ["animate", "--config", cfg, "--ckpt", out / "ckpt", "--image", image, "--label", "right",
+             "--out", out / "anim"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "latent_awaken.cli", *map(str, args)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for log in (out / "ckpt" / "run.log", out / "anim" / "run.log"):
+            assert "OPENBLAS_NUM_THREADS=1\n" in log.read_text()
+        artifacts[threads] = [(out / name).read_bytes() for name in ("ckpt/w1.ltn1", "ckpt/loss.csv", "anim/video.ltn1")]
+    assert artifacts["1"] == artifacts["2"]
 
 
 # ---------------------------------------------------------------------------

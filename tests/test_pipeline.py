@@ -1,5 +1,6 @@
 """End-to-end animate() runs and the ablation harness."""
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,7 @@ from latent_awaken.toydenoiser import (
     label_id,
     render_pattern,
 )
-from latent_awaken.vsds import VsdsConfig, tau_step, update_count
+from latent_awaken.vsds import VsdsConfig, tau_step
 
 STEPS = 40
 
@@ -49,26 +50,27 @@ class CallHistogram(ZeroDenoiser):
     def __init__(self, frames):
         super().__init__(frames)
         self.by_t = Counter()
+        self._lock = threading.Lock()  # the two refinement paths call at once
 
     def predict_noise(self, z_t, cond, t):
-        self.by_t[t] += 1
+        with self._lock:
+            self.by_t[t] += 1
         return super().predict_noise(z_t, cond, t)
 
 
 class TwoPhaseOracle:
-    """Replays the real path's noise for the first n calls, the proxy path's
-    afterwards — the exact fixed point of a dual-path refinement."""
+    """Replays the real path's noise when called with the real condition,
+    the proxy path's otherwise — the exact fixed point of a dual-path
+    refinement, whichever order the two paths' calls arrive in."""
 
-    def __init__(self, eps_real, eps_proxy, n, frames):
+    def __init__(self, eps_real, eps_proxy, real_cond, frames):
         self.eps_real = eps_real
         self.eps_proxy = eps_proxy
-        self.n = n
+        self.real_cond = real_cond
         self.frames = frames
-        self.calls = 0
 
     def predict_noise(self, z_t, cond, t):
-        eps = self.eps_real if self.calls < self.n else self.eps_proxy
-        self.calls += 1
+        eps = self.eps_real if cond is self.real_cond else self.eps_proxy
         return VideoLatent(eps.copy())
 
 
@@ -115,8 +117,7 @@ def test_vs_oracle_run_keeps_the_static_latent():
     shape = (frames, *image.shape)
     eps_real = stream(seed, "vsds/real").standard_normal(shape)
     eps_proxy = stream(seed, "vsds/proxy").standard_normal(shape)
-    n = update_count(STEPS, cfg.p)
-    oracle = TwoPhaseOracle(eps_real, eps_proxy, n, frames)
+    oracle = TwoPhaseOracle(eps_real, eps_proxy, cond, frames)
 
     run = animate(
         image, cond, PipelineVariant.VS, oracle, sched,

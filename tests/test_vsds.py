@@ -1,5 +1,8 @@
 """Score-distillation refinement: weight curves, fixed point, noise budget."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,9 @@ from hypothesis import strategies as st
 import fixture_recipe as recipe
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.metrics import motion_energy
+from latent_awaken.pipeline import PipelineVariant, StageError, animate
 from latent_awaken.rng import stream
+from latent_awaken.toydenoiser import ToyDenoiser
 from latent_awaken.vsds import (
     CurveKind,
     RefinementDiverged,
@@ -44,9 +49,11 @@ class EchoOracle:
         self.eps = eps
         self.frames = frames
         self.calls = 0
+        self._lock = threading.Lock()
 
     def predict_noise(self, z_t, cond, t):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return VideoLatent(self.eps.copy())
 
 
@@ -314,10 +321,12 @@ def test_dual_path_proxy_conditions_on_its_own_frame():
         zr, zs, cond, model, sched, cfg, rng_real=stream(0, "vsds/real"), rng_proxy=stream(0, "vsds/proxy")
     )
 
+    # The paths may interleave, so the calls are told apart by condition.
     n = update_count(sched.steps, cfg.p)
     assert len(model.seen) == 2 * n
-    assert all(c is cond for c in model.seen[:n])
-    for c in model.seen[n:]:
+    proxy_seen = [c for c in model.seen if c is not cond]
+    assert len(proxy_seen) == n
+    for c in proxy_seen:
         assert np.array_equal(c.image.grid, zs.frames[0])
         assert c.motion_label == cond.motion_label
 
@@ -344,6 +353,105 @@ def test_refinement_diverged_on_overflow():
 
     with pytest.raises(RefinementDiverged, match="non-finite"):
         vsds_refine(z0, cond_for(z0), HugeDenoiser(frames=SHAPE[0]), sched, VsdsConfig(p=0.5))
+
+
+class DivergesOnPath(ZeroDenoiser):
+    """Predicts a huge (finite) noise at step ``real_t`` of the path given
+    ``real_cond`` and at step ``proxy_t`` of the other, so that path's update
+    overflows there; ``None`` never diverges."""
+
+    def __init__(self, frames, real_cond, real_t, proxy_t):
+        super().__init__(frames)
+        self.real_cond = real_cond
+        self.real_t = real_t
+        self.proxy_t = proxy_t
+
+    def predict_noise(self, z_t, cond, t):
+        if t == (self.real_t if cond is self.real_cond else self.proxy_t):
+            return VideoLatent(np.full_like(z_t.frames, 1e308))
+        return super().predict_noise(z_t, cond, t)
+
+
+class IdentityProvider:
+    def synthesize(self, image, cond):
+        return image
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "real_t, proxy_t",
+    [(None, 37), (38, None), (36, 39), (39, 36)],
+    ids=["proxy", "real", "both-proxy-first", "both-real-first"],
+)
+def test_dual_path_raises_what_the_serial_order_raises(real_t, proxy_t):
+    # The two paths run on two threads, but the error is the one the serial
+    # order raises: the real path's whenever it fails, even when the proxy
+    # path fails at an earlier step, else the proxy path's.  The worker
+    # thread is joined before the error surfaces.
+    sched = small_sched()
+    cfg = VsdsConfig(p=0.5)
+    zr, zs = small_latent(1), small_latent(2)
+    cond = cond_for(zr, label=1)
+    model = DivergesOnPath(SHAPE[0], cond, real_t, proxy_t)
+    step = f"non-finite latent at refinement step t={real_t if real_t is not None else proxy_t}"
+    before = threading.active_count()
+
+    with pytest.raises(RefinementDiverged) as err:
+        dual_path_refine(
+            zr, zs, cond, model, sched, cfg, rng_real=stream(0, "vsds/real"), rng_proxy=stream(0, "vsds/proxy")
+        )
+    assert str(err.value) == step
+    assert threading.active_count() == before
+
+    with pytest.raises(StageError) as err:
+        animate(zr.frame(0), cond, PipelineVariant.VS, model, sched, vsds_cfg=cfg,
+                proxy_provider=IdentityProvider(), seed=0)
+    assert str(err.value) == f"stage 'vsds': {step}"
+    assert isinstance(err.value.__cause__, RefinementDiverged)
+    assert threading.active_count() == before
+
+
+def perturbed_model(seed, shape, hidden):
+    """A ``ToyDenoiser`` whose prediction depends on every input, with its
+    memo still cold (``w2`` starts at zero, which would predict zero)."""
+    model = ToyDenoiser(*shape, hidden=hidden, seed=seed)
+    gen = stream(seed, "test-weights")
+    model.b1 = gen.standard_normal(model.b1.shape) * 0.1
+    model.w2 = gen.standard_normal(model.w2.shape) * 0.05
+    return model
+
+
+@pytest.mark.parametrize("shared_noise", [False, True], ids=["own-noise", "shared-noise"])
+def test_concurrent_paths_match_the_serial_bytes(shared_noise):
+    # Each round, both paths race on a fresh model's cold memo.  The model is
+    # wide enough that its matmuls release the GIL for long stretches, so
+    # the paths overlap; a tiny switch interval interleaves their Python
+    # code too.  Each path must come out byte for byte as vsds_refine
+    # computes it alone.
+    shape, hidden = (16, 1, 16, 16), 256
+    sched = small_sched()
+    cfg = VsdsConfig(p=0.5, shared_noise=shared_noise)
+    zr, zs = (VideoLatent(stream(seed, "test-init").standard_normal(shape) * 0.1) for seed in (1, 2))
+    cond = cond_for(zr, label=2)
+    proxy_cond = Condition(FrameLatent(zs.frames[0]), cond.motion_label)
+    real_label, proxy_label = ("vsds/shared", "vsds/shared") if shared_noise else ("vsds/real", "vsds/proxy")
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(10):
+            reference = perturbed_model(seed, shape, hidden)
+            want_real = vsds_refine(zr, cond, reference, sched, cfg, rng=stream(seed, real_label))
+            want_proxy = vsds_refine(zs, proxy_cond, reference, sched, cfg, rng=stream(seed, proxy_label))
+            got_real, got_proxy = dual_path_refine(
+                zr, zs, cond, perturbed_model(seed, shape, hidden), sched, cfg,
+                rng_real=stream(seed, real_label), rng_proxy=stream(seed, proxy_label),
+            )
+            assert got_real.frames.tobytes() == want_real.frames.tobytes(), f"real path, seed {seed}"
+            assert got_proxy.frames.tobytes() == want_proxy.frames.tobytes(), f"proxy path, seed {seed}"
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

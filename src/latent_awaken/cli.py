@@ -1,11 +1,11 @@
 """Command-line interface: train, animate, ablate, diagnose.
 
 Artifacts are deterministic: given the same config, seed, inputs and BLAS
-build, every file a command writes is byte-identical across reruns, on any
-number of cores.  Wall-clock timings are therefore kept out of result files
-and go to a separate ``run.log``, which also records the BLAS build and its
-thread setting.  Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error.
+build, every file a command writes is byte-identical across reruns, and on
+OpenBLAS builds also on any number of cores.  Wall-clock timings are
+therefore kept out of result files and go to a separate ``run.log``, which
+also records the BLAS build and the OpenBLAS thread setting.  Exit codes:
+0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import sys
 # One BLAS thread, set before numpy is first imported: multi-threaded
 # OpenBLAS kernels round differently, so the artifacts would depend on the
 # machine's core count.  The cores go to ablation items and to the two
-# refinement paths instead.  A process that loaded numpy before importing
-# this module keeps the BLAS threads it started with.
+# refinement paths instead.  Only OpenBLAS reads this variable; other BLAS
+# builds (MKL, BLIS, Accelerate) keep their own thread count.  A process
+# that loaded numpy before importing this module keeps the BLAS threads it
+# started with.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -52,14 +54,16 @@ def _max_threads() -> int:
 
 
 def _blas_line() -> str:
-    """The BLAS build and its thread setting: the artifact bytes depend on both."""
+    """The BLAS build and the OpenBLAS thread setting: the artifact bytes
+    depend on both.  The variable is named as an OpenBLAS setting, because
+    other builds do not read it."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas.get('name')} {blas.get('version')}"
     except TypeError:  # numpy < 1.26 only prints its build configuration
         build = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset (OpenBLAS default: one per core)")
-    return f"blas: {build}; OPENBLAS_NUM_THREADS={threads}"
+    return f"blas: {build}; OpenBLAS only: OPENBLAS_NUM_THREADS={threads}"
 
 
 def _write_log(out_dir: Path, lines: list[str]) -> None:

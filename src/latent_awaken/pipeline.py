@@ -42,7 +42,7 @@ from .diffusion import (
 from .fusion import FusionConfig, slerp_fuse, uniform_fuse
 from .proxy import ProxyProvider, SyntheticProvider
 from .rng import stream
-from .vsds import VsdsConfig, dual_path_refine, tau_step, vsds_refine
+from .vsds import VsdsConfig, _keep_paths_serial, dual_path_refine, tau_step, vsds_refine
 
 
 class PipelineVariant(Enum):
@@ -312,7 +312,8 @@ def run_ablation(
     Item ``i`` runs with seed ``base_seed + i`` for every variant, so variants
     see identical noise streams and differ only in pipeline structure.  Items
     whose run raises are recorded in ``failures`` and excluded from that
-    variant's aggregates.  With ``threads > 1`` items run concurrently;
+    variant's aggregates.  With ``threads > 1`` items run concurrently, each
+    with its two refinement paths serial, since the pool has the cores;
     results are re-sorted by item index, so the report is identical.
     """
     if not benchmark:
@@ -342,7 +343,7 @@ def run_ablation(
 
     tasks = list(enumerate(benchmark))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads, initializer=_keep_paths_serial) as pool:
             item_results = sorted(pool.map(run_item, tasks), key=lambda r: r[0])
     else:
         item_results = [run_item(t) for t in tasks]

@@ -122,6 +122,18 @@ def update_count(steps: int, p: float) -> int:
     return steps - tau_step(steps, p) + 1
 
 
+# Set on the workers of ``run_ablation``'s item pool, whose cores the pool
+# already keeps busy: there the two paths of ``dual_path_refine`` run one
+# after the other instead of starting a thread each.
+_pool_thread = threading.local()
+
+
+def _keep_paths_serial() -> None:
+    """Make ``dual_path_refine`` run its paths serially on this thread
+    (a thread-pool initializer for pools that already use every core)."""
+    _pool_thread.serial = True
+
+
 class RefinementDiverged(RuntimeError):
     """Raised when a refinement update stops being finite."""
 
@@ -186,15 +198,15 @@ def dual_path_refine(
     proxy path, each exactly once.  A missing generator falls back to the
     ``vsds/shared``, ``vsds/real`` or ``vsds/proxy`` stream of ``cfg.seed``.
 
-    The noise draws stay on the caller's thread.  Called from the main
-    thread, the proxy path then runs on one worker thread while the real
-    path runs on the caller's, so ``denoiser.predict_noise`` sees the two
-    conditions from two threads at once; the worker is joined before this
-    returns or raises.  Called from any other thread (a worker of
-    ``run_ablation``'s item pool, which already has the cores), the paths
-    run one after the other.  Either way each path's result is computed
-    exactly as it is serially, and a failure is the one the serial order
-    raises first: the real path's, else the proxy path's.
+    The noise draws stay on the caller's thread.  The proxy path then runs
+    on one worker thread while the real path runs on the caller's, so
+    ``denoiser.predict_noise`` sees the two conditions from two threads at
+    once; the worker is joined before this returns or raises.  On a thread
+    marked by ``_keep_paths_serial`` (a worker of ``run_ablation``'s item
+    pool, which already has the cores) the paths run one after the other.
+    Either way each path's result is computed exactly as it is serially,
+    and a failure is the one the serial order raises first: the real
+    path's, else the proxy path's.
     """
     if real_static.shape != proxy_static.shape:
         raise ValueError(f"path shape mismatch: {real_static.shape} vs {proxy_static.shape}")
@@ -211,7 +223,7 @@ def dual_path_refine(
 
     real_args = (real_static.frames, cond, denoiser, sched, cfg, eps_real)
     proxy_args = (proxy_static.frames, proxy_cond, denoiser, sched, cfg, eps_proxy)
-    if threading.current_thread() is not threading.main_thread():
+    if getattr(_pool_thread, "serial", False):
         return VideoLatent(_refine(*real_args)), VideoLatent(_refine(*proxy_args))
     # Leaving the ``with`` joins the worker, also when the real path raises.
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -339,6 +339,28 @@ def test_run_ablation_threads_do_not_change_results():
         assert serial.to_csv() == threaded.to_csv()
 
 
+class ThreadLog(ZeroDenoiser):
+    def __init__(self, frames):
+        super().__init__(frames)
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def predict_noise(self, z_t, cond, t):
+        with self._lock:
+            self.threads.add(threading.get_ident())
+        return super().predict_noise(z_t, cond, t)
+
+
+def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():
+    # The pool already has the cores, so its items start no path threads:
+    # every call comes from one of the pool's own two threads.
+    model = ThreadLog(frames=6)
+    run_ablation(bench_items(4), [PipelineVariant.VS], model, small_sched(),
+                 vsds_cfg=VsdsConfig(p=0.5), threads=2)
+    assert 1 <= len(model.threads) <= 2
+    assert threading.get_ident() not in model.threads
+
+
 def test_run_ablation_records_failures():
     sched = small_sched()
     model = ZeroDenoiser(frames=6)

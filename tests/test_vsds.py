@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from latent_awaken.vsds import (
     RefinementDiverged,
     VsdsConfig,
     WeightCurve,
+    _keep_paths_serial,
     alpha_at,
     dual_path_refine,
     parse_curve_kind,
@@ -409,6 +411,40 @@ def test_dual_path_raises_what_the_serial_order_raises(real_t, proxy_t):
     assert str(err.value) == f"stage 'vsds': {step}"
     assert isinstance(err.value.__cause__, RefinementDiverged)
     assert threading.active_count() == before
+
+
+class ThreadLog(ZeroDenoiser):
+    """Records the thread of every call."""
+
+    def __init__(self, frames):
+        super().__init__(frames)
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def predict_noise(self, z_t, cond, t):
+        with self._lock:
+            self.threads.add(threading.get_ident())
+        return super().predict_noise(z_t, cond, t)
+
+
+def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():
+    # The proxy path gets its own thread whether the caller is the main
+    # thread or not; a pool thread marked by _keep_paths_serial (run_ablation
+    # marks its item pool so) runs both paths itself.
+    sched, cfg = small_sched(), VsdsConfig(p=0.5)
+    zr, zs = small_latent(1), small_latent(2)
+
+    def threads_used():
+        model = ThreadLog(SHAPE[0])
+        dual_path_refine(zr, zs, cond_for(zr), model, sched, cfg)
+        return len(model.threads)
+
+    assert threads_used() == 2
+    with ThreadPoolExecutor(max_workers=1) as plain:
+        assert plain.submit(threads_used).result() == 2
+    with ThreadPoolExecutor(max_workers=1, initializer=_keep_paths_serial) as marked:
+        assert marked.submit(threads_used).result() == 1
+    assert threads_used() == 2
 
 
 def perturbed_model(seed, shape, hidden):

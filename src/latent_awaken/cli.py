@@ -41,16 +41,14 @@ from .rng import stream  # noqa: E402
 from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train  # noqa: E402
 from .vsds import parse_curve_kind  # noqa: E402
 
-THREADS_ENV = "LATENT_AWAKEN_THREADS"
 
-
-def _max_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, which taskset
+    and cpusets narrow, or the machine's count where there is no mask."""
     try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def _blas_line() -> str:
@@ -124,7 +122,7 @@ def cmd_train(args) -> int:
 
     save_checkpoint(
         model, out_dir, dataset_params=params, sched=sched,
-        extra={"config_hash": cfg.config_hash(), "final_loss": result.final_loss},
+        extra={"final_loss": result.final_loss},
     )
     loss_rows = [f"{epoch + 1},{float(loss)!r}" for epoch, loss in enumerate(result.losses)]
     (out_dir / "loss.csv").write_text("epoch,loss\n" + "\n".join(loss_rows) + "\n")
@@ -213,7 +211,7 @@ def cmd_ablate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     model = _load_model(args.ckpt, cfg, cfg["dataset.labels"])
-    threads = _max_threads()
+    threads = _usable_cores()
 
     bench = generate_dataset(args.n, cfg.dataset_params(), seed=stream(cfg.seed, "ablate/bench"))
     benchmark = [(s.cond.image, s.cond) for s in bench.samples]

@@ -80,11 +80,15 @@ class Condition:
 class Denoiser(Protocol):
     """Anything that predicts the noise component of a noised video latent.
 
-    ``predict_noise`` may be called from two threads at once, with different
-    conditions: ``vsds.dual_path_refine`` runs its real and proxy paths
-    concurrently.  It must not mutate its inputs, and what it returns must
-    not depend on the calls of the other thread.
+    ``frames`` is the clip length it denoises; ``pipeline.animate`` builds
+    its static clips from it.  ``predict_noise`` may be called from two
+    threads at once, with different conditions: ``vsds.dual_path_refine``
+    runs its real and proxy paths concurrently.  It must not mutate its
+    inputs, and what it returns must not depend on the calls of the other
+    thread.
     """
+
+    frames: int
 
     def predict_noise(self, z_t: VideoLatent, cond: Condition, t: int) -> VideoLatent: ...
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sstats
 
 from .diffusion import Condition, FrameLatent, VideoLatent
-from .numerics import principal_axis_stats, sqrtm_psd
+from .numerics import principal_axis_stats, spearman_rho, sqrtm_psd
 from .toydenoiser import DIRECTIONS, MOTION_LABELS, wrapped_delta
 
 
@@ -239,7 +238,7 @@ def linearity_score(v: VideoLatent) -> tuple[float, float]:
     ratio, projections = principal_axis_stats(points)
     if ratio == 0.0:
         return 0.0, 0.0
-    rho = sstats.spearmanr(projections, np.arange(v.frame_count)).statistic
+    rho = spearman_rho(projections, np.arange(v.frame_count))
     if not np.isfinite(rho):
         return float(ratio), 0.0
     return float(ratio), float(abs(rho))

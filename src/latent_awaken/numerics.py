@@ -1,8 +1,8 @@
 """Small numeric kernels shared across the package.
 
-Vector angles, a PSD matrix square root, the principal-axis statistics
-behind the trajectory-linearity metric, and the LTN1 tensor file format used
-for checkpoints and latent videos.
+Vector angles, a PSD matrix square root, the principal-axis statistics and
+the Spearman rank correlation behind the trajectory-linearity metric, and the
+LTN1 tensor file format used for checkpoints and latent videos.
 """
 
 from __future__ import annotations
@@ -70,6 +70,34 @@ def principal_axis_stats(points) -> tuple[float, np.ndarray]:
     ratio = float(s[0] ** 2 / (s**2).sum())
     projections = centered @ vt[0]
     return ratio, projections
+
+
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """1-based ranks, ties sharing their average rank, and the number of
+    distinct values."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse], counts.size
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman rank correlation of two equal-length 1-d samples.
+
+    Ties get average ranks and the ranks are correlated with
+    ``np.corrcoef``, in the same arithmetic as
+    ``scipy.stats.spearmanr(x, y).statistic``, so the result matches it
+    bit for bit.  Like scipy, returns NaN when either input is constant,
+    where the correlation is undefined.
+    """
+    x = _as_finite_array(x, "x")
+    y = _as_finite_array(y, "y")
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"need two 1-d samples of equal length, got shapes {x.shape} and {y.shape}")
+    rx, distinct_x = _average_ranks(x)
+    ry, distinct_y = _average_ranks(y)
+    if distinct_x < 2 or distinct_y < 2:
+        return float("nan")
+    return float(np.corrcoef(np.column_stack((rx, ry)), rowvar=False)[1, 0])
 
 
 def sqrtm_psd(m, tol: float = 1e-10) -> np.ndarray:

@@ -312,9 +312,11 @@ def run_ablation(
     Item ``i`` runs with seed ``base_seed + i`` for every variant, so variants
     see identical noise streams and differ only in pipeline structure.  Items
     whose run raises are recorded in ``failures`` and excluded from that
-    variant's aggregates.  With ``threads > 1`` items run concurrently, each
-    with its two refinement paths serial, since the pool has the cores;
-    results are re-sorted by item index, so the report is identical.
+    variant's aggregates.  With ``threads > 1`` and more than one item, up to
+    ``threads`` items run concurrently, each with its two refinement paths
+    serial, since the pool has the cores; results are re-sorted by item
+    index, so the report is identical.  A single item runs on the caller's
+    thread, which keeps its two paths concurrent.
     """
     if not benchmark:
         raise ValueError("benchmark must be non-empty")
@@ -342,8 +344,9 @@ def run_ablation(
         return i, results
 
     tasks = list(enumerate(benchmark))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads, initializer=_keep_paths_serial) as pool:
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
             item_results = sorted(pool.map(run_item, tasks), key=lambda r: r[0])
     else:
         item_results = [run_item(t) for t in tasks]

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from latent_awaken.numerics import (
     angle_between,
     principal_axis_stats,
     read_ltn1,
+    spearman_rho,
     sqrtm_psd,
     write_ltn1,
 )
@@ -73,6 +77,42 @@ def test_principal_axis_rotation_invariant():
 def test_principal_axis_needs_two_points():
     with pytest.raises(ValueError):
         principal_axis_stats(np.ones((1, 4)))
+
+
+# Few distinct values make ties, and both signs of zero must share a rank.
+tie_prone = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+sample_values = st.one_of(tie_prone, st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def paired_samples(draw):
+    n = draw(st.integers(2, 49))
+    x = draw(st.lists(sample_values, min_size=n, max_size=n))
+    # The linearity metric ranks against the frame index.
+    y = draw(st.one_of(st.just(list(range(n))), st.lists(sample_values, min_size=n, max_size=n)))
+    return np.array(x), np.array(y)
+
+
+@pytest.mark.filterwarnings("ignore:An input array is constant")
+@settings(max_examples=300, deadline=None)
+@given(pair=paired_samples())
+@example(pair=(np.array([0.0, -0.0, 1.0, -0.0]), np.arange(4)))
+@example(pair=(np.full(5, 2.0), np.arange(5)))
+@example(pair=(np.array([3.0, 1.0, 2.0]), np.zeros(3)))
+def test_spearman_rho_is_scipys_bit_for_bit(pair):
+    x, y = pair
+    ours, ref = spearman_rho(x, y), float(stats.spearmanr(x, y).statistic)
+    if np.isnan(ref):  # a constant input
+        assert np.isnan(ours)
+    else:
+        assert ours.hex() == ref.hex()
+
+
+def test_spearman_rho_needs_paired_1d_samples():
+    with pytest.raises(ValueError):
+        spearman_rho(np.arange(4.0), np.arange(5.0))
+    with pytest.raises(ValueError):
+        spearman_rho(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_sqrtm_psd_squares_back():

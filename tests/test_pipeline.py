@@ -361,6 +361,16 @@ def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():
     assert threading.get_ident() not in model.threads
 
 
+def test_run_ablation_runs_a_single_item_on_the_callers_thread():
+    # One item leaves nothing for a pool to share: it runs where it was
+    # called, and its two refinement paths run on two threads.
+    model = ThreadLog(frames=6)
+    run_ablation(bench_items(1), [PipelineVariant.VS], model, small_sched(),
+                 vsds_cfg=VsdsConfig(p=0.5), threads=2)
+    assert threading.get_ident() in model.threads
+    assert len(model.threads) == 2
+
+
 def test_run_ablation_records_failures():
     sched = small_sched()
     model = ZeroDenoiser(frames=6)

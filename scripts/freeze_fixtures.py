@@ -27,30 +27,13 @@ import fixture_recipe as recipe  # noqa: E402
 from latent_awaken.diffusion import replicate_static  # noqa: E402
 from latent_awaken.metrics import linearity_score, motion_energy  # noqa: E402
 from latent_awaken.diffusion import VideoLatent  # noqa: E402
-from latent_awaken.pipeline import PipelineVariant, animate  # noqa: E402
-from latent_awaken.proxy import SyntheticProvider  # noqa: E402
 from latent_awaken.rng import stream  # noqa: E402
 from latent_awaken.vsds import vsds_refine  # noqa: E402
 
 
 def motion_injection_energies(motion_model, static_model, sched):
-    held_out = recipe.held_out_set()
-    provider = SyntheticProvider(recipe.PROXY_PARAMS)
-    vs, base = [], []
-    for i, sample in enumerate(held_out.samples):
-        image = sample.cond.image
-        seed = recipe.HELD_OUT_RUN_SEED + i
-        run_vs = animate(
-            image, sample.cond, PipelineVariant.VS, motion_model, sched,
-            recipe.VSDS_CFG, recipe.FUSION_CFG, provider, seed=seed,
-        )
-        run_base = animate(
-            image, sample.cond, PipelineVariant.BASELINE, static_model, sched,
-            seed=seed,
-        )
-        vs.append(motion_energy(run_vs.output))
-        base.append(motion_energy(run_base.output))
-    return np.array(vs), np.array(base), held_out
+    vs, base = recipe.held_out_runs(motion_model, static_model, sched)
+    return np.array([motion_energy(v) for v in vs]), np.array([motion_energy(v) for v in base])
 
 
 def refinement_energy_and_anchor(motion_model, sched, held_out):
@@ -99,14 +82,14 @@ def main():
     print(f"  done in {t_static:.1f}s", flush=True)
 
     print("running held-out motion-injection fixture ...", flush=True)
-    vs, base, held_out = motion_injection_energies(motion_model, static_model, sched)
+    vs, base = motion_injection_energies(motion_model, static_model, sched)
     print(f"  VS energy   mean {vs.mean():.6f}  min {vs.min():.6f}")
     print(f"  base energy mean {base.mean():.8f}  max {base.max():.8f}")
     print(f"  ratio of means: {vs.mean() / base.mean():.1f}")
 
     print("measuring single-path refinement energies ...", flush=True)
     refine_energy, anchor_pass, anchor_total = refinement_energy_and_anchor(
-        motion_model, sched, held_out
+        motion_model, sched, recipe.held_out_set()
     )
     print(f"  refined energy min {refine_energy.min():.6f}")
     print(f"  first-frame anchor holds on {anchor_pass}/{anchor_total} items")

@@ -77,17 +77,16 @@ def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     model, manifest = load_checkpoint(ckpt_path)
-    trained, configured = manifest.get("schedule_digest"), schedule_digest(cfg.schedule())
-    if trained is not None and trained != configured:
+    trained, configured = manifest["schedule_digest"], schedule_digest(cfg.schedule())
+    if trained != configured:
         raise ConfigError(
             f"checkpoint {ckpt_path} was trained under schedule digest {trained}, "
             f"but the config's schedule has digest {configured}"
         )
-    if manifest.get("dataset") is not None:
-        trained_labels = manifest["dataset"]["labels"]
-        missing = [label for label in labels if label not in trained_labels]
-        if missing:
-            raise ConfigError(f"checkpoint {ckpt_path} was never trained on label(s) {missing}; it knows {trained_labels}")
+    trained_labels = manifest["dataset"]["labels"]
+    missing = [label for label in labels if label not in trained_labels]
+    if missing:
+        raise ConfigError(f"checkpoint {ckpt_path} was never trained on label(s) {missing}; it knows {trained_labels}")
     return model
 
 
@@ -120,10 +119,7 @@ def cmd_train(args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    save_checkpoint(
-        model, out_dir, dataset_params=params, sched=sched,
-        extra={"final_loss": result.final_loss},
-    )
+    save_checkpoint(model, out_dir, params, sched, extra={"final_loss": result.final_loss})
     loss_rows = [f"{epoch + 1},{float(loss)!r}" for epoch, loss in enumerate(result.losses)]
     (out_dir / "loss.csv").write_text("epoch,loss\n" + "\n".join(loss_rows) + "\n")
     _write_log(out_dir, [f"train: {elapsed:.2f}s for {cfg['train.epochs']} epochs over {len(dataset)} samples"])

@@ -238,16 +238,3 @@ def _validate(cfg: ExperimentConfig) -> None:
     for p in v["ablate.p_grid"]:
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"config key 'ablate.p_grid': p values must be in (0, 1], got {p}")
-
-
-def with_overrides(cfg: ExperimentConfig, **dotted) -> ExperimentConfig:
-    """Return a copy with ``dotted`` keys (dots as double underscores) replaced."""
-    values = dict(cfg.values)
-    for key, value in dotted.items():
-        dotkey = key.replace("__", ".")
-        if dotkey not in _SCHEMA:
-            raise ConfigError(f"unknown config key {dotkey!r}")
-        values[dotkey] = value
-    out = ExperimentConfig(values)
-    _validate(out)
-    return out

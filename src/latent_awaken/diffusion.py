@@ -104,7 +104,6 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray = field(init=False)
     alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -115,8 +114,7 @@ class NoiseSchedule:
             raise ValueError("betas contain non-finite values")
         if (betas <= 0.0).any() or (betas > 0.999).any():
             raise ValueError("betas must lie in (0, 0.999]")
-        alphas = 1.0 - betas
-        alpha_bars = np.cumprod(alphas)
+        alpha_bars = np.cumprod(1.0 - betas)
         if not (np.diff(alpha_bars) < 0.0).all():
             raise ValueError("alpha_bar must be strictly decreasing")
         if alpha_bars[-1] >= 0.01:
@@ -124,7 +122,7 @@ class NoiseSchedule:
                 f"terminal alpha_bar must be < 0.01, got {alpha_bars[-1]:.4f}; "
                 "increase T or the beta range"
             )
-        for name, arr in (("betas", betas), ("alphas", alphas), ("alpha_bars", alpha_bars)):
+        for name, arr in (("betas", betas), ("alpha_bars", alpha_bars)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -143,12 +141,6 @@ class NoiseSchedule:
         if not low <= t <= self.steps:
             raise ValueError(f"t={t} outside [{low}, {self.steps}]")
         return t
-
-    def beta(self, t: int) -> float:
-        return float(self.betas[self._check_t(t) - 1])
-
-    def alpha(self, t: int) -> float:
-        return float(self.alphas[self._check_t(t) - 1])
 
     def alpha_bar(self, t: int) -> float:
         t = self._check_t(t, low=0)
@@ -197,8 +189,8 @@ def reverse_sample(
         pred = denoiser.predict_noise(VideoLatent(z), cond, t)
         if pred.shape != shape:
             raise ValueError(f"denoiser returned shape {pred.shape}, expected {shape}")
-        beta = sched.beta(t)
-        z = (z - beta / np.sqrt(1.0 - sched.alpha_bar(t)) * pred.frames) / np.sqrt(sched.alpha(t))
+        beta = sched.betas[t - 1]
+        z = (z - beta / np.sqrt(1.0 - sched.alpha_bars[t - 1]) * pred.frames) / np.sqrt(1.0 - beta)
         if not np.isfinite(z).all():
             raise ValueError(f"reverse sampling diverged at step t={t}")
     return VideoLatent(z)

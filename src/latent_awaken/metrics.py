@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import Condition, FrameLatent, VideoLatent
-from .numerics import principal_axis_stats, spearman_rho, sqrtm_psd
+from .numerics import PSD_ROUNDOFF, principal_axis_stats, spearman_rho, sqrtm_psd
 from .toydenoiser import DIRECTIONS, MOTION_LABELS, wrapped_delta
 
 
@@ -144,10 +144,8 @@ class FeatureStats:
             raise ValueError("non-finite statistics")
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError("covariance must be symmetric")
-        # Same round-off allowance as numerics.sqrtm_psd: relative to the top
-        # eigenvalue, since the projection's error scales with the matrix.
         vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-        if vals.min() < -1e-10 * max(1.0, float(vals.max())):
+        if vals.min() < -PSD_ROUNDOFF * max(1.0, float(vals.max())):
             raise ValueError("covariance must be PSD within tolerance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)

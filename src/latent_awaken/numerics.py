@@ -14,6 +14,11 @@ import numpy as np
 
 LTN1_MAGIC = b"LTN1"
 
+# A symmetric matrix counts as PSD if its least eigenvalue is no lower than
+# -PSD_ROUNDOFF * max(1, top eigenvalue): the eigensolver's error scales with
+# the matrix.
+PSD_ROUNDOFF = 1e-10
+
 
 def _as_finite_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -100,11 +105,11 @@ def spearman_rho(x, y) -> float:
     return float(np.corrcoef(np.column_stack((rx, ry)), rowvar=False)[1, 0])
 
 
-def sqrtm_psd(m, tol: float = 1e-10) -> np.ndarray:
+def sqrtm_psd(m) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in ``[-tol * scale, 0)`` are treated as round-off and
-    clipped to zero; anything more negative raises.
+    Negative eigenvalues within ``PSD_ROUNDOFF`` are treated as round-off
+    and clipped to zero; anything more negative raises.
     """
     m = _as_finite_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -113,8 +118,7 @@ def sqrtm_psd(m, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("matrix is not symmetric")
     sym = (m + m.T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
-    scale = max(1.0, float(vals.max(initial=0.0)))
-    if vals.min() < -tol * scale:
+    if vals.min() < -PSD_ROUNDOFF * max(1.0, float(vals.max())):
         raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T

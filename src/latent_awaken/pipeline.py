@@ -53,13 +53,8 @@ class PipelineVariant(Enum):
     VS = "VS"
 
 
-VARIANT_ORDER = (
-    PipelineVariant.BASELINE,
-    PipelineVariant.V,
-    PipelineVariant.S,
-    PipelineVariant.VU,
-    PipelineVariant.VS,
-)
+# Ablation rows follow the enum's definition order.
+VARIANT_ORDER = tuple(PipelineVariant)
 
 # variant -> (refinement: None/"real"/"dual", fusion: None/"slerp"/"uniform").
 # The proxy is made whenever a fusion runs; the row with neither is the plain

@@ -194,6 +194,8 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
 
 
 PARAMETER_NAMES = ("w1", "b1", "w2", "b2", "mix")
+# The constructor arguments a checkpoint manifest records.
+MODEL_DIMS = ("frames", "channels", "height", "width", "hidden", "t_embed", "n_labels")
 
 
 def _read_only(x) -> np.ndarray:
@@ -551,62 +553,49 @@ def schedule_digest(sched: NoiseSchedule) -> str:
 def save_checkpoint(
     model: ToyDenoiser,
     ckpt_dir,
-    dataset_params: DatasetParams | None = None,
-    sched: NoiseSchedule | None = None,
+    dataset_params: DatasetParams,
+    sched: NoiseSchedule,
     extra: dict | None = None,
 ) -> Path:
-    """Write one LTN1 file per layer plus a JSON manifest; returns the dir."""
+    """Write one LTN1 file per parameter plus a JSON manifest of the model's
+    dimensions and its provenance (training dataset and schedule digest);
+    returns the dir."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    layers = {}
     for name, p in model.parameters().items():
         write_ltn1(ckpt_dir / f"{name}.ltn1", p)
-        layers[name] = list(p.shape)
     manifest = {
         "format": "toydenoiser-v1",
-        "frames": model.frames,
-        "channels": model.channels,
-        "height": model.height,
-        "width": model.width,
-        "hidden": model.hidden,
-        "t_embed": model.t_embed,
-        "n_labels": model.n_labels,
+        **{dim: getattr(model, dim) for dim in MODEL_DIMS},
         "labels": list(MOTION_LABELS[: model.n_labels]),
-        "layers": layers,
-        "dataset": asdict(dataset_params) if dataset_params else None,
-        "schedule_digest": schedule_digest(sched) if sched else None,
+        "dataset": asdict(dataset_params),
+        "schedule_digest": schedule_digest(sched),
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
     (ckpt_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ckpt_dir
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
-    """Rebuild a ToyDenoiser from ``save_checkpoint`` output."""
+    """Rebuild a ToyDenoiser from ``save_checkpoint`` output.
+
+    The manifest must give every dimension and the provenance; the model
+    those dimensions build decides which parameter files are read and what
+    shape each must have.
+    """
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in checkpoint dir: {ckpt_dir}")
     manifest = json.loads(manifest_path.read_text())
-    model = ToyDenoiser(
-        frames=manifest["frames"],
-        channels=manifest["channels"],
-        height=manifest["height"],
-        width=manifest["width"],
-        hidden=manifest["hidden"],
-        t_embed=manifest["t_embed"],
-        n_labels=manifest["n_labels"],
-    )
-    params = model.parameters()
-    for name, shape in manifest["layers"].items():
-        if name not in params:
-            raise ValueError(f"checkpoint layer {name!r} is not a ToyDenoiser parameter")
+    for key in MODEL_DIMS + ("dataset", "schedule_digest"):
+        if manifest.get(key) is None:
+            raise ValueError(f"checkpoint manifest {manifest_path} has no value for {key!r}")
+    model = ToyDenoiser(**{dim: manifest[dim] for dim in MODEL_DIMS})
+    for name, p in model.parameters().items():
         arr = read_ltn1(ckpt_dir / f"{name}.ltn1")
-        if list(arr.shape) != shape:
-            raise ValueError(f"checkpoint layer {name!r} has shape {arr.shape}, manifest says {shape}")
-        if arr.shape != params[name].shape:
-            raise ValueError(f"checkpoint layer {name!r} has shape {arr.shape}, the manifest's model needs {params[name].shape}")
+        if arr.shape != p.shape:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {arr.shape}, the manifest's model needs {p.shape}")
         arr.flags.writeable = False
         setattr(model, name, arr)
     return model, manifest

@@ -47,31 +47,13 @@ def thresholds():
 
 @pytest.fixture(scope="session")
 def held_out_runs(motion_model, static_model, sched):
-    """VS (motion prior) and Baseline (static prior) outputs per held-out item.
-
-    Reproduces the freeze-script recipe exactly: item i runs with seed
-    HELD_OUT_RUN_SEED + i under the full refinement/fusion settings.
-    """
+    """VS (motion prior) and Baseline (static prior) outputs per held-out item,
+    from the recipe's held-out runs."""
     m_model, m_secs = motion_model
     s_model, s_secs = static_model
-    held_out = recipe.held_out_set()
-    provider = SyntheticProvider(recipe.PROXY_PARAMS)
     t0 = time.perf_counter()
-    vs_outputs, base_outputs = [], []
-    for i, sample in enumerate(held_out.samples):
-        seed = recipe.HELD_OUT_RUN_SEED + i
-        run_vs = animate(
-            sample.cond.image, sample.cond, PipelineVariant.VS, m_model, sched,
-            recipe.VSDS_CFG, recipe.FUSION_CFG, provider, seed=seed,
-        )
-        run_base = animate(
-            sample.cond.image, sample.cond, PipelineVariant.BASELINE, s_model, sched,
-            seed=seed,
-        )
-        vs_outputs.append(run_vs.output)
-        base_outputs.append(run_base.output)
+    vs_outputs, base_outputs = recipe.held_out_runs(m_model, s_model, sched)
     return {
-        "held_out": held_out,
         "vs": vs_outputs,
         "baseline": base_outputs,
         "run_seconds": time.perf_counter() - t0,

@@ -1,11 +1,10 @@
 """Frozen recipe for the benchmark fixtures shared by the test suite.
 
 Everything the acceptance tests compare against (trained priors, benchmark
-items, per-item run seeds, refinement settings) is pinned here, and
-``scripts/freeze_fixtures.py`` uses the *same* functions to record the
-committed thresholds in ``tests/fixtures/``.  Keep the two sides in lockstep:
-any change here invalidates the recorded numbers and the freeze script must
-be re-run.
+items, per-item run seeds, refinement settings, the held-out runs) is pinned
+here, and ``scripts/freeze_fixtures.py`` uses the *same* functions to record
+the committed thresholds in ``tests/fixtures/``.  Any change here invalidates
+the recorded numbers and the freeze script must be re-run.
 
 Design notes on the choices below:
 
@@ -24,9 +23,10 @@ from __future__ import annotations
 
 import time
 
-from latent_awaken.diffusion import NoiseSchedule
+from latent_awaken.diffusion import NoiseSchedule, VideoLatent
 from latent_awaken.fusion import FusionConfig
-from latent_awaken.proxy import SyntheticProviderParams
+from latent_awaken.pipeline import PipelineVariant, animate
+from latent_awaken.proxy import SyntheticProvider, SyntheticProviderParams
 from latent_awaken.toydenoiser import (
     DatasetParams,
     MotionDataset,
@@ -82,6 +82,19 @@ def motion_benchmark(n: int = BENCH_N, seed: int = BENCH_DATA_SEED) -> MotionDat
 
 def held_out_set() -> MotionDataset:
     return generate_dataset(HELD_OUT_N, MOTION_PARAMS, seed=HELD_OUT_DATA_SEED)
+
+
+def held_out_runs(motion_model, static_model, sched) -> tuple[list[VideoLatent], list[VideoLatent]]:
+    """VS (motion prior) and Baseline (static prior) outputs per held-out
+    item; item i runs with seed HELD_OUT_RUN_SEED + i under the full
+    refinement/fusion settings."""
+    provider = SyntheticProvider(PROXY_PARAMS)
+    vs, base = [], []
+    for i, sample in enumerate(held_out_set().samples):
+        image, cond, seed = sample.cond.image, sample.cond, HELD_OUT_RUN_SEED + i
+        vs.append(animate(image, cond, PipelineVariant.VS, motion_model, sched, VSDS_CFG, FUSION_CFG, provider, seed=seed).output)
+        base.append(animate(image, cond, PipelineVariant.BASELINE, static_model, sched, seed=seed).output)
+    return vs, base
 
 
 def _train_two_phase(model: ToyDenoiser, dataset, sched, seeds: tuple[int, int]):

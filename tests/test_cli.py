@@ -16,7 +16,7 @@ from latent_awaken.config import parse_config
 from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
 from latent_awaken.numerics import read_ltn1, write_ltn1
 from latent_awaken.proxy import write_pgm
-from latent_awaken.toydenoiser import DatasetParams, generate_dataset, render_pattern
+from latent_awaken.toydenoiser import MODEL_DIMS, DatasetParams, generate_dataset, render_pattern
 
 CFG_TEXT = """\
 seed = 42
@@ -376,6 +376,43 @@ def test_label_the_checkpoint_never_saw_is_refused(workspace, tmp_path, capsys):
     assert "['up']" in capsys.readouterr().err
     assert main(ablate_args(workspace["cfg"], ckpt, tmp_path / "ablate")) == 2
     assert "['static', 'up', 'down', 'grow']" in capsys.readouterr().err
+
+
+def copy_with_manifest_edit(workspace, ckpt, edit):
+    shutil.copytree(workspace["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    return dict(workspace, ckpt=ckpt)
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])
+@pytest.mark.parametrize("key", ["schedule_digest", "dataset"])
+def test_checkpoint_without_provenance_is_refused(workspace, tmp_path, capsys, key, null):
+    # Without its schedule digest or dataset a checkpoint cannot be checked
+    # against the config, so it is refused rather than trusted.
+    ws = copy_with_manifest_edit(
+        workspace, tmp_path / "ckpt", lambda m: m.update({key: None}) if null else m.pop(key)
+    )
+    assert main(animate_args(ws, tmp_path / "anim")) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert main(ablate_args(ws["cfg"], ws["ckpt"], tmp_path / "ablate")) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", MODEL_DIMS)
+def test_checkpoint_without_a_dimension_is_usage_error(workspace, tmp_path, capsys, dim):
+    ws = copy_with_manifest_edit(workspace, tmp_path / "ckpt", lambda m: m.pop(dim))
+    assert main(animate_args(ws, tmp_path / "anim")) == 2
+    assert repr(dim) in capsys.readouterr().err
+
+
+def test_checkpoint_missing_a_parameter_file_is_usage_error(workspace, tmp_path, capsys):
+    ws = dict(workspace, ckpt=tmp_path / "ckpt")
+    shutil.copytree(workspace["ckpt"], ws["ckpt"])
+    (ws["ckpt"] / "w2.ltn1").unlink()
+    assert main(animate_args(ws, tmp_path / "anim")) == 2
+    assert "w2.ltn1" in capsys.readouterr().err
 
 
 def test_corrupt_video_is_usage_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latent_awaken.config import ConfigError, load_config, parse_config, with_overrides
+from latent_awaken.config import ConfigError, load_config, parse_config
 from latent_awaken.fusion import AngleScope
 from latent_awaken.pipeline import PipelineVariant
 from latent_awaken.toydenoiser import MOTION_LABELS
@@ -85,18 +85,6 @@ def test_validation_errors_name_the_problem(line, needle):
     with pytest.raises(ConfigError) as err:
         parse_config(line + "\n")
     assert needle in str(err.value)
-
-
-def test_with_overrides():
-    cfg = parse_config("")
-    out = with_overrides(cfg, vsds__p=0.3, seed=9)
-    assert out["vsds.p"] == 0.3
-    assert out.seed == 9
-    assert cfg["vsds.p"] == 0.6  # original untouched
-    with pytest.raises(ConfigError, match="unknown config key"):
-        with_overrides(cfg, nop__nope=1)
-    with pytest.raises(ConfigError, match="vsds.p"):
-        with_overrides(cfg, vsds__p=1.5)
 
 
 def test_config_hash_ignores_formatting():

@@ -59,14 +59,15 @@ def test_schedule_rejects_bad_ranges():
 
 
 def test_schedule_derived_arrays_are_not_constructor_arguments():
-    # alphas and alpha_bars are always computed from betas; passing them
-    # would be silently overwritten, so the constructor refuses them.
+    # alpha_bars is always computed from betas; passing it (or the alphas
+    # it is built from) would be silently overwritten, so the constructor
+    # refuses both.
     betas = np.linspace(0.1, 0.9, 5)
     with pytest.raises(TypeError):
         NoiseSchedule(betas, alphas=np.zeros(5))
     with pytest.raises(TypeError):
         NoiseSchedule(betas, alpha_bars="anything")
-    assert np.array_equal(NoiseSchedule(betas).alphas, 1.0 - betas)
+    assert np.array_equal(NoiseSchedule(betas).alpha_bars, np.cumprod(1.0 - betas))
 
 
 def test_forward_noise_zero_signal(sched):

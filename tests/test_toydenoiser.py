@@ -12,7 +12,9 @@ from latent_awaken.metrics import displacement_estimate, per_frame_sizes
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import (
     DIRECTIONS,
+    MODEL_DIMS,
     MOTION_LABELS,
+    PARAMETER_NAMES,
     DatasetParams,
     MotionDataset,
     ToyDenoiser,
@@ -437,7 +439,7 @@ def test_checkpoint_round_trip(trained_small, sched, tmp_path):
     assert manifest["format"] == "toydenoiser-v1"
     assert manifest["hidden"] == 256
     assert manifest["schedule_digest"] == schedule_digest(sched)
-    assert manifest["layers"]["w1"] == list(model.parameters()["w1"].shape)
+    assert "layers" not in manifest
 
 
 def test_checkpoint_missing_manifest(tmp_path):
@@ -452,7 +454,7 @@ def test_checkpoint_missing_manifest(tmp_path):
     seed=st.integers(0, 2**16),
     keep=st.floats(0.0, 0.999),
 )
-def test_checkpoint_round_trip_is_exact(dims, seed, keep):
+def test_checkpoint_round_trip_is_exact(dims, seed, keep, sched):
     frames, height, width, hidden, t_embed, n_labels = dims
     model = ToyDenoiser(frames=frames, height=height, width=width, hidden=hidden, t_embed=t_embed,
                         n_labels=n_labels, seed=seed)
@@ -462,7 +464,8 @@ def test_checkpoint_round_trip_is_exact(dims, seed, keep):
     cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, (1, height, width))), int(gen.integers(n_labels)))
     z_t = VideoLatent(gen.standard_normal(model.video_shape))
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt = save_checkpoint(model, Path(tmp) / "ckpt")
+        params = DatasetParams(frames=frames, height=height, width=width, labels=MOTION_LABELS[:n_labels])
+        ckpt = save_checkpoint(model, Path(tmp) / "ckpt", params, sched)
         loaded, _ = load_checkpoint(ckpt)
         for name, p in model.parameters().items():
             got = loaded.parameters()[name]
@@ -480,9 +483,64 @@ def test_checkpoint_round_trip_is_exact(dims, seed, keep):
 def test_checkpoint_rejects_shape_drift(trained_small, sched, tmp_path):
     model, _, _ = trained_small
     ckpt = tmp_path / "ckpt"
-    save_checkpoint(model, ckpt)
+    save_checkpoint(model, ckpt, DatasetParams(), sched)
     manifest = json.loads((ckpt / "manifest.json").read_text())
     manifest["hidden"] = 128  # stored tensors no longer match
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         load_checkpoint(ckpt)
+
+
+def _random_checkpoint(ckpt, sched):
+    """A small model with random weights, saved to ``ckpt``; returns the model."""
+    model = ToyDenoiser(frames=3, height=4, width=4, hidden=8, t_embed=4, seed=7)
+    gen = stream(7, "checkpoint-random")
+    for name, p in model.parameters().items():
+        setattr(model, name, gen.standard_normal(p.shape))
+    save_checkpoint(model, ckpt, DatasetParams(frames=3, height=4, width=4), sched)
+    return model
+
+
+def _edit_manifest(ckpt, edit):
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _layers_table(model, skip=()):
+    # The manifest's per-layer shape table of the earlier checkpoint format.
+    return {name: list(p.shape) for name, p in model.parameters().items() if name not in skip}
+
+
+@pytest.mark.parametrize("name", PARAMETER_NAMES)
+def test_checkpoint_missing_parameter_file_is_refused(name, sched, tmp_path):
+    # The model decides which files a checkpoint needs, not the manifest: a
+    # layers table that no longer lists the file does not excuse it.
+    model = _random_checkpoint(tmp_path, sched)
+    (tmp_path / f"{name}.ltn1").unlink()
+    _edit_manifest(tmp_path, lambda m: m.update(layers=_layers_table(model, skip=(name,))))
+    with pytest.raises(FileNotFoundError, match=f"{name}.ltn1"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_with_layers_table_loads_bit_identically(sched, tmp_path):
+    # Checkpoints written before the layers table was dropped still load.
+    model = _random_checkpoint(tmp_path, sched)
+    _edit_manifest(tmp_path, lambda m: m.update(layers=_layers_table(model)))
+    loaded, _ = load_checkpoint(tmp_path)
+    for name, p in model.parameters().items():
+        assert loaded.parameters()[name].tobytes() == p.tobytes(), name
+    gen = stream(8, "checkpoint-random")
+    cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, (1, 4, 4))), 2)
+    z_t = VideoLatent(gen.standard_normal(model.video_shape))
+    assert loaded.predict_noise(z_t, cond, 9).frames.tobytes() == model.predict_noise(z_t, cond, 9).frames.tobytes()
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])
+@pytest.mark.parametrize("key", MODEL_DIMS + ("dataset", "schedule_digest"))
+def test_manifest_without_dimension_or_provenance_is_refused(key, null, sched, tmp_path):
+    _random_checkpoint(tmp_path, sched)
+    _edit_manifest(tmp_path, lambda m: m.update({key: None}) if null else m.pop(key))
+    with pytest.raises(ValueError, match=repr(key)):
+        load_checkpoint(tmp_path)

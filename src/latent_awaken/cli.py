@@ -31,15 +31,14 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from .config import ConfigError, ExperimentConfig, load_config  # noqa: E402
+from .config import ConfigError, ExperimentConfig, load_config, parse_enum  # noqa: E402
 from .diffusion import Condition, VideoLatent  # noqa: E402
 from .metrics import diagnose_video  # noqa: E402
 from .numerics import read_ltn1, write_ltn1  # noqa: E402
-from .pipeline import AblationReport, PipelineVariant, animate, parse_variant, run_ablation  # noqa: E402
+from .pipeline import AblationReport, PipelineVariant, animate, run_ablation  # noqa: E402
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm  # noqa: E402
 from .rng import stream  # noqa: E402
 from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train  # noqa: E402
-from .vsds import parse_curve_kind  # noqa: E402
 
 
 def _usable_cores() -> int:
@@ -135,7 +134,7 @@ def cmd_animate(args) -> int:
         raise ConfigError(f"input image not found: {image_path}")
     image = load_proxy(image_path, expected_shape=(model.channels, model.height, model.width))
     cond = Condition(image, label_id(args.label))
-    variant = parse_variant(args.variant)
+    variant = parse_enum(PipelineVariant, args.variant)
     provider = FileProvider(args.proxy) if args.proxy else SyntheticProvider(cfg.proxy_params())
 
     run = animate(
@@ -155,9 +154,7 @@ def cmd_animate(args) -> int:
     result = {
         "variant": variant.value,
         "label": args.label,
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash(),
-        "config": run.config,
+        **_settings_record(cfg),
         "frames": run.output.frame_count,
         "video": "video.ltn1",
         "frame_files": frame_files,
@@ -166,6 +163,12 @@ def cmd_animate(args) -> int:
     _write_log(out_dir, [f"{name}: {secs:.3f}s" for name, secs in run.timing.items()])
     print(f"wrote {out_dir / 'video.ltn1'} and {len(frame_files)} frames")
     return 0
+
+
+def _settings_record(cfg: ExperimentConfig) -> dict:
+    """The canonical settings lines and their hash: sha256 of the lines
+    joined by newlines, with a final newline, is ``config_hash``."""
+    return {"config": cfg.canonical().splitlines(), "config_hash": cfg.config_hash()}
 
 
 def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int) -> AblationReport:
@@ -183,13 +186,13 @@ def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int
     )
     sweep = cfg["ablate.sweep"]
     if sweep == "variants":
-        return run_ablation(benchmark, cfg.variants(), vsds_cfg=cfg.vsds_config(), **common)
+        return run_ablation(benchmark, list(cfg["pipeline.variants"]), vsds_cfg=cfg.vsds_config(), **common)
 
     base_vsds = cfg.vsds_config()
     if sweep == "curves":
         keys_and_cfgs = [
-            (name, replace(base_vsds, curve=replace(base_vsds.curve, kind=parse_curve_kind(name))))
-            for name in cfg["ablate.curve_grid"]
+            (kind.value, replace(base_vsds, curve=replace(base_vsds.curve, kind=kind)))
+            for kind in cfg["ablate.curve_grid"]
         ]
     else:  # p sweep
         keys_and_cfgs = [(repr(p), replace(base_vsds, p=p)) for p in cfg["ablate.p_grid"]]
@@ -220,9 +223,7 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ablation.csv").write_text(report.to_csv())
-    (out_dir / "ablation.json").write_text(
-        report.to_json(extra={"config_hash": cfg.config_hash(), "sweep": cfg["ablate.sweep"], "seed": cfg.seed})
-    )
+    (out_dir / "ablation.json").write_text(report.to_json(extra=_settings_record(cfg)))
     _write_log(out_dir, [f"ablate: {elapsed:.2f}s over {args.n} items, {threads} thread(s)"])
     print(f"wrote {out_dir / 'ablation.csv'} ({len(report.rows)} rows)")
     return 0

@@ -3,21 +3,24 @@
 Every knob has a default, every provided key is validated before any compute
 starts, and the effective (defaults-merged) configuration has a canonical
 serialization whose SHA-256 is stamped into all artifacts, so any output can
-be traced back to the exact settings that produced it.
+be traced back to the exact settings that produced it.  This module is the
+only place where settings text becomes values and values become text again:
+enum names are matched ignoring case and written back as the enum's value.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import AngleScope, FusionConfig
-from .pipeline import PipelineVariant, parse_variant
+from .pipeline import PipelineVariant
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams
-from .vsds import VsdsConfig, WeightCurve, parse_curve_kind
+from .vsds import CurveKind, VsdsConfig, WeightCurve
 
 
 class ConfigError(ValueError):
@@ -40,12 +43,25 @@ def _parse_words(text: str) -> tuple[str, ...]:
     return words
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(w) for w in _parse_words(text))
+def _list_of(parse_item):
+    return lambda text: tuple(parse_item(w) for w in _parse_words(text))
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(w) for w in _parse_words(text))
+# What each enum's values are called in error messages.
+_ENUM_KINDS = {CurveKind: "weight curve", AngleScope: "angle scope", PipelineVariant: "pipeline variant"}
+
+
+def parse_enum(kind: type[Enum], text: str) -> Enum:
+    """Match one of ``kind``'s values, ignoring case and surrounding spaces."""
+    key = text.strip().lower()
+    for member in kind:
+        if member.value.lower() == key:
+            return member
+    raise ValueError(f"unknown {_ENUM_KINDS[kind]} {text!r}; known: {', '.join(m.value for m in kind)}")
+
+
+def _enum(kind: type[Enum]):
+    return lambda text: parse_enum(kind, text)
 
 
 # key -> (default value, parser). The parser receives the raw string.
@@ -58,9 +74,9 @@ _SCHEMA: dict[str, tuple] = {
     "dataset.frames": (16, int),
     "dataset.shapes": (("blob", "square"), _parse_words),
     "dataset.labels": (("static", "right", "left", "up", "down", "grow"), _parse_words),
-    "dataset.velocities": ((1.0,), _parse_floats),
-    "dataset.blob_sigma": ((1.6, 2.6), _parse_floats),
-    "dataset.square_half": ((1, 2), _parse_ints),
+    "dataset.velocities": ((1.0,), _list_of(float)),
+    "dataset.blob_sigma": ((1.6, 2.6), _list_of(float)),
+    "dataset.square_half": ((1, 2), _list_of(int)),
     "dataset.grow_rate": (0.06, float),
     "schedule.steps": (1000, int),
     "schedule.beta_start": (1e-4, float),
@@ -71,19 +87,23 @@ _SCHEMA: dict[str, tuple] = {
     "train.lr": (0.5, float),
     "train.batch": (8, int),
     "vsds.p": (0.6, float),
-    "vsds.curve": ("SD", str),
+    "vsds.curve": (CurveKind.STEPWISE_DECREASING, _enum(CurveKind)),
     "vsds.w_hi": (2.0, float),
     "vsds.w_lo": (1.0, float),
     "vsds.omega": ("one_minus_alpha_bar", str),
     "vsds.shared_noise": (False, _parse_bool),
-    "fusion.angle_scope": ("global", str),
+    "fusion.angle_scope": (AngleScope.GLOBAL, _enum(AngleScope)),
     "fusion.epsilon_theta": (1e-6, float),
     "proxy.strength": (0.5, float),
-    "pipeline.variants": (("Baseline", "V", "S", "VU", "VS"), _parse_words),
+    "pipeline.variants": (tuple(PipelineVariant), _list_of(_enum(PipelineVariant))),
     "pipeline.resume_from": ("tau", str),
     "ablate.sweep": ("variants", str),
-    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _parse_floats),
-    "ablate.curve_grid": (("LD", "SD", "SI", "LI"), _parse_words),
+    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _list_of(float)),
+    "ablate.curve_grid": (
+        (CurveKind.LINEAR_DECREASING, CurveKind.STEPWISE_DECREASING,
+         CurveKind.STEPWISE_INCREASING, CurveKind.LINEAR_INCREASING),
+        _list_of(_enum(CurveKind)),
+    ),
 }
 
 
@@ -94,6 +114,8 @@ def _format_value(value) -> str:
         return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 
@@ -139,7 +161,7 @@ class ExperimentConfig:
 
     def vsds_config(self) -> VsdsConfig:
         v = self.values
-        curve = WeightCurve(parse_curve_kind(v["vsds.curve"]), w_hi=v["vsds.w_hi"], w_lo=v["vsds.w_lo"])
+        curve = WeightCurve(v["vsds.curve"], w_hi=v["vsds.w_hi"], w_lo=v["vsds.w_lo"])
         return VsdsConfig(
             p=v["vsds.p"],
             curve=curve,
@@ -150,14 +172,10 @@ class ExperimentConfig:
 
     def fusion_config(self) -> FusionConfig:
         v = self.values
-        scope = AngleScope(v["fusion.angle_scope"].strip().lower())
-        return FusionConfig(angle_scope=scope, epsilon_theta=v["fusion.epsilon_theta"])
+        return FusionConfig(angle_scope=v["fusion.angle_scope"], epsilon_theta=v["fusion.epsilon_theta"])
 
     def proxy_params(self) -> SyntheticProviderParams:
         return SyntheticProviderParams(motion_hint_strength=self.values["proxy.strength"])
-
-    def variants(self) -> list[PipelineVariant]:
-        return [parse_variant(name) for name in self.values["pipeline.variants"]]
 
     @property
     def resume_from(self) -> str:
@@ -221,7 +239,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         ("vsds.*", cfg.vsds_config),
         ("fusion.*", cfg.fusion_config),
         ("proxy.strength", cfg.proxy_params),
-        ("pipeline.variants", cfg.variants),
     ]
     for key, build in checks:
         try:
@@ -230,11 +247,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for name in v["ablate.curve_grid"]:
-        try:
-            parse_curve_kind(name)
-        except ValueError as exc:
-            raise ConfigError(f"config key 'ablate.curve_grid': {exc}") from exc
     for p in v["ablate.p_grid"]:
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"config key 'ablate.p_grid': p values must be in (0, 1], got {p}")

@@ -100,7 +100,7 @@ class NoiseSchedule:
     ``betas[i]`` is the variance added at step ``t = i + 1``; ``alpha_bars``
     is the running product of ``1 - beta``.  Valid schedules keep every beta
     in (0, 0.999], have strictly decreasing ``alpha_bar`` and end nearly
-    noise-free of signal (``alpha_bar(T) < 0.01``).
+    noise-free of signal (``alpha_bars[-1] < 0.01``).
     """
 
     betas: np.ndarray
@@ -136,16 +136,6 @@ class NoiseSchedule:
     def steps(self) -> int:
         return self.betas.size
 
-    def _check_t(self, t: int, low: int = 1) -> int:
-        t = int(t)
-        if not low <= t <= self.steps:
-            raise ValueError(f"t={t} outside [{low}, {self.steps}]")
-        return t
-
-    def alpha_bar(self, t: int) -> float:
-        t = self._check_t(t, low=0)
-        return 1.0 if t == 0 else float(self.alpha_bars[t - 1])
-
 
 def replicate_static(image: FrameLatent, frame_count: int) -> VideoLatent:
     """Tile one frame into a motionless video latent."""
@@ -159,7 +149,9 @@ def forward_noise(z0: VideoLatent, t: int, eps: np.ndarray, sched: NoiseSchedule
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != z0.shape:
         raise ValueError(f"noise shape {eps.shape} != latent shape {z0.shape}")
-    ab = sched.alpha_bar(sched._check_t(t))
+    if not 1 <= t <= sched.steps:
+        raise ValueError(f"t={t} outside [1, {sched.steps}]")
+    ab = sched.alpha_bars[t - 1]
     return VideoLatent(np.sqrt(ab) * z0.frames + np.sqrt(1.0 - ab) * eps)
 
 

@@ -68,14 +68,6 @@ VARIANT_STAGES = {
 }
 
 
-def parse_variant(name: str) -> PipelineVariant:
-    key = name.strip().lower()
-    for v in PipelineVariant:
-        if v.value.lower() == key:
-            return v
-    raise ValueError(f"unknown pipeline variant {name!r}; known: {[v.value for v in PipelineVariant]}")
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
@@ -83,34 +75,8 @@ class StageError(RuntimeError):
 @dataclass(eq=False)
 class RunResult:
     output: VideoLatent
-    variant: PipelineVariant
-    config: dict
     timing: dict[str, float]
-    seed: int
     stages: dict[str, VideoLatent | FrameLatent] = field(default_factory=dict)
-
-
-def _config_snapshot(variant, seed, sched, vsds_cfg, fusion_cfg, resume_from) -> dict:
-    return {
-        "variant": variant.value,
-        "seed": seed,
-        "resume_from": resume_from,
-        "schedule_steps": sched.steps,
-        "beta_start": float(sched.betas[0]),
-        "beta_end": float(sched.betas[-1]),
-        "vsds": {
-            "p": vsds_cfg.p,
-            "curve": vsds_cfg.curve.kind.value,
-            "w_hi": vsds_cfg.curve.w_hi,
-            "w_lo": vsds_cfg.curve.w_lo,
-            "omega_mode": vsds_cfg.omega_mode,
-            "shared_noise": vsds_cfg.shared_noise,
-        },
-        "fusion": {
-            "angle_scope": fusion_cfg.angle_scope.value,
-            "epsilon_theta": fusion_cfg.epsilon_theta,
-        },
-    }
 
 
 def animate(
@@ -209,14 +175,7 @@ def animate(
         lambda: reverse_sample(z_t, t_start, cond, denoiser, sched),
     )
 
-    return RunResult(
-        output=output,
-        variant=variant,
-        config=_config_snapshot(variant, seed, sched, vsds_cfg, fusion_cfg, resume_from),
-        timing=timing,
-        seed=seed,
-        stages=stages,
-    )
+    return RunResult(output=output, timing=timing, stages=stages)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def render_video(
     the size by ``1 + grow_rate * l``.  Intensities in [0, 1] map to latents
     in [-1, 1].
     """
-    if label not in params.labels and label not in MOTION_LABELS:
+    if label not in MOTION_LABELS:
         raise ValueError(f"unknown motion label {label!r}")
     cx0, cy0 = start
     frames = np.empty((params.frames, params.channels, params.height, params.width))
@@ -419,15 +419,17 @@ def _assemble_batch(
     z0: np.ndarray,
     cond_img: np.ndarray,
     onehot: np.ndarray,
-    ts: np.ndarray,
-    eps: np.ndarray,
+    rng: np.random.Generator,
     sched: NoiseSchedule,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise each sample to its own step t: (B, L, frame_dim) z_t, (B, ctx_dim) context."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw a step t per sample, then the noise, and noise each sample to
+    its t: (B, L, frame_dim) z_t, (B, ctx_dim) context, and the noise."""
+    ts = rng.integers(1, sched.steps + 1, size=len(z0))
+    eps = rng.standard_normal((len(z0), model.frames, model.frame_dim))
     ab = sched.alpha_bars[ts - 1][:, None, None]
     z_t = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
     temb = np.stack([time_embedding(int(t), model.t_embed) for t in ts])
-    return z_t, np.concatenate([cond_img, temb, onehot], axis=1)
+    return z_t, np.concatenate([cond_img, temb, onehot], axis=1), eps
 
 
 def train(
@@ -457,9 +459,7 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            ts = rng.integers(1, sched.steps + 1, size=idx.size)
-            eps = rng.standard_normal((idx.size, model.frames, model.frame_dim))
-            z_t, ctx = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
+            z_t, ctx, eps = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], rng, sched)
             loss, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}")
@@ -487,12 +487,9 @@ def evaluate_loss(
     """Mean per-sample noise-prediction loss over fresh (t, eps) draws."""
     rng = stream(seed, "eval")
     z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
-    n = len(dataset)
     total = 0.0
     for _ in range(rounds):
-        ts = rng.integers(1, sched.steps + 1, size=n)
-        eps = rng.standard_normal((n, model.frames, model.frame_dim))
-        z_t, ctx = _assemble_batch(model, z0_all, cond_all, onehot_all, ts, eps, sched)
+        z_t, ctx, eps = _assemble_batch(model, z0_all, cond_all, onehot_all, rng, sched)
         loss, _ = _batch_loss_and_grads(model, z_t, ctx, eps)
         total += loss
     return total / rounds * model.frames * model.frame_dim
@@ -514,9 +511,7 @@ def gradient_check(
     rng = stream(seed, "gradcheck")
     z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
     idx = rng.permutation(len(dataset))[: min(4, len(dataset))]
-    ts = rng.integers(1, sched.steps + 1, size=idx.size)
-    eps = rng.standard_normal((idx.size, model.frames, model.frame_dim))
-    z_t, ctx = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], ts, eps, sched)
+    z_t, ctx, eps = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], rng, sched)
     _, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
 
     names = sorted(PARAMETER_NAMES)
@@ -567,7 +562,6 @@ def save_checkpoint(
     manifest = {
         "format": "toydenoiser-v1",
         **{dim: getattr(model, dim) for dim in MODEL_DIMS},
-        "labels": list(MOTION_LABELS[: model.n_labels]),
         "dataset": asdict(dataset_params),
         "schedule_digest": schedule_digest(sched),
         **(extra or {}),

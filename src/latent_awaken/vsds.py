@@ -39,15 +39,6 @@ class CurveKind(Enum):
     CONSTANT = "constant"
 
 
-def parse_curve_kind(name: str) -> CurveKind:
-    """Match a ``CurveKind`` value, ignoring case and surrounding spaces."""
-    key = name.strip().lower()
-    for kind in CurveKind:
-        if kind.value.lower() == key:
-            return kind
-    raise ValueError(f"unknown weight curve {name!r}; known: {', '.join(k.value for k in CurveKind)}")
-
-
 @dataclass(frozen=True)
 class WeightCurve:
     """Update-weight profile over the refinement iterations.
@@ -139,7 +130,7 @@ class RefinementDiverged(RuntimeError):
 
 
 def _omega(sched: NoiseSchedule, t: int, mode: str) -> float:
-    return 1.0 if mode == "one" else 1.0 - sched.alpha_bar(t)
+    return 1.0 if mode == "one" else 1.0 - sched.alpha_bars[t - 1]
 
 
 def _refine(

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -79,6 +80,17 @@ def test_train_writes_artifacts(workspace):
     assert (ckpt / "run.log").exists()
 
 
+def test_manifest_records_the_training_labels_once(tmp_path):
+    # The labels a checkpoint knows are its dataset's; the manifest has no
+    # second, top-level list of them.
+    cfg = tmp_path / "labels.cfg"
+    cfg.write_text(CFG_TEXT.replace("train.epochs = 3", "train.epochs = 1") + "dataset.labels = right, left\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "ckpt")]) == 0
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert "labels" not in manifest
+    assert manifest["dataset"]["labels"] == ["right", "left"]
+
+
 def test_train_rerun_is_byte_identical(workspace, tmp_path):
     out2 = tmp_path / "ckpt2"
     assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out2)]) == 0
@@ -114,10 +126,10 @@ def test_animate_writes_video_and_frames(workspace, tmp_path):
 
     result = json.loads((out / "result.json").read_text())
     assert set(result) == {
-        "config", "config_hash", "frame_files", "frames", "label", "seed", "variant", "video",
+        "config", "config_hash", "frame_files", "frames", "label", "variant", "video",
     }
     assert result["variant"] == "Baseline"  # case-insensitive parse
-    assert result["seed"] == 42
+    assert "seed = 42" in result["config"]
     assert result["frames"] == 16
     assert result["frame_files"] == frame_names
 
@@ -250,8 +262,8 @@ def test_ablate_variant_sweep(workspace, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["Baseline", "V", "S", "VU", "VS"]
 
     payload = json.loads((out / "ablation.json").read_text())
-    assert payload["sweep"] == "variants"
-    assert payload["seed"] == 42
+    assert "ablate.sweep = variants" in payload["config"]
+    assert "seed = 42" in payload["config"]
     assert payload["config_hash"]
     assert payload["n_items"] == 2
 
@@ -282,6 +294,27 @@ def test_ablate_curve_sweep(workspace, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["LD", "SD", "SI", "LI"]
 
 
+def test_run_artifacts_record_the_settings_they_hash(workspace, tmp_path):
+    # Every setting is recorded, so two runs that differ in one key differ in
+    # their record; and the record rehashes to the artifact's config_hash.
+    records = {}
+    for strength in ("0.25", "0.75"):
+        cfg = tmp_path / f"strength_{strength}.cfg"
+        cfg.write_text(CFG_TEXT + f"pipeline.variants = VS\nproxy.strength = {strength}\n")
+        anim, ablate = tmp_path / f"anim_{strength}", tmp_path / f"ablate_{strength}"
+        assert main(animate_args(dict(workspace, cfg=cfg), anim)) == 0
+        assert main(ablate_args(cfg, workspace["ckpt"], ablate)) == 0
+        for artifact in (anim / "result.json", ablate / "ablation.json"):
+            payload = json.loads(artifact.read_text())
+            text = "\n".join(payload["config"]) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == payload["config_hash"]
+            assert f"proxy.strength = {strength}" in payload["config"]
+            records.setdefault(strength, []).append(payload["config"])
+    assert records["0.25"][0] == records["0.25"][1]
+    assert records["0.75"][0] == records["0.75"][1]
+    assert records["0.25"][0] != records["0.75"][0]
+
+
 class FailsAboveCutoff:
     """Zero-noise denoiser that raises at every level above ``cutoff``."""
 
@@ -297,8 +330,13 @@ class FailsAboveCutoff:
 
 @pytest.mark.parametrize(
     "sweep, grid, keys",
-    [("p", "ablate.p_grid = 0.4, 0.8", ["0.4", "0.8"]), ("curves", "ablate.curve_grid = LD, SI", ["LD", "SI"])],
-    ids=["p", "curves"],
+    [
+        ("p", "ablate.p_grid = 0.4, 0.8", ["0.4", "0.8"]),
+        ("curves", "ablate.curve_grid = LD, SI", ["LD", "SI"]),
+        # rows take the curves' canonical names, however the grid spells them
+        ("curves", "ablate.curve_grid = ld, si", ["LD", "SI"]),
+    ],
+    ids=["p", "curves", "curves-any-case"],
 )
 def test_sweep_failures_name_their_sweep_point(sweep, grid, keys):
     # Every refinement starts at T, above the cut-off, so each item of each

@@ -14,7 +14,6 @@ from latent_awaken.pipeline import (
     PipelineVariant,
     StageError,
     animate,
-    parse_variant,
     run_ablation,
 )
 from latent_awaken.rng import stream
@@ -25,7 +24,7 @@ from latent_awaken.toydenoiser import (
     label_id,
     render_pattern,
 )
-from latent_awaken.vsds import VsdsConfig, tau_step
+from latent_awaken.vsds import VsdsConfig, tau_step, update_count
 
 STEPS = 40
 
@@ -82,21 +81,6 @@ class IdentityProvider:
 def bench_items(n, labels=("right", "up"), seed=4):
     data = generate_dataset(n, DatasetParams(shapes=("blob",), labels=labels), seed=seed)
     return [(s.cond.image, s.cond) for s in data.samples]
-
-
-# ---------------------------------------------------------------------------
-# variant parsing
-# ---------------------------------------------------------------------------
-
-
-def test_parse_variant_case_insensitive():
-    assert parse_variant("baseline") is PipelineVariant.BASELINE
-    assert parse_variant("  vs ") is PipelineVariant.VS
-    assert parse_variant("Vu") is PipelineVariant.VU
-    with pytest.raises(ValueError) as err:
-        parse_variant("VX")
-    for known in ("Baseline", "V", "S", "VU", "VS"):
-        assert known in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +171,20 @@ def test_run_result_structure():
     sched = small_sched()
     image = blob_image()
     cond = Condition(image, label_id("right"))
-    run = animate(image, cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched,
-                  vsds_cfg=VsdsConfig(p=0.5), seed=7)
+    model = CallHistogram(frames=6)
+    run = animate(image, cond, PipelineVariant.VS, model, sched, vsds_cfg=VsdsConfig(p=0.5), seed=7)
     assert set(run.timing) == {"replicate", "proxy", "vsds", "fusion", "resample", "reverse"}
     assert set(run.stages) == {"static", "proxy_image", "refined_real", "refined_proxy", "pre_latent"}
-    assert run.seed == 7
-    assert run.config["variant"] == "VS"
-    assert run.config["vsds"]["p"] == 0.5
-    assert run.config["schedule_steps"] == STEPS
+    # The run follows the arguments it was given: VS refines both paths
+    # from T down to tau(p = 0.5) and resumes there, and seed 7 names its
+    # noise streams.
+    assert sum(model.by_t.values()) == 2 * update_count(STEPS, 0.5) + tau_step(STEPS, 0.5)
+    same_seed = animate(image, cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched,
+                        vsds_cfg=VsdsConfig(p=0.5), seed=7)
+    other_seed = animate(image, cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched,
+                         vsds_cfg=VsdsConfig(p=0.5), seed=8)
+    assert np.array_equal(run.output.frames, same_seed.output.frames)
+    assert not np.array_equal(run.output.frames, other_seed.output.frames)
     assert run.output.frame_count == 6
 
     vu = animate(image, cond, PipelineVariant.VU, ZeroDenoiser(frames=6), sched,
@@ -253,12 +243,15 @@ def test_resume_from_t_restarts_at_the_top():
     sched = small_sched()
     image = blob_image()
     cond = Condition(image, label_id("right"))
-    model = ZeroDenoiser(frames=6)
-    from_tau = animate(image, cond, PipelineVariant.VS, model, sched,
+    tau_model, top_model = CallHistogram(frames=6), CallHistogram(frames=6)
+    from_tau = animate(image, cond, PipelineVariant.VS, tau_model, sched,
                        vsds_cfg=VsdsConfig(p=0.5), seed=3)
-    from_top = animate(image, cond, PipelineVariant.VS, model, sched,
+    from_top = animate(image, cond, PipelineVariant.VS, top_model, sched,
                        vsds_cfg=VsdsConfig(p=0.5), seed=3, resume_from="T")
-    assert from_top.config["resume_from"] == "T"
+    # Both refine twice; only the second samples every level from T down.
+    refinements = 2 * update_count(STEPS, 0.5)
+    assert sum(tau_model.by_t.values()) == refinements + tau_step(STEPS, 0.5)
+    assert sum(top_model.by_t.values()) == refinements + STEPS
     assert not np.array_equal(from_tau.output.frames, from_top.output.frames)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import tempfile
 from pathlib import Path
@@ -238,11 +239,7 @@ def _rel_err(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-draws = st.lists(
-    st.tuples(st.integers(1, 120), st.integers(0, len(MOTION_LABELS) - 1)),
-    min_size=1,
-    max_size=5,
-)
+batch_labels = st.lists(st.integers(0, len(MOTION_LABELS) - 1), min_size=1, max_size=5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -268,17 +265,17 @@ def test_predict_noise_matches_concatenated_reference(random_model, calls, label
 
 
 @settings(max_examples=25, deadline=None)
-@given(batch=draws, seed=st.integers(0, 2**16))
-def test_batch_forward_and_gradients_match_concatenated_reference(random_model, sched, batch, seed):
+@given(labels=batch_labels, seed=st.integers(0, 2**16))
+def test_batch_forward_and_gradients_match_concatenated_reference(random_model, sched, labels, seed):
     model = random_model
-    ts = np.array([t for t, _ in batch])
-    labels = [label for _, label in batch]
     gen = stream(seed, "batch-equivalence")
-    z0 = gen.uniform(-1.0, 1.0, (len(batch), model.frames, model.frame_dim))
-    cond_img = gen.uniform(-1.0, 1.0, (len(batch), model.frame_dim))
+    z0 = gen.uniform(-1.0, 1.0, (len(labels), model.frames, model.frame_dim))
+    cond_img = gen.uniform(-1.0, 1.0, (len(labels), model.frame_dim))
     onehot = np.eye(model.n_labels)[labels]
-    eps = gen.standard_normal(z0.shape)
-    z_t, ctx = _assemble_batch(model, z0, cond_img, onehot, ts, eps, sched)
+    # _assemble_batch draws each sample's step first, then the noise; a
+    # copy of the generator replays the step draw for the reference rows.
+    ts = copy.deepcopy(gen).integers(1, sched.steps + 1, size=len(labels))
+    z_t, ctx, eps = _assemble_batch(model, z0, cond_img, onehot, gen, sched)
     x = _reference_rows(model, z_t, cond_img, ts, labels)
     expected_out, expected_loss, expected_grads = _reference_loss_and_grads(model, x, eps)
     out, _, _ = model._forward(z_t, ctx @ model.w1[model.frame_dim :] + model.b1)

@@ -23,7 +23,6 @@ from latent_awaken.vsds import (
     _keep_paths_serial,
     alpha_at,
     dual_path_refine,
-    parse_curve_kind,
     tau_step,
     update_count,
     vsds_refine,
@@ -138,18 +137,6 @@ def test_alpha_at_validates_indices():
         alpha_at(curve, 5, 5)
     with pytest.raises(ValueError):
         alpha_at(curve, -1, 5)
-
-
-def test_parse_curve_kind_aliases():
-    # Only the CurveKind values are accepted, in any case, with spaces trimmed.
-    assert parse_curve_kind("LD") is CurveKind.LINEAR_DECREASING
-    assert parse_curve_kind("sd") is CurveKind.STEPWISE_DECREASING
-    assert parse_curve_kind("Si") is CurveKind.STEPWISE_INCREASING
-    assert parse_curve_kind(" li ") is CurveKind.LINEAR_INCREASING
-    assert parse_curve_kind("CONSTANT") is CurveKind.CONSTANT
-    for name in ("stepwise-decreasing", "const", "quadratic"):
-        with pytest.raises(ValueError, match="unknown weight curve"):
-            parse_curve_kind(name)
 
 
 def test_weight_curve_validation():

@@ -24,6 +24,7 @@ if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -101,7 +102,7 @@ def cmd_train(args) -> int:
 
     params = cfg.dataset_params()
     sched = cfg.schedule()
-    dataset = generate_dataset(cfg["dataset.n"], params, seed=stream(cfg.seed, "dataset/train"))
+    dataset = generate_dataset(cfg["dataset.n"], params, seed=stream(cfg["seed"], "dataset/train"))
     model = ToyDenoiser(
         frames=params.frames,
         channels=params.channels,
@@ -109,12 +110,12 @@ def cmd_train(args) -> int:
         width=params.width,
         hidden=cfg["denoiser.hidden"],
         t_embed=cfg["denoiser.t_embed"],
-        seed=cfg.seed,
+        seed=cfg["seed"],
     )
     t0 = time.perf_counter()
     model, result = train(
         model, dataset, sched,
-        epochs=cfg["train.epochs"], lr=cfg["train.lr"], seed=cfg.seed, batch_size=cfg["train.batch"],
+        epochs=cfg["train.epochs"], lr=cfg["train.lr"], seed=cfg["seed"], batch_size=cfg["train.batch"],
     )
     elapsed = time.perf_counter() - t0
 
@@ -136,11 +137,13 @@ def cmd_animate(args) -> int:
     cond = Condition(image, label_id(args.label))
     variant = parse_enum(PipelineVariant, args.variant)
     provider = FileProvider(args.proxy) if args.proxy else SyntheticProvider(cfg.proxy_params())
+    if args.proxy:  # refuse a proxy of another shape before any compute, for every variant
+        provider.synthesize(image, cond)
 
     run = animate(
         image, cond, variant, model, cfg.schedule(),
         vsds_cfg=cfg.vsds_config(), fusion_cfg=cfg.fusion_config(),
-        proxy_provider=provider, seed=cfg.seed, resume_from=cfg.resume_from,
+        proxy_provider=provider, seed=cfg["seed"], resume_from=cfg["pipeline.resume_from"],
     )
 
     out_dir = Path(args.out)
@@ -158,6 +161,8 @@ def cmd_animate(args) -> int:
         "frames": run.output.frame_count,
         "video": "video.ltn1",
         "frame_files": frame_files,
+        "image_sha256": hashlib.sha256(image_path.read_bytes()).hexdigest(),
+        "proxy_sha256": hashlib.sha256(Path(args.proxy).read_bytes()).hexdigest() if args.proxy else None,
     }
     (out_dir / "result.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     _write_log(out_dir, [f"{name}: {secs:.3f}s" for name, secs in run.timing.items()])
@@ -179,8 +184,8 @@ def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int
         sched=sched,
         fusion_cfg=cfg.fusion_config(),
         proxy_provider=SyntheticProvider(cfg.proxy_params()),
-        base_seed=cfg.seed,
-        resume_from=cfg.resume_from,
+        base_seed=cfg["seed"],
+        resume_from=cfg["pipeline.resume_from"],
         reference_videos=reference,
         threads=threads,
     )
@@ -212,7 +217,7 @@ def cmd_ablate(args) -> int:
     model = _load_model(args.ckpt, cfg, cfg["dataset.labels"])
     threads = _usable_cores()
 
-    bench = generate_dataset(args.n, cfg.dataset_params(), seed=stream(cfg.seed, "ablate/bench"))
+    bench = generate_dataset(args.n, cfg.dataset_params(), seed=stream(cfg["seed"], "ablate/bench"))
     benchmark = [(s.cond.image, s.cond) for s in bench.samples]
     reference = [s.video for s in bench.samples]
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import AngleScope, FusionConfig
-from .pipeline import PipelineVariant
+from .pipeline import PipelineVariant, ordered_variants
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams
 from .vsds import CurveKind, VsdsConfig, WeightCurve
@@ -95,7 +95,10 @@ _SCHEMA: dict[str, tuple] = {
     "fusion.angle_scope": (AngleScope.GLOBAL, _enum(AngleScope)),
     "fusion.epsilon_theta": (1e-6, float),
     "proxy.strength": (0.5, float),
-    "pipeline.variants": (tuple(PipelineVariant), _list_of(_enum(PipelineVariant))),
+    # Parsed to the rows run_ablation runs, so those rows have one hash.
+    "pipeline.variants": (
+        tuple(PipelineVariant), lambda text: ordered_variants(_list_of(_enum(PipelineVariant))(text))
+    ),
     "pipeline.resume_from": ("tau", str),
     "ablate.sweep": ("variants", str),
     "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _list_of(float)),
@@ -136,10 +139,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     # -- typed views ------------------------------------------------------
-    @property
-    def seed(self) -> int:
-        return self.values["seed"]
-
     def dataset_params(self) -> DatasetParams:
         v = self.values
         return DatasetParams(
@@ -166,7 +165,7 @@ class ExperimentConfig:
             p=v["vsds.p"],
             curve=curve,
             omega_mode=v["vsds.omega"],
-            seed=self.seed,
+            seed=v["seed"],
             shared_noise=v["vsds.shared_noise"],
         )
 
@@ -176,10 +175,6 @@ class ExperimentConfig:
 
     def proxy_params(self) -> SyntheticProviderParams:
         return SyntheticProviderParams(motion_hint_strength=self.values["proxy.strength"])
-
-    @property
-    def resume_from(self) -> str:
-        return self.values["pipeline.resume_from"]
 
 
 def parse_config(text: str) -> ExperimentConfig:

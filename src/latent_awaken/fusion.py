@@ -4,8 +4,9 @@ The fused video walks from the real-image latent toward the proxy latent as
 the frame index advances: frame l mixes the two paths with weight
 beta_l = l / (L - 1).  Spherical interpolation keeps each fused frame on the
 great-circle arc between its sources, preserving norms that plain linear
-mixing would shrink mid-sequence; ``uniform_fuse`` is that linear baseline,
-kept for ablation.  The pipeline variant decides which of the two runs.
+mixing would shrink mid-sequence; ``uniform_fuse``, the linear baseline
+kept for ablation, is the same mix with every angle 0.  The pipeline variant
+decides which of the two runs.
 """
 
 from __future__ import annotations
@@ -51,20 +52,18 @@ def _check_pair(zr: VideoLatent, zs: VideoLatent) -> None:
         raise ValueError(f"latent shape mismatch: {zr.shape} vs {zs.shape}")
 
 
-def _frame_angle(a: np.ndarray, b: np.ndarray, scope: str) -> float:
-    try:
-        return angle_between(a, b)
-    except ValueError as exc:
-        raise ValueError(f"cannot measure {scope} slerp angle: {exc}") from exc
-
-
-def _arc_mix(zr: np.ndarray, zs: np.ndarray, beta: float, theta: float, eps_theta: float) -> np.ndarray:
-    """Slerp one slice; falls back to exact linear mixing for tiny angles."""
-    if theta < eps_theta:
-        # Written as zr + beta*(zs - zr) so equal inputs reproduce exactly.
-        return zr + beta * (zs - zr)
-    sin_theta = np.sin(theta)
-    return (np.sin((1.0 - beta) * theta) / sin_theta) * zr + (np.sin(beta * theta) / sin_theta) * zs
+def _mix(zr: VideoLatent, zs: VideoLatent, thetas) -> VideoLatent:
+    """Frame l walks beta_l of the way from zr to zs along an arc of angle
+    ``thetas[l]``; an angle of exactly 0 walks the straight chord."""
+    out = np.empty_like(zr.frames)
+    for l, (a, b, beta, theta) in enumerate(zip(zr.frames, zs.frames, beta_schedule(zr.frame_count), thetas)):
+        if theta == 0.0:
+            # Written as a + beta*(b - a) so equal inputs reproduce exactly.
+            out[l] = a + beta * (b - a)
+        else:
+            sin_theta = np.sin(theta)
+            out[l] = (np.sin((1.0 - beta) * theta) / sin_theta) * a + (np.sin(beta * theta) / sin_theta) * b
+    return VideoLatent(out)
 
 
 def slerp_fuse(zr: VideoLatent, zs: VideoLatent, cfg: FusionConfig = FusionConfig()) -> VideoLatent:
@@ -72,32 +71,28 @@ def slerp_fuse(zr: VideoLatent, zs: VideoLatent, cfg: FusionConfig = FusionConfi
 
     With ``AngleScope.GLOBAL`` one angle between the flattened videos is
     shared by every frame; ``PER_FRAME`` measures it per frame slice.
-    Nearly antipodal inputs (theta > pi - epsilon) are rejected: the arc is
-    then ill-conditioned and has no preferred direction.
+    Angles below ``epsilon_theta`` mix linearly.  Nearly antipodal inputs
+    (theta > pi - epsilon) are rejected: the arc is then ill-conditioned and
+    has no preferred direction.
     """
     _check_pair(zr, zs)
-    L = zr.frame_count
-    betas = beta_schedule(L)
-    eps = cfg.epsilon_theta
-    out = np.empty_like(zr.frames)
-
     if cfg.angle_scope is AngleScope.GLOBAL:
-        theta = _frame_angle(zr.frames, zs.frames, "global")
-        if theta > np.pi - eps:
-            raise ValueError(f"latents are nearly antipodal (theta={theta:.6f}); slerp undefined")
-        for l in range(L):
-            out[l] = _arc_mix(zr.frames[l], zs.frames[l], betas[l], theta, eps)
+        slices = [("global", zr.frames, zs.frames)]
     else:
-        for l in range(L):
-            theta = _frame_angle(zr.frames[l], zs.frames[l], f"frame {l}")
-            if theta > np.pi - eps:
-                raise ValueError(f"frame {l} latents are nearly antipodal (theta={theta:.6f}); slerp undefined")
-            out[l] = _arc_mix(zr.frames[l], zs.frames[l], betas[l], theta, eps)
-    return VideoLatent(out)
+        slices = [(f"frame {l}", zr.frames[l], zs.frames[l]) for l in range(zr.frame_count)]
+    thetas = []
+    for scope, a, b in slices:
+        try:
+            theta = angle_between(a, b)
+        except ValueError as exc:
+            raise ValueError(f"cannot measure {scope} slerp angle: {exc}") from exc
+        if theta > np.pi - cfg.epsilon_theta:
+            raise ValueError(f"{scope} latents are nearly antipodal (theta={theta:.6f}); slerp undefined")
+        thetas.append(0.0 if theta < cfg.epsilon_theta else theta)
+    return _mix(zr, zs, np.broadcast_to(thetas, zr.frame_count))
 
 
 def uniform_fuse(zr: VideoLatent, zs: VideoLatent) -> VideoLatent:
-    """Plain per-frame linear interpolation with the same beta schedule."""
+    """Per-frame linear interpolation: the slerp mix with every angle 0."""
     _check_pair(zr, zs)
-    betas = beta_schedule(zr.frame_count)[:, None, None, None]
-    return VideoLatent(zr.frames + betas * (zs.frames - zr.frames))
+    return _mix(zr, zs, np.zeros(zr.frame_count))

@@ -129,11 +129,10 @@ def video_features(v: VideoLatent) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureStats:
-    """Gaussian fit (mean, covariance, sample count) over feature vectors."""
+    """Gaussian fit (mean, covariance) over feature vectors."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    n: int
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -161,7 +160,7 @@ class FeatureStats:
         vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
         cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         cov = (cov + cov.T) / 2.0
-        return cls(feats.mean(axis=0), cov, feats.shape[0])
+        return cls(feats.mean(axis=0), cov)
 
 
 def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
@@ -249,14 +248,16 @@ def linearity_score(v: VideoLatent) -> tuple[float, float]:
 
 @dataclass
 class MetricReport:
-    """One row of evaluation output; ``frechet``/``fidelity`` may be absent
-    when no reference distribution or image is available."""
+    """One row of evaluation output, its fields the ablation table's columns
+    in order; ``frechet``/``fidelity`` are absent without a reference
+    distribution or image, and every field is absent for an ablation row
+    whose items all failed."""
 
     frechet: Optional[float]
-    alignment: float
-    linearity_vr: float
-    linearity_mono: float
-    motion_energy: float
+    alignment: Optional[float]
+    linearity_vr: Optional[float]
+    linearity_mono: Optional[float]
+    motion_energy: Optional[float]
     fidelity: Optional[float]
 
     def to_dict(self) -> dict:

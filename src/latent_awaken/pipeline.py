@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -55,6 +55,12 @@ class PipelineVariant(Enum):
 
 # Ablation rows follow the enum's definition order.
 VARIANT_ORDER = tuple(PipelineVariant)
+
+
+def ordered_variants(variants) -> tuple[PipelineVariant, ...]:
+    """``variants`` in VARIANT_ORDER, each once, however they were listed."""
+    return tuple(v for v in VARIANT_ORDER if v in set(variants))
+
 
 # variant -> (refinement: None/"real"/"dual", fusion: None/"slerp"/"uniform").
 # The proxy is made whenever a fusion runs; the row with neither is the plain
@@ -182,7 +188,7 @@ def animate(
 # Ablation harness
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("variant", "frechet", "alignment", "linearity_vr", "linearity_mono", "motion_energy", "fidelity")
+CSV_COLUMNS = ("variant",) + tuple(f.name for f in fields(metrics.MetricReport))
 
 
 @dataclass(eq=False)
@@ -203,12 +209,8 @@ class AblationReport:
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            r = row.report
-            cells = [row.key] + [
-                "" if value is None else repr(float(value))
-                for value in (r.frechet, r.alignment, r.linearity_vr, r.linearity_mono, r.motion_energy, r.fidelity)
-            ]
-            lines.append(",".join(cells))
+            values = (getattr(row.report, name) for name in CSV_COLUMNS[1:])
+            lines.append(",".join([row.key] + ["" if v is None else repr(float(v)) for v in values]))
         return "\n".join(lines) + "\n"
 
     def to_json(self, extra: dict | None = None) -> str:
@@ -228,24 +230,21 @@ class AblationReport:
 
 def _score_outputs(
     key: str,
-    outputs: list[tuple[int, VideoLatent, Condition, FrameLatent]],
+    outputs: list[tuple[VideoLatent, Condition, FrameLatent]],
     reference_stats: metrics.FeatureStats | None,
     n_failed: int,
 ) -> AblationRow:
-    feats = np.stack([metrics.video_features(v) for _, v, _, _ in outputs])
+    """Per-item metrics averaged, ``frechet`` from the fit over all items;
+    every field is None when no item succeeded."""
+    if not outputs:
+        return AblationRow(key, metrics.MetricReport(**dict.fromkeys(CSV_COLUMNS[1:])), 0, n_failed)
+    feats = np.stack([metrics.video_features(v) for v, _, _ in outputs])
     frechet = None
     if reference_stats is not None and len(outputs) >= 2:
         frechet = metrics.frechet_distance(metrics.FeatureStats.from_features(feats), reference_stats)
-    per_item = [metrics.diagnose_video(v, cond, image) for _, v, cond, image in outputs]
-    report = metrics.MetricReport(
-        frechet=frechet,
-        alignment=float(np.mean([r.alignment for r in per_item])),
-        linearity_vr=float(np.mean([r.linearity_vr for r in per_item])),
-        linearity_mono=float(np.mean([r.linearity_mono for r in per_item])),
-        motion_energy=float(np.mean([r.motion_energy for r in per_item])),
-        fidelity=float(np.mean([r.fidelity for r in per_item])),
-    )
-    return AblationRow(key, report, len(outputs), n_failed)
+    per_item = [metrics.diagnose_video(v, cond, image) for v, cond, image in outputs]
+    means = {n: float(np.mean([getattr(r, n) for r in per_item])) for n in CSV_COLUMNS[1:] if n != "frechet"}
+    return AblationRow(key, metrics.MetricReport(frechet=frechet, **means), len(outputs), n_failed)
 
 
 def run_ablation(
@@ -268,15 +267,15 @@ def run_ablation(
     whose run raises are recorded in ``failures`` and excluded from that
     variant's aggregates.  With ``threads > 1`` and more than one item, up to
     ``threads`` items run concurrently, each with its two refinement paths
-    serial, since the pool has the cores; results are re-sorted by item
-    index, so the report is identical.  A single item runs on the caller's
+    serial, since the pool has the cores; the pool yields results in item
+    order, so the report is identical.  A single item runs on the caller's
     thread, which keeps its two paths concurrent.
     """
     if not benchmark:
         raise ValueError("benchmark must be non-empty")
     if not variants:
         raise ValueError("variant list must be non-empty")
-    variants = [v for v in VARIANT_ORDER if v in set(variants)]
+    variants = ordered_variants(variants)
 
     reference_stats = None
     if reference_videos is not None and len(reference_videos) >= 2:
@@ -295,29 +294,26 @@ def run_ablation(
                 results[variant] = run.output
             except Exception as exc:  # noqa: BLE001 - recorded, not silenced
                 results[variant] = exc
-        return i, results
+        return results
 
     tasks = list(enumerate(benchmark))
     workers = min(threads, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
-            item_results = sorted(pool.map(run_item, tasks), key=lambda r: r[0])
+            item_results = list(pool.map(run_item, tasks))
     else:
         item_results = [run_item(t) for t in tasks]
 
     rows, failures = [], []
     for variant in variants:
         outputs, n_failed = [], 0
-        for i, results in item_results:
+        for i, ((image, cond), results) in enumerate(zip(benchmark, item_results)):
             value = results[variant]
             if isinstance(value, Exception):
                 failures.append({"item": i, "variant": variant.value, "error": str(value)})
                 n_failed += 1
             else:
-                outputs.append((i, value, benchmark[i][1], benchmark[i][0]))
-        if not outputs:
-            rows.append(AblationRow(variant.value, metrics.MetricReport(None, 0.0, 0.0, 0.0, 0.0, None), 0, n_failed))
-            continue
+                outputs.append((value, cond, image))
         rows.append(_score_outputs(variant.value, outputs, reference_stats, n_failed))
 
     return AblationReport(

@@ -10,7 +10,7 @@ images instead; the pipeline only sees the provider interface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
@@ -78,12 +78,19 @@ class SyntheticProvider:
 
 @dataclass(frozen=True)
 class FileProvider:
-    """Serves a pre-rendered proxy from disk, ignoring the condition."""
+    """Serves a pre-rendered proxy from disk, ignoring the condition.  The
+    file is read and validated once, when the provider is built."""
 
     path: str
+    frame: FrameLatent = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "frame", load_proxy(self.path))
 
     def synthesize(self, image: FrameLatent, cond: Condition) -> FrameLatent:
-        return load_proxy(self.path, expected_shape=image.shape)
+        if self.frame.shape != image.shape:
+            raise ValueError(f"proxy shape {self.frame.shape} does not match input image shape {image.shape}")
+        return self.frame
 
 
 def load_proxy(path, expected_shape: tuple[int, int, int] | None = None) -> FrameLatent:

@@ -78,16 +78,12 @@ class VideoSample:
     video: VideoLatent
     cond: Condition
     label: str
-    shape_kind: str
     velocity: float
-    start: tuple[float, float]
-    size: float
 
 
 @dataclass(frozen=True, eq=False)
 class MotionDataset:
     samples: tuple[VideoSample, ...]
-    params: DatasetParams
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -174,8 +170,8 @@ def generate_dataset(
         start = (float(rng.uniform(0, params.width)), float(rng.uniform(0, params.height)))
         video = render_video(label, start, velocity, kind, size, params)
         cond = Condition(video.frame(0), label_id(label))
-        samples.append(VideoSample(video, cond, label, kind, velocity, start, size))
-    return MotionDataset(tuple(samples), params)
+        samples.append(VideoSample(video, cond, label, velocity))
+    return MotionDataset(tuple(samples))
 
 
 # ---------------------------------------------------------------------------

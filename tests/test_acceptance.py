@@ -10,12 +10,12 @@ budgets below rather than hidden in fixture setup.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
 
 import fixture_recipe as recipe
+from doubles import FRAME_SHAPE, CountingGen, EchoOracle, ZeroDenoiser, tiled_video, unit_pair
 from latent_awaken.cli import main
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.fusion import AngleScope, FusionConfig, slerp_fuse, uniform_fuse
@@ -32,8 +32,6 @@ from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import ToyDenoiser, evaluate_loss, generate_dataset, gradient_check
 from latent_awaken.vsds import VsdsConfig, dual_path_refine, update_count, vsds_refine
 
-FRAME_SHAPE = (1, 4, 4)
-DIM = 16
 PER_FRAME = FusionConfig(angle_scope=AngleScope.PER_FRAME)
 
 CFG_TEXT = """\
@@ -49,53 +47,6 @@ train.epochs = 3
 def report(n: int, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}")
     return ok
-
-
-def unit_pair(gen, theta):
-    u = gen.standard_normal(DIM)
-    u /= np.linalg.norm(u)
-    w = gen.standard_normal(DIM)
-    w -= (w @ u) * u
-    w /= np.linalg.norm(w)
-    return u, np.cos(theta) * u + np.sin(theta) * w
-
-
-def tiled_video(vec, frames=3):
-    frame = np.asarray(vec, dtype=np.float64).reshape(FRAME_SHAPE)
-    return VideoLatent(np.stack([frame] * frames))
-
-
-class EchoOracle:
-    """Predicts exactly the given noise tensor — the refinement fixed point."""
-
-    def __init__(self, eps, frames):
-        self.eps = eps
-        self.frames = frames
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def predict_noise(self, z_t, cond, t):
-        with self._lock:
-            self.calls += 1
-        return VideoLatent(self.eps.copy())
-
-
-class ZeroDenoiser:
-    def __init__(self, frames):
-        self.frames = frames
-
-    def predict_noise(self, z_t, cond, t):
-        return VideoLatent(np.zeros_like(z_t.frames))
-
-
-class CountingGen(np.random.Generator):
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.draws = 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.draws += 1
-        return super().standard_normal(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +280,8 @@ def test_criterion_7_frechet_oracle():
         cov_a = (q * la) @ q.T
         cov_b = (q * lb) @ q.T
         analytic = frechet_distance(
-            FeatureStats(mu_a, (cov_a + cov_a.T) / 2.0, 100),
-            FeatureStats(mu_b, (cov_b + cov_b.T) / 2.0, 100),
+            FeatureStats(mu_a, (cov_a + cov_a.T) / 2.0),
+            FeatureStats(mu_b, (cov_b + cov_b.T) / 2.0),
         )
         # Gaussians with commuting covariances have a known optimal transport
         # map, so averaging |T(x) - x|^2 over draws estimates the squared
@@ -341,12 +292,12 @@ def test_criterion_7_frechet_oracle():
         mc = float(np.sqrt(np.mean(np.sum((y - x) ** 2, axis=1))))
         worst_rel = max(worst_rel, abs(mc - analytic) / analytic)
 
-    same = FeatureStats(np.zeros(3), np.eye(3), 10)
+    same = FeatureStats(np.zeros(3), np.eye(3))
     zero_err = frechet_distance(same, same)
     shift_err = abs(
         frechet_distance(
-            FeatureStats(np.array([0.0]), np.array([[2.0]]), 10),
-            FeatureStats(np.array([1.0]), np.array([[2.0]]), 10),
+            FeatureStats(np.array([0.0]), np.array([[2.0]])),
+            FeatureStats(np.array([1.0]), np.array([[2.0]])),
         )
         - 1.0
     )

@@ -126,7 +126,7 @@ def test_animate_writes_video_and_frames(workspace, tmp_path):
 
     result = json.loads((out / "result.json").read_text())
     assert set(result) == {
-        "config", "config_hash", "frame_files", "frames", "label", "variant", "video",
+        "config", "config_hash", "frame_files", "frames", "image_sha256", "label", "proxy_sha256", "variant", "video",
     }
     assert result["variant"] == "Baseline"  # case-insensitive parse
     assert "seed = 42" in result["config"]
@@ -158,6 +158,41 @@ def test_animate_accepts_proxy_file(workspace, tmp_path):
     a = read_ltn1(with_file / "video.ltn1")
     b = read_ltn1(without / "video.ltn1")
     assert not np.array_equal(a, b)  # the proxy actually steers the run
+
+
+def test_result_names_its_input_files_by_hash(workspace, tmp_path):
+    # Two VS runs that differ only in the bytes of the proxy file must not
+    # write the same result.json.
+    results = []
+    for shift in (3, 5):
+        proxy = tmp_path / f"proxy{shift}.ltn1"
+        write_ltn1(proxy, np.roll(quantized_blob().grid, shift, axis=2))
+        out = tmp_path / f"shift{shift}"
+        assert main(animate_args(workspace, out, proxy=proxy)) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["proxy_sha256"] == hashlib.sha256(proxy.read_bytes()).hexdigest()
+        assert result["image_sha256"] == hashlib.sha256(workspace["image"].read_bytes()).hexdigest()
+        results.append((out / "result.json").read_bytes())
+    assert results[0] != results[1]
+    without = tmp_path / "without"
+    assert main(animate_args(workspace, without)) == 0
+    assert json.loads((without / "result.json").read_text())["proxy_sha256"] is None
+
+
+@pytest.mark.parametrize("variant", ["VS", "Baseline"])
+@pytest.mark.parametrize("kind", ["missing", "malformed", "wrong-shape"])
+def test_bad_proxy_is_usage_error_for_every_variant(workspace, tmp_path, capsys, kind, variant):
+    # The proxy file is checked before any compute, also for variants that
+    # never read it.
+    proxy = tmp_path / "proxy.ltn1"
+    if kind == "malformed":
+        proxy.write_bytes(b"not an image")
+    elif kind == "wrong-shape":
+        write_ltn1(proxy, np.zeros((1, 8, 8)))
+    out = tmp_path / "out"
+    assert main(animate_args(workspace, out, variant=variant, proxy=proxy)) == 2
+    assert "proxy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

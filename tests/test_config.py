@@ -13,14 +13,14 @@ from latent_awaken.vsds import CurveKind
 
 def test_defaults():
     cfg = parse_config("")
-    assert cfg.seed == 42
+    assert cfg["seed"] == 42
     assert cfg["vsds.p"] == 0.6
     assert cfg["schedule.steps"] == 1000
     assert [v.value for v in cfg["pipeline.variants"]] == ["Baseline", "V", "S", "VU", "VS"]
     assert [k.value for k in cfg["ablate.curve_grid"]] == ["LD", "SD", "SI", "LI"]
     assert cfg.vsds_config().curve.kind is CurveKind.STEPWISE_DECREASING
     assert cfg.fusion_config().angle_scope is AngleScope.GLOBAL
-    assert cfg.resume_from == "tau"
+    assert cfg["pipeline.resume_from"] == "tau"
 
 
 def test_parse_comments_blanks_and_lists():
@@ -33,7 +33,7 @@ vsds.shared_noise = yes
 schedule.steps = 500
 """
     cfg = parse_config(text)
-    assert cfg.seed == 7
+    assert cfg["seed"] == 7
     assert cfg["dataset.labels"] == ("right", "left")
     assert cfg["vsds.shared_noise"] is True
     assert cfg["schedule.steps"] == 500
@@ -122,7 +122,7 @@ def test_parse_curve_kind_aliases():
     [
         ("vsds.curve", "sd", "SD"),
         ("fusion.angle_scope", "Per_Frame", "per_frame"),
-        ("pipeline.variants", "vs, baseline", "VS, Baseline"),
+        ("pipeline.variants", "vs, baseline", "Baseline, VS"),
         ("ablate.curve_grid", "ld, sd", "LD, SD"),
     ],
 )
@@ -133,6 +133,21 @@ def test_enum_names_hash_in_canonical_spelling(key, a, b):
     assert first.canonical() == second.canonical()
     assert first.config_hash() == second.config_hash()
     assert f"{key} = {b.replace(' ', '')}" in first.canonical().splitlines()
+
+
+def test_variant_list_is_canonical_in_row_order():
+    # The ablation runs each listed variant once, in row order, so the list
+    # parses that way: the same rows have one canonical text and one hash.
+    texts = ("VS, Baseline", "Baseline, VS", "Baseline, VS, VS")
+    cfgs = [parse_config(f"pipeline.variants = {text}\n") for text in texts]
+    assert all(cfg["pipeline.variants"] == (PipelineVariant.BASELINE, PipelineVariant.VS) for cfg in cfgs)
+    assert len({cfg.canonical() for cfg in cfgs}) == 1
+    assert len({cfg.config_hash() for cfg in cfgs}) == 1
+    assert "pipeline.variants = Baseline,VS" in cfgs[0].canonical().splitlines()
+    # a list already in row order is written as it was given
+    for text in ("VS", "Baseline,V,S,VU,VS"):
+        assert f"pipeline.variants = {text}" in parse_config(f"pipeline.variants = {text}\n").canonical().splitlines()
+    assert parse_config("").canonical() == parse_config("pipeline.variants = Baseline,V,S,VU,VS\n").canonical()
 
 
 def test_config_hash_ignores_formatting():
@@ -181,7 +196,7 @@ def test_canonical_is_sorted_and_parseable(overrides):
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 11\n")
-    assert load_config(path).seed == 11
+    assert load_config(path)["seed"] == 11
     with pytest.raises(ConfigError, match="nope.cfg"):
         load_config(tmp_path / "nope.cfg")
 
@@ -198,4 +213,4 @@ def test_typed_views():
     assert sched.steps == 120
     assert cfg.dataset_params().labels == ("right",)
     assert cfg.proxy_params().motion_hint_strength == 0.75
-    assert cfg["pipeline.variants"] == (PipelineVariant.VS, PipelineVariant.BASELINE)
+    assert cfg["pipeline.variants"] == (PipelineVariant.BASELINE, PipelineVariant.VS)

@@ -5,33 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doubles import DIM, FRAME_SHAPE, tiled_video, unit_pair
 from latent_awaken.diffusion import VideoLatent
 from latent_awaken.fusion import AngleScope, FusionConfig, beta_schedule, slerp_fuse, uniform_fuse
 from latent_awaken.rng import stream
 
 PER_FRAME = FusionConfig(angle_scope=AngleScope.PER_FRAME)
-FRAME_SHAPE = (1, 4, 4)
-DIM = 16
-
-
-def video_from_vectors(*vecs):
-    return VideoLatent(np.stack([np.asarray(v, dtype=np.float64).reshape(FRAME_SHAPE) for v in vecs]))
-
-
-def tiled_video(vec, frames=3):
-    return video_from_vectors(*([vec] * frames))
-
-
-def unit_pair(gen, theta):
-    """Two unit vectors with an exact angle theta between them."""
-    u = gen.standard_normal(DIM)
-    u /= np.linalg.norm(u)
-    w = gen.standard_normal(DIM)
-    w -= (w @ u) * u
-    w /= np.linalg.norm(w)
-    return u, np.cos(theta) * u + np.sin(theta) * w
-
-
 def random_video(seed, frames=5, scale=1.0):
     return VideoLatent(stream(seed, "fusion-test").standard_normal((frames, *FRAME_SHAPE)) * scale)
 

@@ -104,16 +104,16 @@ def test_frechet_identical_is_zero():
 
 
 def test_frechet_pure_mean_shift():
-    a = FeatureStats(np.array([0.0]), np.array([[0.0]]), 2)
-    b = FeatureStats(np.array([1.0]), np.array([[0.0]]), 2)
+    a = FeatureStats(np.array([0.0]), np.array([[0.0]]))
+    b = FeatureStats(np.array([1.0]), np.array([[0.0]]))
     assert abs(frechet_distance(a, b) - 1.0) <= 1e-9
 
 
 def test_frechet_known_covariance_gap():
     # same mean, covariances 4I vs I in d=2: d^2 = tr(4I) + tr(I) - 2 tr(2I) = 2
     mean = np.zeros(2)
-    a = FeatureStats(mean, 4.0 * np.eye(2), 10)
-    b = FeatureStats(mean, np.eye(2), 10)
+    a = FeatureStats(mean, 4.0 * np.eye(2))
+    b = FeatureStats(mean, np.eye(2))
     assert abs(frechet_distance(a, b) - np.sqrt(2.0)) <= 1e-9
 
 
@@ -132,11 +132,11 @@ def test_frechet_dimension_mismatch():
 
 def test_feature_stats_validation():
     with pytest.raises(ValueError, match="symmetric"):
-        FeatureStats(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 3)
+        FeatureStats(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="PSD"):
-        FeatureStats(np.zeros(1), np.array([[-1.0]]), 3)
+        FeatureStats(np.zeros(1), np.array([[-1.0]]))
     with pytest.raises(ValueError, match="shapes"):
-        FeatureStats(np.zeros(3), np.eye(2), 3)
+        FeatureStats(np.zeros(3), np.eye(2))
 
 
 def test_feature_stats_from_features_projects_to_psd():

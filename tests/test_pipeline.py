@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fixture_recipe as recipe
+from doubles import IdentityProvider, ThreadLog, ZeroDenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
 from latent_awaken.metrics import fidelity, motion_energy
@@ -37,14 +38,6 @@ def blob_image(side=8):
     return FrameLatent(2.0 * render_pattern("blob", 3.0, 4.0, 1.5, side, side)[None] - 1.0)
 
 
-class ZeroDenoiser:
-    def __init__(self, frames):
-        self.frames = frames
-
-    def predict_noise(self, z_t, cond, t):
-        return VideoLatent(np.zeros_like(z_t.frames))
-
-
 class CallHistogram(ZeroDenoiser):
     def __init__(self, frames):
         super().__init__(frames)
@@ -71,11 +64,6 @@ class TwoPhaseOracle:
     def predict_noise(self, z_t, cond, t):
         eps = self.eps_real if cond is self.real_cond else self.eps_proxy
         return VideoLatent(eps.copy())
-
-
-class IdentityProvider:
-    def synthesize(self, image, cond):
-        return image
 
 
 def bench_items(n, labels=("right", "up"), seed=4):
@@ -332,18 +320,6 @@ def test_run_ablation_threads_do_not_change_results():
         assert serial.to_csv() == threaded.to_csv()
 
 
-class ThreadLog(ZeroDenoiser):
-    def __init__(self, frames):
-        super().__init__(frames)
-        self.threads = set()
-        self._lock = threading.Lock()
-
-    def predict_noise(self, z_t, cond, t):
-        with self._lock:
-            self.threads.add(threading.get_ident())
-        return super().predict_noise(z_t, cond, t)
-
-
 def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():
     # The pool already has the cores, so its items start no path threads:
     # every call comes from one of the pool's own two threads.
@@ -378,6 +354,25 @@ def test_run_ablation_records_failures():
     assert report.failures[0]["item"] == 1
     assert report.failures[0]["variant"] == "VS"
     assert "proxy" in report.failures[0]["error"]
+
+
+def test_run_ablation_row_without_successes_is_empty():
+    # A variant whose every item failed has no metrics: its cells are empty
+    # and its JSON fields null, not zeros that read as a still video.
+    sched = small_sched()
+    image = bench_items(1)[0][0]
+    items = [(image, Condition(image, 17)), (image, Condition(image, 17))]  # proxy stage fails
+    report = run_ablation(items, [PipelineVariant.VS], ZeroDenoiser(frames=6), sched,
+                          vsds_cfg=VsdsConfig(p=0.5), base_seed=30)
+    assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [("VS", 0, 2)]
+    assert report.to_csv().splitlines()[1] == "VS,,,,,,"
+    import json
+
+    row = json.loads(report.to_json())["rows"][0]
+    assert row["n_failed"] == 2
+    assert row["alignment"] is None and row["motion_energy"] is None
+    assert row["linearity"] == {"variance_ratio": None, "monotonicity": None}
+    assert [f["item"] for f in report.failures] == [0, 1]
 
 
 def test_run_ablation_static_item_with_static_prior(static_model, sched):

@@ -294,7 +294,7 @@ def test_gradient_check_on_mixed_label_batch(random_model, sched, labels, seed):
         generate_dataset(1, DatasetParams(labels=(label,)), seed=seed + i).samples[0]
         for i, label in enumerate(labels)
     )
-    data = MotionDataset(samples, DatasetParams())
+    data = MotionDataset(samples)
     before = random_model.parameters()
     assert gradient_check(random_model, data, sched, n_coords=20, seed=seed) < 1e-4
     for name, p in random_model.parameters().items():
@@ -326,7 +326,7 @@ def test_memo_follows_training(small_dataset, sched):
     z_t = VideoLatent(s.video.frames + 0.1)
     before = model.predict_noise(z_t, s.cond, 40)
     w1, b1 = model.w1, model.b1
-    train(model, MotionDataset(small_dataset.samples[:8], DatasetParams()), sched, epochs=1, seed=3, batch_size=4)
+    train(model, MotionDataset(small_dataset.samples[:8]), sched, epochs=1, seed=3, batch_size=4)
     assert not np.array_equal(model.w1, w1) and not np.array_equal(model.b1, b1)
     after = model.predict_noise(z_t, s.cond, 40)
     assert after.frames.tobytes() == _copy_of(model).predict_noise(z_t, s.cond, 40).frames.tobytes()
@@ -355,7 +355,7 @@ def _assert_read_only(model):
 def test_parameters_are_read_only(small_dataset, sched):
     model = ToyDenoiser(hidden=16, seed=13)
     _assert_read_only(model)
-    train(model, MotionDataset(small_dataset.samples[:4], DatasetParams()), sched, epochs=1, seed=4)
+    train(model, MotionDataset(small_dataset.samples[:4]), sched, epochs=1, seed=4)
     _assert_read_only(model)
     # Assignment keeps a copy: the caller's array stays writable and apart.
     b1 = np.ones(model.hidden)
@@ -418,7 +418,7 @@ def test_train_rejects_empty_dataset(sched):
     from latent_awaken.toydenoiser import MotionDataset
 
     with pytest.raises(ValueError):
-        train(ToyDenoiser(seed=0), MotionDataset([], DatasetParams()), sched, epochs=1)
+        train(ToyDenoiser(seed=0), MotionDataset([]), sched, epochs=1)
 
 
 # --------------------------------------------------------------------------

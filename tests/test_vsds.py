@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixture_recipe as recipe
+from doubles import CountingGen, EchoOracle, IdentityProvider, ThreadLog, ZeroDenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.metrics import motion_energy
 from latent_awaken.pipeline import PipelineVariant, StageError, animate
@@ -43,31 +44,6 @@ def cond_for(z0, label=0):
     return Condition(FrameLatent(z0.frames[0]), label)
 
 
-class EchoOracle:
-    """Predicts exactly the given noise tensor — the refinement fixed point."""
-
-    def __init__(self, eps, frames):
-        self.eps = eps
-        self.frames = frames
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def predict_noise(self, z_t, cond, t):
-        with self._lock:
-            self.calls += 1
-        return VideoLatent(self.eps.copy())
-
-
-class ZeroDenoiser:
-    """Predicts zero noise; every step then pushes the latent by +alpha*omega*eps."""
-
-    def __init__(self, frames):
-        self.frames = frames
-
-    def predict_noise(self, z_t, cond, t):
-        return VideoLatent(np.zeros_like(z_t.frames))
-
-
 class CondCapture(ZeroDenoiser):
     def __init__(self, frames):
         super().__init__(frames)
@@ -76,18 +52,6 @@ class CondCapture(ZeroDenoiser):
     def predict_noise(self, z_t, cond, t):
         self.seen.append(cond)
         return super().predict_noise(z_t, cond, t)
-
-
-class CountingGen(np.random.Generator):
-    """Generator that counts standard_normal draws without changing them."""
-
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.draws = 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.draws += 1
-        return super().standard_normal(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +325,6 @@ class DivergesOnPath(ZeroDenoiser):
         return super().predict_noise(z_t, cond, t)
 
 
-class IdentityProvider:
-    def synthesize(self, image, cond):
-        return image
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize(
     "real_t, proxy_t",
@@ -398,20 +357,6 @@ def test_dual_path_raises_what_the_serial_order_raises(real_t, proxy_t):
     assert str(err.value) == f"stage 'vsds': {step}"
     assert isinstance(err.value.__cause__, RefinementDiverged)
     assert threading.active_count() == before
-
-
-class ThreadLog(ZeroDenoiser):
-    """Records the thread of every call."""
-
-    def __init__(self, frames):
-        super().__init__(frames)
-        self.threads = set()
-        self._lock = threading.Lock()
-
-    def predict_noise(self, z_t, cond, t):
-        with self._lock:
-            self.threads.add(threading.get_ident())
-        return super().predict_noise(z_t, cond, t)
 
 
 def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():

@@ -14,11 +14,16 @@ the 10x ratio the acceptance bound asks for.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, as the CLI and the test session pin it, so the recorded
+# numbers do not depend on the machine's core count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 

@@ -33,7 +33,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_enum  # noqa: E402
-from .diffusion import Condition, VideoLatent  # noqa: E402
+from .diffusion import Condition, FrameLatent, VideoLatent  # noqa: E402
 from .metrics import diagnose_video  # noqa: E402
 from .numerics import read_ltn1, write_ltn1  # noqa: E402
 from .pipeline import AblationReport, PipelineVariant, animate, run_ablation  # noqa: E402
@@ -127,13 +127,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_image(path, frame_shape: tuple[int, int, int], shape_name: str) -> FrameLatent:
+    """The input image at ``path`` (PGM or LTN1), refused unless it has ``frame_shape``."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"input image not found: {path}")
+    image = load_proxy(path)
+    if image.shape != tuple(frame_shape):
+        raise ConfigError(f"input image shape {image.shape} does not match the {shape_name} {tuple(frame_shape)}")
+    return image
+
+
 def cmd_animate(args) -> int:
     cfg = load_config(args.config)
     model = _load_model(args.ckpt, cfg, [args.label])
-    image_path = Path(args.image)
-    if not image_path.exists():
-        raise ConfigError(f"input image not found: {image_path}")
-    image = load_proxy(image_path, expected_shape=(model.channels, model.height, model.width))
+    image = _load_image(args.image, (model.channels, model.height, model.width), "checkpoint's frame shape")
     cond = Condition(image, label_id(args.label))
     variant = parse_enum(PipelineVariant, args.variant)
     provider = FileProvider(args.proxy) if args.proxy else SyntheticProvider(cfg.proxy_params())
@@ -161,7 +169,7 @@ def cmd_animate(args) -> int:
         "frames": run.output.frame_count,
         "video": "video.ltn1",
         "frame_files": frame_files,
-        "image_sha256": hashlib.sha256(image_path.read_bytes()).hexdigest(),
+        "image_sha256": hashlib.sha256(Path(args.image).read_bytes()).hexdigest(),
         "proxy_sha256": hashlib.sha256(Path(args.proxy).read_bytes()).hexdigest() if args.proxy else None,
     }
     (out_dir / "result.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -239,10 +247,7 @@ def cmd_diagnose(args) -> int:
     if not video_path.exists():
         raise ConfigError(f"video file not found: {video_path}")
     video = VideoLatent(read_ltn1(video_path))
-    if args.image:
-        reference = load_proxy(args.image, expected_shape=video.frame_shape)
-    else:
-        reference = None
+    reference = _load_image(args.image, video.frame_shape, "video's frame shape") if args.image else None
     cond = Condition(reference if reference is not None else video.frame(0), label_id(args.label))
     report = diagnose_video(video, cond, reference)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

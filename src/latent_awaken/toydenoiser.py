@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
+from .diffusion import Condition, NoiseSchedule, VideoLatent
 from .numerics import read_ltn1, write_ltn1
 from .rng import stream
 
@@ -94,22 +94,38 @@ def wrapped_delta(coords, center, period: int):
     return (coords - center + period / 2.0) % period - period / 2.0
 
 
-def render_pattern(kind: str, cx: float, cy: float, size: float, height: int, width: int) -> np.ndarray:
-    """Render one shape as an (H, W) intensity field in [0, 1].
+def render_pattern(kind: str, cx, cy, size, height: int, width: int) -> np.ndarray:
+    """Render a shape as intensity fields in [0, 1].
+
+    Scalar ``cx``, ``cy`` and ``size`` give one (H, W) frame.  Length-L
+    sequences give an (L, H, W) stack whose frame l equals, byte for byte,
+    the scalar call on ``cx[l]``, ``cy[l]`` and ``size[l]``.
 
     Patterns wrap toroidally and are symmetric about their (possibly
     fractional) center, so the intensity centroid equals the center exactly.
     """
-    dx = wrapped_delta(np.arange(width, dtype=np.float64)[None, :], cx, width)
-    dy = wrapped_delta(np.arange(height, dtype=np.float64)[:, None], cy, height)
+    if not np.shape(cx) == np.shape(cy) == np.shape(size) or np.ndim(size) > 1:
+        raise ValueError("cx, cy and size must be three scalars or three sequences of one length")
+    sizes = np.reshape(size, -1).tolist()
+    dx = wrapped_delta(np.arange(width, dtype=np.float64)[None, :], np.reshape(cx, (-1, 1, 1)), width)
+    dy = wrapped_delta(np.arange(height, dtype=np.float64)[:, None], np.reshape(cy, (-1, 1, 1)), height)
     if kind == "blob":
-        return np.exp(-(dx**2 + dy**2) / (2.0 * size**2))
-    if kind == "square":
+        # Each frame's denominator is a Python float: CPython's pow can round
+        # size**2 one ulp away from numpy's square of the same value.
+        denom = np.reshape([2.0 * s**2 for s in sizes], (-1, 1, 1))
+        # exp(-(dx² + dy²) / denom), in place: clip-sized temporaries would
+        # fragment the heap and raise a training run's peak RSS.
+        fields = dx**2 + dy**2
+        np.negative(fields, out=fields)
+        fields /= denom
+        np.exp(fields, out=fields)
+    elif kind == "square":
         # Soft box: full intensity inside the half-width, linear 1-px skirt.
-        cov_x = np.clip(size + 0.5 - np.abs(dx), 0.0, 1.0)
-        cov_y = np.clip(size + 0.5 - np.abs(dy), 0.0, 1.0)
-        return cov_x * cov_y
-    raise ValueError(f"unknown shape kind {kind!r}")
+        half = np.reshape(sizes, (-1, 1, 1)) + 0.5
+        fields = np.clip(half - np.abs(dx), 0.0, 1.0) * np.clip(half - np.abs(dy), 0.0, 1.0)
+    else:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    return fields if np.ndim(size) else fields[0]
 
 
 def render_video(
@@ -130,22 +146,20 @@ def render_video(
     if label not in MOTION_LABELS:
         raise ValueError(f"unknown motion label {label!r}")
     cx0, cy0 = start
-    frames = np.empty((params.frames, params.channels, params.height, params.width))
-    for l in range(params.frames):
-        if label in DIRECTIONS:
-            ux, uy = DIRECTIONS[label]
-            cx = (cx0 + l * velocity * ux) % params.width
-            cy = (cy0 + l * velocity * uy) % params.height
-            size_l = size
-        elif label == "grow":
-            cx, cy = cx0, cy0
-            size_l = size * (1.0 + params.grow_rate * l)
-        else:  # static
-            cx, cy = cx0, cy0
-            size_l = size
-        field01 = render_pattern(kind, cx, cy, size_l, params.height, params.width)
-        frames[l] = 2.0 * field01 - 1.0
-    return VideoLatent(frames)
+    steps = range(params.frames)
+    cxs, cys, sizes = [cx0] * params.frames, [cy0] * params.frames, [size] * params.frames
+    if label in DIRECTIONS:
+        ux, uy = DIRECTIONS[label]
+        cxs = [(cx0 + l * velocity * ux) % params.width for l in steps]
+        cys = [(cy0 + l * velocity * uy) % params.height for l in steps]
+    elif label == "grow":
+        sizes = [size * (1.0 + params.grow_rate * l) for l in steps]
+    fields01 = render_pattern(kind, cxs, cys, sizes, params.height, params.width)
+    # In place, and channels by broadcasting, for the same reason as the blob.
+    fields01 *= 2.0
+    fields01 -= 1.0
+    shape = (params.frames, params.channels, params.height, params.width)
+    return VideoLatent(np.broadcast_to(fields01[:, None], shape))
 
 
 def generate_dataset(

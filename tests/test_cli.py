@@ -282,6 +282,35 @@ def test_diagnose_moving_video(tmp_path, capsys):
     assert report["motion_energy"] > 0.0
 
 
+def test_diagnose_missing_image_is_named_as_the_image(tmp_path, capsys):
+    video = tmp_path / "static.ltn1"
+    write_ltn1(video, replicate_static(quantized_blob(8), 4).frames)
+    missing = tmp_path / "missing.pgm"
+    assert main(["diagnose", "--video", str(video), "--label", "static", "--image", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"input image not found: {missing}" in err
+    assert "proxy" not in err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "animate"])
+def test_image_of_another_shape_names_both_shapes(workspace, tmp_path, capsys, command):
+    image = tmp_path / "small.pgm"
+    write_pgm(image, quantized_blob(6))
+    if command == "diagnose":
+        video = tmp_path / "static.ltn1"
+        write_ltn1(video, replicate_static(quantized_blob(8), 4).frames)
+        args = ["diagnose", "--video", str(video), "--label", "static", "--image", str(image)]
+        expected = "input image shape (1, 6, 6) does not match the video's frame shape (1, 8, 8)"
+    else:
+        args = ["animate", "--config", str(workspace["cfg"]), "--ckpt", str(workspace["ckpt"]),
+                "--image", str(image), "--label", "right", "--out", str(tmp_path / "out")]
+        expected = "input image shape (1, 6, 6) does not match the checkpoint's frame shape (1, 16, 16)"
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "proxy" not in err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

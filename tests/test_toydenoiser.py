@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
@@ -25,7 +25,9 @@ from latent_awaken.toydenoiser import (
     gradient_check,
     label_id,
     load_checkpoint,
+    render_pattern,
     render_video,
+    wrapped_delta,
     save_checkpoint,
     schedule_digest,
     time_embedding,
@@ -105,6 +107,70 @@ def test_grow_label_sizes_increase():
     sizes = per_frame_sizes(video)
     assert np.all(np.diff(sizes) > 0.0)
     assert displacement_estimate(video) == (0.0, 0.0)
+
+
+# CPython's pow rounds 2.0 * s**2 one ulp away from numpy's square of s for
+# a small share of sizes; at this one the blob's field moves (glibc libm).
+POW_ULP_SIZE = 1.964564873115295
+
+
+@st.composite
+def clips(draw):
+    """A clip's settings: any label and kind, starts near the torus wrap,
+    non-square grids, several channels."""
+    height, width = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    params = DatasetParams(
+        channels=draw(st.integers(1, 3)), height=height, width=width, frames=draw(st.integers(1, 12)),
+        grow_rate=draw(st.floats(0.01, 0.5)),
+    )
+    def coord(period):
+        return draw(st.one_of(st.floats(0.0, 1e-6), st.floats(period - 1e-6, period, exclude_max=True),
+                              st.floats(0.0, period, exclude_max=True)))
+    start = (coord(width), coord(height))
+    kind = draw(st.sampled_from(("blob", "square")))
+    size = draw(st.floats(0.5, 4.0) if kind == "blob" else st.sampled_from((0.0, 1.0, 2.0, 1.5)))
+    return draw(st.sampled_from(MOTION_LABELS)), start, draw(st.floats(0.01, 3.0)), kind, size, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(clip=clips())
+@example(clip=("grow", (15.999999, 0.0), 0.2, "blob", POW_ULP_SIZE, DatasetParams(channels=2, frames=5)))
+@example(clip=("left", (0.1, 3.0), 0.2, "blob", POW_ULP_SIZE, DatasetParams(height=12, width=20)))
+@example(clip=("up", (3.0, 0.1), 1.7, "square", 2.0, DatasetParams(height=7, width=5, frames=7)))
+def test_render_video_equals_per_frame_scalar_renders(clip):
+    # The per-frame loop render_video replaced, written out here: each frame
+    # from one scalar render_pattern call, velocities taking left/up below 0.
+    label, (cx0, cy0), velocity, kind, size, params = clip
+    expected = np.empty((params.frames, params.channels, params.height, params.width))
+    for l in range(params.frames):
+        ux, uy = DIRECTIONS.get(label, (0.0, 0.0))
+        cx = (cx0 + l * velocity * ux) % params.width if label in DIRECTIONS else cx0
+        cy = (cy0 + l * velocity * uy) % params.height if label in DIRECTIONS else cy0
+        size_l = size * (1.0 + params.grow_rate * l) if label == "grow" else size
+        expected[l] = 2.0 * render_pattern(kind, cx, cy, size_l, params.height, params.width) - 1.0
+    video = render_video(label, (cx0, cy0), velocity, kind, size, params)
+    assert video.frames.tobytes() == expected.tobytes()
+
+
+def test_render_pattern_takes_per_frame_sequences():
+    cxs, cys, sizes = [0.5, 19.9, 7.25], [11.9, 0.0, 4.5], [1.5, POW_ULP_SIZE, 2.6]
+    for kind in ("blob", "square"):
+        stack = render_pattern(kind, cxs, cys, sizes, 12, 20)
+        assert stack.shape == (3, 12, 20)
+        for l in range(3):
+            assert stack[l].tobytes() == render_pattern(kind, cxs[l], cys[l], sizes[l], 12, 20).tobytes()
+    with pytest.raises(ValueError, match="one length"):
+        render_pattern("blob", cxs, cys[:2], sizes, 12, 20)
+
+
+def test_blob_denominator_is_a_python_float():
+    # The blob as first written, with CPython's float arithmetic for 2 size**2.
+    dx = wrapped_delta(np.arange(16, dtype=np.float64)[None, :], 5.25, 16)
+    dy = wrapped_delta(np.arange(16, dtype=np.float64)[:, None], 9.5, 16)
+    expected = np.exp(-(dx**2 + dy**2) / (2.0 * POW_ULP_SIZE**2))
+    assert render_pattern("blob", 5.25, 9.5, POW_ULP_SIZE, 16, 16).tobytes() == expected.tobytes()
+    stack = render_pattern("blob", [5.25, 5.25], [9.5, 9.5], [POW_ULP_SIZE, POW_ULP_SIZE], 16, 16)
+    assert stack.tobytes() == np.stack([expected, expected]).tobytes()
 
 
 def test_dataset_latents_in_signed_unit_range(small_dataset):

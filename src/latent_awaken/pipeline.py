@@ -265,11 +265,17 @@ def run_ablation(
     Item ``i`` runs with seed ``base_seed + i`` for every variant, so variants
     see identical noise streams and differ only in pipeline structure.  Items
     whose run raises are recorded in ``failures`` and excluded from that
-    variant's aggregates.  With ``threads > 1`` and more than one item, up to
-    ``threads`` items run concurrently, each with its two refinement paths
-    serial, since the pool has the cores; the pool yields results in item
-    order, so the report is identical.  A single item runs on the caller's
-    thread, which keeps its two paths concurrent.
+    variant's aggregates.
+
+    Each (item, variant) pair is one task, and the tasks share one pool of
+    ``max(threads, 2)`` workers, capped at the number of tasks.  The floor
+    of two is what a single VS or VU run already takes for its two
+    refinement paths, so ``threads`` 1 and 2 behave the same.  Pool workers
+    run a dual refinement's paths one after the other, since the pool has
+    the cores.  A run of exactly one task stays on the caller's thread,
+    which keeps its two paths concurrent.  Results are taken back in item
+    order and scored on the caller's thread, so the report does not depend
+    on the pool.
     """
     if not benchmark:
         raise ValueError("benchmark must be non-empty")
@@ -282,33 +288,30 @@ def run_ablation(
         ref_feats = np.stack([metrics.video_features(v) for v in reference_videos])
         reference_stats = metrics.FeatureStats.from_features(ref_feats)
 
-    def run_item(args):
-        i, (image, cond) = args
-        results = {}
-        for variant in variants:
-            try:
-                run = animate(
-                    image, cond, variant, denoiser, sched, vsds_cfg, fusion_cfg,
-                    proxy_provider, seed=base_seed + i, resume_from=resume_from,
-                )
-                results[variant] = run.output
-            except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-                results[variant] = exc
-        return results
+    def run_task(task):
+        i, variant = task
+        image, cond = benchmark[i]
+        try:
+            return animate(
+                image, cond, variant, denoiser, sched, vsds_cfg, fusion_cfg,
+                proxy_provider, seed=base_seed + i, resume_from=resume_from,
+            ).output
+        except Exception as exc:  # noqa: BLE001 - recorded, not silenced
+            return exc
 
-    tasks = list(enumerate(benchmark))
-    workers = min(threads, len(tasks))
+    tasks = [(i, variant) for i in range(len(benchmark)) for variant in variants]
+    workers = min(max(threads, 2), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
-            item_results = list(pool.map(run_item, tasks))
+            results = dict(zip(tasks, pool.map(run_task, tasks)))
     else:
-        item_results = [run_item(t) for t in tasks]
+        results = dict(zip(tasks, map(run_task, tasks)))
 
     rows, failures = [], []
     for variant in variants:
         outputs, n_failed = [], 0
-        for i, ((image, cond), results) in enumerate(zip(benchmark, item_results)):
-            value = results[variant]
+        for i, (image, cond) in enumerate(benchmark):
+            value = results[i, variant]
             if isinstance(value, Exception):
                 failures.append({"item": i, "variant": variant.value, "error": str(value)})
                 n_failed += 1

@@ -93,11 +93,10 @@ class FileProvider:
         return self.frame
 
 
-def load_proxy(path, expected_shape: tuple[int, int, int] | None = None) -> FrameLatent:
+def load_proxy(path) -> FrameLatent:
     """Load a proxy image from an LTN1 tensor or an 8-bit PGM file.
 
-    LTN1 payloads of rank 2 are promoted to a single channel.  When
-    ``expected_shape`` is given, a mismatch is an error naming both shapes.
+    LTN1 payloads of rank 2 are promoted to a single channel.
     """
     path = Path(path)
     if not path.exists():
@@ -110,12 +109,8 @@ def load_proxy(path, expected_shape: tuple[int, int, int] | None = None) -> Fram
             arr = arr[None]
         if arr.ndim != 3:
             raise ValueError(f"proxy tensor must be rank 2 or 3, got rank {arr.ndim}: {path}")
-        frame = FrameLatent(arr)
-    else:
-        frame = read_pgm(path)
-    if expected_shape is not None and frame.shape != tuple(expected_shape):
-        raise ValueError(f"proxy shape {frame.shape} does not match input image shape {tuple(expected_shape)}")
-    return frame
+        return FrameLatent(arr)
+    return read_pgm(path)
 
 
 # ---------------------------------------------------------------------------

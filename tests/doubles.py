@@ -2,7 +2,8 @@
 
 The denoiser doubles expose ``frames`` and ``predict_noise`` like a real
 model.  The ones that keep state guard it with a lock, because ``VS`` and
-``VU`` call one denoiser from two threads at once.
+``VU`` call one denoiser from two threads at once, and ``run_ablation``
+calls it from at least two pool threads for any variant list.
 """
 
 from __future__ import annotations

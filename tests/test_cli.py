@@ -415,8 +415,8 @@ def test_sweep_failures_name_their_sweep_point(sweep, grid, keys):
 
 
 def test_ablate_pool_size_follows_the_affinity_mask(workspace, tmp_path, monkeypatch):
-    # The item pool takes the cores the process may run on; its size must
-    # not change a byte.
+    # The task pool takes the cores the process may run on, with a floor of
+    # two workers; its size must not change a byte.
     csv = {}
     for cores in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)), raising=False)

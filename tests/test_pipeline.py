@@ -10,10 +10,13 @@ import fixture_recipe as recipe
 from doubles import IdentityProvider, ThreadLog, ZeroDenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
-from latent_awaken.metrics import fidelity, motion_energy
+from latent_awaken.metrics import FeatureStats, feature_length, fidelity, motion_energy, video_features
 from latent_awaken.pipeline import (
+    VARIANT_ORDER,
+    AblationReport,
     PipelineVariant,
     StageError,
+    _score_outputs,
     animate,
     run_ablation,
 )
@@ -305,23 +308,43 @@ def test_run_ablation_row_order_and_csv():
     assert report.n_items == 2
 
 
+def direct_report(items, model, sched, vsds_cfg, base_seed, reference_videos):
+    """The five-variant table from animate calls on this thread, scored as
+    run_ablation scores them."""
+    ref_stats = FeatureStats.from_features(np.stack([video_features(v) for v in reference_videos]))
+    rows = []
+    for variant in VARIANT_ORDER:
+        outputs = [
+            (animate(image, cond, variant, model, sched, vsds_cfg, seed=base_seed + i).output, cond, image)
+            for i, (image, cond) in enumerate(items)
+        ]
+        rows.append(_score_outputs(variant.value, outputs, ref_stats, 0))
+    return AblationReport(rows, feature_length(model.frames), len(items), [])
+
+
 def test_run_ablation_threads_do_not_change_results():
+    # Every pool size gives the bytes of one animate call per (item, variant)
+    # made on the test thread.  The ToyDenoiser's context memo is shared by
+    # the pool's workers.
     sched = small_sched()
-    # The ToyDenoiser's context memo is shared by the threads; ZeroDenoiser has none.
-    toy = ToyDenoiser(frames=6, hidden=16, seed=8)
-    toy.w2 = 0.05 * stream(8, "small-toy").standard_normal(toy.w2.shape)
-    items = bench_items(4)
-    kwargs = dict(vsds_cfg=VsdsConfig(p=0.5), base_seed=20)
-    for model in (ZeroDenoiser(frames=6), toy):
-        serial = run_ablation(items, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched, **kwargs)
-        threaded = run_ablation(items, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched,
-                                threads=2, **kwargs)
-        assert not serial.failures
-        assert serial.to_csv() == threaded.to_csv()
+    model = ToyDenoiser(frames=6, hidden=16, seed=8)
+    model.w2 = 0.05 * stream(8, "small-toy").standard_normal(model.w2.shape)
+    params = DatasetParams(frames=6, shapes=("blob",), labels=("right", "up"))
+    reference_videos = [s.video for s in generate_dataset(4, params, seed=5).samples]
+    for n_items in (1, 2, 5):
+        items = [(s.cond.image, s.cond) for s in generate_dataset(n_items, params, seed=4).samples]
+        for shared_noise in (False, True):
+            vsds_cfg = VsdsConfig(p=0.5, shared_noise=shared_noise)
+            expected = direct_report(items, model, sched, vsds_cfg, 20, reference_videos)
+            for threads in (1, 2, 3):
+                report = run_ablation(items, list(VARIANT_ORDER), model, sched, vsds_cfg=vsds_cfg, base_seed=20,
+                                      reference_videos=reference_videos, threads=threads)
+                assert report.to_csv() == expected.to_csv()
+                assert report.to_json() == expected.to_json()
 
 
 def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():
-    # The pool already has the cores, so its items start no path threads:
+    # The pool already has the cores, so its tasks start no path threads:
     # every call comes from one of the pool's own two threads.
     model = ThreadLog(frames=6)
     run_ablation(bench_items(4), [PipelineVariant.VS], model, small_sched(),
@@ -330,14 +353,56 @@ def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():
     assert threading.get_ident() not in model.threads
 
 
-def test_run_ablation_runs_a_single_item_on_the_callers_thread():
-    # One item leaves nothing for a pool to share: it runs where it was
+def test_run_ablation_runs_a_single_task_on_the_callers_thread():
+    # One task leaves nothing for a pool to share: it runs where it was
     # called, and its two refinement paths run on two threads.
     model = ThreadLog(frames=6)
     run_ablation(bench_items(1), [PipelineVariant.VS], model, small_sched(),
                  vsds_cfg=VsdsConfig(p=0.5), threads=2)
     assert threading.get_ident() in model.threads
     assert len(model.threads) == 2
+
+
+class MeetingThreadLog(ThreadLog):
+    """A thread log whose first call on each thread waits for a second
+    thread's first call, so a run finishes only if two threads take part."""
+
+    def __init__(self, frames):
+        super().__init__(frames)
+        self._meet = threading.Barrier(2, timeout=10)
+
+    def predict_noise(self, z_t, cond, t):
+        with self._lock:
+            first = threading.get_ident() not in self.threads
+        if first:
+            self._meet.wait()
+        return super().predict_noise(z_t, cond, t)
+
+
+def test_run_ablation_gives_one_item_two_pool_threads_at_threads_1():
+    # Five variants of one item are five tasks: at threads=1 the pool still
+    # has two workers, and neither is the caller's thread.
+    model = MeetingThreadLog(frames=6)
+    report = run_ablation(bench_items(1), list(VARIANT_ORDER), model, small_sched(),
+                          vsds_cfg=VsdsConfig(p=0.5), threads=1)
+    assert not report.failures
+    assert len(model.threads) == 2
+    assert threading.get_ident() not in model.threads
+
+
+@pytest.mark.parametrize("case", ["single-task", "pool", "failing-proxy"])
+def test_run_ablation_leaves_no_thread_running(case):
+    items = bench_items(1 if case == "single-task" else 2)
+    variants = [PipelineVariant.VS] if case == "single-task" else list(VARIANT_ORDER)
+    if case == "failing-proxy":
+        image = items[0][0]
+        items.append((image, Condition(image, 17)))  # every proxy stage of this item fails
+        variants = [PipelineVariant.S, PipelineVariant.VU, PipelineVariant.VS]
+    before = set(threading.enumerate())
+    report = run_ablation(items, variants, ZeroDenoiser(frames=6), small_sched(),
+                          vsds_cfg=VsdsConfig(p=0.5), threads=3)
+    assert set(threading.enumerate()) == before
+    assert bool(report.failures) == (case == "failing-proxy")
 
 
 def test_run_ablation_records_failures():

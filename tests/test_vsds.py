@@ -362,7 +362,7 @@ def test_dual_path_raises_what_the_serial_order_raises(real_t, proxy_t):
 def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():
     # The proxy path gets its own thread whether the caller is the main
     # thread or not; a pool thread marked by _keep_paths_serial (run_ablation
-    # marks its item pool so) runs both paths itself.
+    # marks its task pool so) runs both paths itself.
     sched, cfg = small_sched(), VsdsConfig(p=0.5)
     zr, zs = small_latent(1), small_latent(2)
 

@@ -215,7 +215,7 @@ def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int
         rows.append(replace(report.rows[0], key=key))
         failures.extend({**failure, "variant": key} for failure in report.failures)
     # Grids are non-empty (config validation), so ``report`` is bound here.
-    return AblationReport(rows, report.feature_dim, report.n_items, failures)
+    return AblationReport(rows, report.feature_dim, report.n_items, failures, report.workers)
 
 
 def cmd_ablate(args) -> int:
@@ -237,7 +237,9 @@ def cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ablation.csv").write_text(report.to_csv())
     (out_dir / "ablation.json").write_text(report.to_json(extra=_settings_record(cfg)))
-    _write_log(out_dir, [f"ablate: {elapsed:.2f}s over {args.n} items, {threads} thread(s)"])
+    _write_log(out_dir, [
+        f"ablate: {elapsed:.2f}s over {args.n} items, {report.workers} task thread(s) on {threads} core(s)"
+    ])
     print(f"wrote {out_dir / 'ablation.csv'} ({len(report.rows)} rows)")
     return 0
 

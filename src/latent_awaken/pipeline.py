@@ -205,6 +205,9 @@ class AblationReport:
     feature_dim: int
     n_items: int
     failures: list[dict]
+    # Threads the (item, variant) tasks ran on; 1 is the caller's own.  Kept
+    # out of both artifacts, whose bytes must not depend on the pool.
+    workers: int = 1
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -324,4 +327,5 @@ def run_ablation(
         feature_dim=metrics.feature_length(denoiser.frames),
         n_items=len(benchmark),
         failures=failures,
+        workers=workers,
     )

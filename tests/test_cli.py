@@ -416,16 +416,23 @@ def test_sweep_failures_name_their_sweep_point(sweep, grid, keys):
 
 def test_ablate_pool_size_follows_the_affinity_mask(workspace, tmp_path, monkeypatch):
     # The task pool takes the cores the process may run on, with a floor of
-    # two workers; its size must not change a byte.
+    # two workers; its size must not change a byte.  run.log names the
+    # threads the tasks ran on, which is not the core count.
     csv = {}
     for cores in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)), raising=False)
         out = tmp_path / str(cores)
         assert main(["ablate", "--config", str(workspace["cfg"]), "--ckpt", str(workspace["ckpt"]),
                      "--n", "2", "--out", str(out)]) == 0
-        assert f"{cores} thread(s)" in (out / "run.log").read_text()
+        assert f"2 task thread(s) on {cores} core(s)" in (out / "run.log").read_text()
         csv[cores] = (out / "ablation.csv").read_bytes()
     assert csv[1] == csv[2]
+    # A single (item, variant) task runs on the caller's thread alone.
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(CFG_TEXT + "pipeline.variants = VS\n")
+    out = tmp_path / "one"
+    assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]), "--n", "1", "--out", str(out)]) == 0
+    assert "1 task thread(s) on 2 core(s)" in (out / "run.log").read_text()
 
 
 # ---------------------------------------------------------------------------

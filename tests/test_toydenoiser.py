@@ -1,6 +1,9 @@
 import copy
 import json
+import os
+import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latent_awaken import toydenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.metrics import displacement_estimate, per_frame_sizes
 from latent_awaken.rng import stream
@@ -34,6 +38,7 @@ from latent_awaken.toydenoiser import (
     train,
     _assemble_batch,
     _batch_loss_and_grads,
+    _stack_inputs,
 )
 
 
@@ -478,6 +483,95 @@ def test_training_diverges_loudly(small_dataset, sched):
     model = ToyDenoiser(hidden=32, seed=1)
     with pytest.raises(TrainingDiverged):
         train(model, small_dataset, sched, epochs=20, lr=1e10, seed=1)
+
+
+def _serial_train(model, dataset, sched, epochs, lr, seed, batch_size):
+    """``train``'s loop on one thread, from its own batch and gradient
+    helpers: the reference the worker-thread version must match byte for
+    byte, including where it diverges."""
+    rng = stream(seed, "train")
+    z0, cond_img, onehot = _stack_inputs(model, dataset)
+    n = len(dataset)
+    losses = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
+            batch = _assemble_batch(model, z0[idx], cond_img[idx], onehot[idx], rng, sched)
+            loss, grads = _batch_loss_and_grads(model, *batch)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            for name, g in grads.items():
+                setattr(model, name, getattr(model, name) - lr * g)
+                if not np.isfinite(getattr(model, name)).all():
+                    raise TrainingDiverged(f"non-finite parameter {name!r} at epoch {epoch}")
+            total += loss * idx.size
+        losses.append(total / n * model.frames * model.frame_dim)
+    return np.asarray(losses)
+
+
+def _always_wait(future, fn, *args):
+    """``_result_or_run_here`` that never takes a layer-2 gradient back
+    from the worker."""
+    return fn(*args) if future is None else future.result()
+
+
+@pytest.mark.parametrize("worker_runs_all", [False, True])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("batch_size", [5, 64])
+def test_train_equals_a_serial_loop(batch_size, epochs, worker_runs_all, sched, monkeypatch):
+    # 37 samples: batch 5 leaves a partial last batch, batch 64 is one
+    # batch larger than the dataset.  Left alone, train takes back the
+    # layer-2 gradients its worker has not started, so which thread computed
+    # each one varies by run.
+    if worker_runs_all:
+        monkeypatch.setattr(toydenoiser, "_result_or_run_here", _always_wait)
+    data = generate_dataset(37, DatasetParams(), seed=8)
+    model, reference = ToyDenoiser(hidden=24, seed=8), ToyDenoiser(hidden=24, seed=8)
+    _, result = train(model, data, sched, epochs=epochs, lr=0.5, seed=9, batch_size=batch_size)
+    expected = _serial_train(reference, data, sched, epochs, 0.5, 9, batch_size)
+    assert result.losses.tobytes() == expected.tobytes()
+    assert result.final_loss == expected[-1]
+    for name, p in model.parameters().items():
+        assert p.tobytes() == getattr(reference, name).tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_leaves_no_thread_running(small_dataset, sched):
+    data = MotionDataset(small_dataset.samples[:10])
+    before = set(threading.enumerate())
+    train(ToyDenoiser(hidden=16, seed=1), data, sched, epochs=2, seed=1, batch_size=4)
+    assert set(threading.enumerate()) == before
+    # lr 30 first diverges in epoch 5, so the worker has drawn batches past
+    # the step that fails; the message must still name the failing epoch.
+    with pytest.raises(TrainingDiverged) as serial:
+        _serial_train(ToyDenoiser(hidden=16, seed=1), data, sched, 20, 30.0, 1, 8)
+    assert int(re.search(r"epoch (\d+)$", str(serial.value)).group(1)) > 1
+    with pytest.raises(TrainingDiverged, match=f"^{re.escape(str(serial.value))}$"):
+        train(ToyDenoiser(hidden=16, seed=1), data, sched, epochs=20, lr=30.0, seed=1, batch_size=8)
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
+def test_train_keeps_its_worker_off_the_callers_cpu(small_dataset, sched, monkeypatch):
+    # The worker's mask is the caller's less one CPU; the caller's own mask
+    # is left as it was.
+    caller_mask = os.sched_getaffinity(0)
+    seen = {}
+    assemble = toydenoiser._assemble_batch
+
+    def recording(*args):
+        seen[threading.get_ident()] = os.sched_getaffinity(0)
+        return assemble(*args)
+
+    monkeypatch.setattr(toydenoiser, "_assemble_batch", recording)
+    train(ToyDenoiser(hidden=16, seed=3), MotionDataset(small_dataset.samples[:8]), sched, epochs=2, seed=3, batch_size=4)
+    assert threading.get_ident() not in seen
+    (worker_mask,) = seen.values()
+    assert worker_mask < caller_mask and len(worker_mask) == len(caller_mask) - 1
+    assert os.sched_getaffinity(0) == caller_mask
 
 
 def test_train_rejects_empty_dataset(sched):

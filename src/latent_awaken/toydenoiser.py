@@ -14,7 +14,9 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -391,32 +393,20 @@ def _batch_loss(
     eps_flat: np.ndarray,  # (B, L, frame_dim)
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass and mean-squared-error loss over a batch: (loss,
-    residual, h1, y), the last three being what the backward pass needs.
+    residual, h1, y, out), what the backward pass needs and the output.
 
     The scalar objective is the mean over every output element; the reported
     per-sample loss elsewhere is this value times L * frame_dim.
     """
     out, h1, y = model._forward(z, ctx @ model.w1[model.frame_dim :] + model.b1)
     resid = out - eps_flat
-    return float((resid**2).sum() / resid.size), resid, h1, y
+    return float((resid**2).sum() / resid.size), resid, h1, y, out
 
 
 def _layer2_grads(h1_rows: np.ndarray, dy_rows: np.ndarray, d_w2: np.ndarray) -> np.ndarray:
     """Write dJ/dW2 into ``d_w2`` and return dJ/db2."""
     np.matmul(h1_rows.T, dy_rows, out=d_w2)
     return dy_rows.sum(axis=0)
-
-
-def _result_or_run_here(future: Future | None, fn, *args):
-    """``future``'s result, or ``fn(*args)`` on this thread when there is
-    no future or its worker has not started it, so a worker whose CPU the
-    host has taken away delays this thread by at most the task it is
-    running.  Only tasks that allocate nothing large are taken back: a
-    batch assembled on either thread would grow both threads' malloc
-    arenas."""
-    if future is None or future.cancel():
-        return fn(*args)
-    return future.result()
 
 
 def _batch_loss_and_grads(
@@ -429,12 +419,15 @@ def _batch_loss_and_grads(
     """``_batch_loss``'s loss and its exact parameter gradients.
 
     With a ``worker``, the layer-2 gradients are computed on it while this
-    thread runs the ``da -> d_w1`` chain, or here if the worker has not
-    started them by then; both branches only read what the forward pass
-    left, and the bytes are the same either way.
+    thread runs the ``da -> d_w1`` chain; both branches only read what the
+    forward pass left, and the bytes are the same either way.
     """
     fd, hid = model.frame_dim, model.hidden
-    loss, resid, h1, y = _batch_loss(model, z, ctx, eps_flat)
+    # ``out`` is held until the gradients are done.  Freed here instead, it
+    # moved glibc's heap so that each one-thread step at hidden 600, batch 8
+    # trimmed and re-faulted ~2.6 MB: 668 minor page faults per step
+    # against 24, and a slower epoch.
+    loss, resid, h1, y, out = _batch_loss(model, z, ctx, eps_flat)
     g = 2.0 * resid / resid.size  # dJ/d(out)
     d_mix = (g @ y.swapaxes(1, 2)).sum(axis=0)
     dy = model.mix.T @ g
@@ -449,7 +442,7 @@ def _batch_loss_and_grads(
     np.matmul(z.reshape(-1, fd).T, da, out=d_w1[:fd])
     np.matmul(ctx.T, da.reshape(*z.shape[:2], hid).sum(axis=1), out=d_w1[fd:])
     d_b1 = da.sum(axis=0)
-    d_b2 = _result_or_run_here(layer2, _layer2_grads, h1_rows, dy_rows, d_w2)
+    d_b2 = layer2.result() if layer2 else _layer2_grads(h1_rows, dy_rows, d_w2)
     return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "mix": d_mix}
 
 
@@ -488,14 +481,15 @@ def _assemble_batch(
 
 def _cpus_apart_from_caller() -> set[int] | None:
     """The CPUs ``train``'s worker is kept to: the calling thread's affinity
-    mask less the CPU it is running on, or None where the platform cannot
-    tell or no other CPU is allowed.
+    mask less the CPU it is running on, or None, and then no worker, where
+    the platform cannot tell or no other CPU is allowed.
 
     Left to itself, Linux woke the worker, which runs in bursts of about a
     millisecond, on the caller's own CPU every time, so the two threads took
     turns instead of overlapping: on a 2-vCPU VM at hidden 600 an epoch
     with the unpinned worker was 5-7 % slower than on one thread, and with
-    the pinned one about a fifth faster.
+    the pinned one about a fifth faster.  Under ``taskset -c 0`` a worker
+    had no other CPU and made ``train`` 6 % slower, with 4 % more memory.
     The caller's own affinity is left alone.
     """
     try:
@@ -506,6 +500,26 @@ def _cpus_apart_from_caller() -> set[int] | None:
     sched_getcpu.argtypes = []
     sched_getcpu.restype = ctypes.c_int
     return (mask - {sched_getcpu()}) or None
+
+
+def _pin(cpus: set[int]) -> None:
+    """Keep the calling thread to ``cpus``.  Pinning is only a speed-up, so
+    a mask the host refuses (the cpuset may have shrunk since it was read)
+    leaves the thread unpinned instead of breaking its pool."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _prefetched(items: Iterator, worker: Executor | None) -> Iterator:
+    """``items`` in order; with a ``worker``, each is drawn there while the
+    caller works on the one before."""
+    if worker is None:
+        yield from items
+        return
+    step = worker.submit(next, items, None)
+    while (item := step.result()) is not None:
+        step = worker.submit(next, items, None)
+        yield item
 
 
 def train(
@@ -523,15 +537,16 @@ def train(
     replaced, plus the per-epoch loss curve, where loss is the mean
     per-sample sum of squared errors.
 
-    The call keeps one worker thread, joined before it returns or raises,
-    and kept off the caller's CPU where the platform allows (see
-    ``_cpus_apart_from_caller``).  The worker assembles batch k+1 while
-    this thread computes step k, and computes each step's layer-2 gradient
-    while this thread runs the rest of the backward pass, unless it has not
-    started that by the time the gradient is due.  Every draw still comes
-    from the one ``train`` stream in serial order, and updates and
-    finiteness checks run here, so the parameters and losses are
-    byte-identical to a one-thread loop.
+    Where the caller may run on another CPU than its current one (see
+    ``_cpus_apart_from_caller``), the call keeps one worker thread there,
+    joined before it returns or raises.  The worker assembles batch k+1
+    while this thread computes step k, and computes each step's layer-2
+    gradient while this thread runs the rest of the backward pass.  With
+    no other CPU, or where the platform cannot tell, the call runs on this
+    thread alone: a worker sharing its CPU made an epoch slower.  Every
+    draw comes from the one ``train`` stream in serial order, and updates
+    and finiteness checks run here, so the parameters and losses are
+    byte-identical either way.
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
@@ -541,7 +556,7 @@ def train(
     per_sample_scale = model.frames * model.frame_dim
 
     def batches():
-        """(epoch, batch size, batch) in draw order; run on the worker only."""
+        """(epoch, batch size, batch) in draw order."""
         for epoch in range(epochs):
             order = rng.permutation(n)
             for lo in range(0, n, batch_size):
@@ -550,13 +565,8 @@ def train(
 
     epoch_loss = np.zeros(epochs)
     cpus = _cpus_apart_from_caller()
-    pin = dict(initializer=os.sched_setaffinity, initargs=(0, cpus)) if cpus else {}
-    with ThreadPoolExecutor(max_workers=1, **pin) as worker:
-        pending = batches()
-        step = worker.submit(next, pending, None)
-        while (current := step.result()) is not None:
-            step = worker.submit(next, pending, None)
-            epoch, size, batch = current
+    with ThreadPoolExecutor(max_workers=1, initializer=_pin, initargs=(cpus,)) if cpus else nullcontext() as worker:
+        for epoch, size, batch in _prefetched(batches(), worker):
             loss, grads = _batch_loss_and_grads(model, *batch, worker=worker)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}")

@@ -511,22 +511,20 @@ def _serial_train(model, dataset, sched, epochs, lr, seed, batch_size):
     return np.asarray(losses)
 
 
-def _always_wait(future, fn, *args):
-    """``_result_or_run_here`` that never takes a layer-2 gradient back
-    from the worker."""
-    return fn(*args) if future is None else future.result()
+def _one_cpu(monkeypatch):
+    """Make ``train`` see no CPU but the caller's, as under ``taskset -c 0``."""
+    monkeypatch.setattr(toydenoiser, "_cpus_apart_from_caller", lambda: None)
 
 
-@pytest.mark.parametrize("worker_runs_all", [False, True])
+@pytest.mark.parametrize("cpus", ["two", "one"])
 @pytest.mark.parametrize("epochs", [1, 3])
 @pytest.mark.parametrize("batch_size", [5, 64])
-def test_train_equals_a_serial_loop(batch_size, epochs, worker_runs_all, sched, monkeypatch):
+def test_train_equals_a_serial_loop(batch_size, epochs, cpus, sched, monkeypatch):
     # 37 samples: batch 5 leaves a partial last batch, batch 64 is one
-    # batch larger than the dataset.  Left alone, train takes back the
-    # layer-2 gradients its worker has not started, so which thread computed
-    # each one varies by run.
-    if worker_runs_all:
-        monkeypatch.setattr(toydenoiser, "_result_or_run_here", _always_wait)
+    # batch larger than the dataset.  With one CPU, train runs without its
+    # worker; the bytes must not depend on which.
+    if cpus == "one":
+        _one_cpu(monkeypatch)
     data = generate_dataset(37, DatasetParams(), seed=8)
     model, reference = ToyDenoiser(hidden=24, seed=8), ToyDenoiser(hidden=24, seed=8)
     _, result = train(model, data, sched, epochs=epochs, lr=0.5, seed=9, batch_size=batch_size)
@@ -572,6 +570,48 @@ def test_train_keeps_its_worker_off_the_callers_cpu(small_dataset, sched, monkey
     (worker_mask,) = seen.values()
     assert worker_mask < caller_mask and len(worker_mask) == len(caller_mask) - 1
     assert os.sched_getaffinity(0) == caller_mask
+
+
+def test_train_starts_no_thread_without_another_cpu(small_dataset, sched, monkeypatch):
+    _one_cpu(monkeypatch)
+    seen = set()
+    for name in ("_assemble_batch", "_layer2_grads"):
+        original = getattr(toydenoiser, name)
+
+        def recording(*args, original=original):
+            seen.add((threading.get_ident(), threading.active_count()))
+            return original(*args)
+
+        monkeypatch.setattr(toydenoiser, name, recording)
+    before = threading.active_count()
+    train(ToyDenoiser(hidden=16, seed=3), MotionDataset(small_dataset.samples[:8]), sched, epochs=2, seed=3, batch_size=4)
+    assert seen == {(threading.get_ident(), before)}
+
+
+def test_train_keeps_its_worker_when_the_pin_is_refused(sched, monkeypatch):
+    # The CPU set can shrink between reading the mask and starting the
+    # worker; the worker then runs unpinned and the bytes stay the same.
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    data = generate_dataset(13, DatasetParams(), seed=8)
+    model, reference = ToyDenoiser(hidden=24, seed=8), ToyDenoiser(hidden=24, seed=8)
+    expected = _serial_train(reference, data, sched, 2, 0.5, 9, 5)
+    monkeypatch.setattr(toydenoiser, "_cpus_apart_from_caller", lambda: {0})
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    workers = set()
+    layer2 = toydenoiser._layer2_grads
+
+    def recording(*args):
+        workers.add(threading.get_ident())
+        return layer2(*args)
+
+    monkeypatch.setattr(toydenoiser, "_layer2_grads", recording)
+    _, result = train(model, data, sched, epochs=2, lr=0.5, seed=9, batch_size=5)
+    assert threading.get_ident() not in workers and len(workers) == 1
+    assert result.losses.tobytes() == expected.tobytes()
+    for name, p in model.parameters().items():
+        assert p.tobytes() == getattr(reference, name).tobytes(), name
 
 
 def test_train_rejects_empty_dataset(sched):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass
@@ -446,18 +446,26 @@ def _batch_loss_and_grads(
     return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "mix": d_mix}
 
 
-def _stack_inputs(
-    model: ToyDenoiser,
-    dataset: MotionDataset,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-flatten the dataset into (videos, cond images, label one-hots)."""
-    n = len(dataset)
-    z0 = np.stack([s.video.frames.reshape(model.frames, -1) for s in dataset.samples])
-    cond_img = np.stack([s.cond.image.grid.reshape(-1) for s in dataset.samples])
-    onehot = np.zeros((n, model.n_labels))
-    for i, s in enumerate(dataset.samples):
+def _check_samples(model: ToyDenoiser, dataset: MotionDataset) -> None:
+    """Refuse, before any step, a dataset ``model`` cannot learn from: one
+    with no samples, a video of another shape, or a condition the model
+    does not take."""
+    if len(dataset) == 0:
+        raise ValueError("dataset has no samples")
+    for s in dataset.samples:
+        if s.video.shape != model.video_shape:
+            raise ValueError(f"video shape {s.video.shape} != model shape {model.video_shape}")
         model._check_cond(s.cond)
-        onehot[i, s.cond.motion_label] = 1.0
+
+
+def _stack_samples(
+    model: ToyDenoiser,
+    samples: Sequence[VideoSample],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten ``samples`` into (videos, cond images, label one-hots)."""
+    z0 = np.stack([s.video.frames.reshape(model.frames, -1) for s in samples])
+    cond_img = np.stack([s.cond.image.grid.reshape(-1) for s in samples])
+    onehot = np.eye(model.n_labels)[[s.cond.motion_label for s in samples]]
     return z0, cond_img, onehot
 
 
@@ -537,10 +545,15 @@ def train(
     replaced, plus the per-epoch loss curve, where loss is the mean
     per-sample sum of squared errors.
 
+    Every sample is checked before the first step.  Each batch is then
+    stacked from the samples it draws, so the call holds a batch or two of
+    inputs next to the dataset, never a second copy of it (8.4 MB for 256
+    default clips, more than any other array of a run).
+
     Where the caller may run on another CPU than its current one (see
     ``_cpus_apart_from_caller``), the call keeps one worker thread there,
-    joined before it returns or raises.  The worker assembles batch k+1
-    while this thread computes step k, and computes each step's layer-2
+    joined before it returns or raises.  The worker stacks and noises batch
+    k+1 while this thread computes step k, and computes each step's layer-2
     gradient while this thread runs the rest of the backward pass.  With
     no other CPU, or where the platform cannot tell, the call runs on this
     thread alone: a worker sharing its CPU made an epoch slower.  Every
@@ -550,8 +563,8 @@ def train(
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
+    _check_samples(model, dataset)
     rng = stream(seed, "train")
-    z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
     n = len(dataset)
     per_sample_scale = model.frames * model.frame_dim
 
@@ -561,7 +574,8 @@ def train(
             order = rng.permutation(n)
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
-                yield epoch, idx.size, _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], rng, sched)
+                batch = _stack_samples(model, [dataset.samples[i] for i in idx])
+                yield epoch, idx.size, _assemble_batch(model, *batch, rng, sched)
 
     epoch_loss = np.zeros(epochs)
     cpus = _cpus_apart_from_caller()
@@ -591,11 +605,12 @@ def evaluate_loss(
     rounds: int = 4,
 ) -> float:
     """Mean per-sample noise-prediction loss over fresh (t, eps) draws."""
+    _check_samples(model, dataset)
     rng = stream(seed, "eval")
-    z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
+    inputs = _stack_samples(model, dataset.samples)
     total = 0.0
     for _ in range(rounds):
-        z_t, ctx, eps = _assemble_batch(model, z0_all, cond_all, onehot_all, rng, sched)
+        z_t, ctx, eps = _assemble_batch(model, *inputs, rng, sched)
         total += _batch_loss(model, z_t, ctx, eps)[0]
     return total / rounds * model.frames * model.frame_dim
 
@@ -613,10 +628,11 @@ def gradient_check(
     Probes ``n_coords`` randomly chosen parameter coordinates on a single
     fixed batch and returns the worst relative error.
     """
+    _check_samples(model, dataset)
     rng = stream(seed, "gradcheck")
-    z0_all, cond_all, onehot_all = _stack_inputs(model, dataset)
     idx = rng.permutation(len(dataset))[: min(4, len(dataset))]
-    z_t, ctx, eps = _assemble_batch(model, z0_all[idx], cond_all[idx], onehot_all[idx], rng, sched)
+    batch = _stack_samples(model, [dataset.samples[i] for i in idx])
+    z_t, ctx, eps = _assemble_batch(model, *batch, rng, sched)
     _, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
 
     names = sorted(PARAMETER_NAMES)

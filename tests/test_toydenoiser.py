@@ -4,6 +4,8 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,6 @@ from latent_awaken.toydenoiser import (
     train,
     _assemble_batch,
     _batch_loss_and_grads,
-    _stack_inputs,
 )
 
 
@@ -487,10 +488,15 @@ def test_training_diverges_loudly(small_dataset, sched):
 
 def _serial_train(model, dataset, sched, epochs, lr, seed, batch_size):
     """``train``'s loop on one thread, from its own batch and gradient
-    helpers: the reference the worker-thread version must match byte for
-    byte, including where it diverges."""
+    helpers, with the whole dataset stacked once up front: the reference
+    that per-batch stacking, with or without the worker thread, must match
+    byte for byte, including where it diverges."""
     rng = stream(seed, "train")
-    z0, cond_img, onehot = _stack_inputs(model, dataset)
+    z0 = np.stack([s.video.frames.reshape(model.frames, -1) for s in dataset.samples])
+    cond_img = np.stack([s.cond.image.grid.reshape(-1) for s in dataset.samples])
+    onehot = np.zeros((len(dataset), model.n_labels))
+    for i, s in enumerate(dataset.samples):
+        onehot[i, s.cond.motion_label] = 1.0
     n = len(dataset)
     losses = []
     for epoch in range(1, epochs + 1):
@@ -619,6 +625,44 @@ def test_train_rejects_empty_dataset(sched):
 
     with pytest.raises(ValueError):
         train(ToyDenoiser(seed=0), MotionDataset([]), sched, epochs=1)
+
+
+@pytest.mark.parametrize("cpus", ["two", "one"])
+@pytest.mark.parametrize("fault", ["label", "video"])
+def test_train_refuses_a_bad_last_sample_before_any_step(fault, cpus, small_dataset, sched, monkeypatch):
+    # Batches are stacked as they are drawn, but every sample is checked
+    # before the first of them.
+    if cpus == "one":
+        _one_cpu(monkeypatch)
+    last = small_dataset.samples[7]
+    if fault == "label":
+        bad, message = replace(last, cond=Condition(last.cond.image, len(MOTION_LABELS))), "out of range"
+    else:
+        bad, message = replace(last, video=VideoLatent(last.video.frames[:8])), "video shape"
+    data = MotionDataset(small_dataset.samples[:7] + (bad,))
+    model = _perturbed_model(14)
+    before = {name: p.tobytes() for name, p in model.parameters().items()}
+    with pytest.raises(ValueError, match=message):
+        train(model, data, sched, epochs=2, seed=14, batch_size=4)
+    assert {name: p.tobytes() for name, p in model.parameters().items()} == before
+
+
+@pytest.mark.parametrize("cpus", ["two", "one"])
+def test_train_holds_less_than_a_copy_of_the_dataset(cpus, sched, monkeypatch):
+    # The inputs are stacked one batch at a time: an epoch's traced peak
+    # stays below what one (n, L, frame_dim) copy of the videos would take.
+    if cpus == "one":
+        _one_cpu(monkeypatch)
+    data = generate_dataset(256, DatasetParams(), seed=15)
+    model = ToyDenoiser(hidden=16, seed=15)
+    one_copy = len(data) * model.frames * model.frame_dim * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        train(model, data, sched, epochs=1, seed=15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_copy, f"peak {peak} bytes, one copy {one_copy}"
 
 
 # --------------------------------------------------------------------------

@@ -220,6 +220,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'dataset.n': must be >= 1")
     if not 0.0 < v["vsds.p"] <= 1.0:
         raise ConfigError(f"config key 'vsds.p': must be in (0, 1], got {v['vsds.p']}")
+    if v["vsds.omega"] not in ("one", "one_minus_alpha_bar"):
+        raise ConfigError(f"config key 'vsds.omega': must be 'one' or 'one_minus_alpha_bar', got {v['vsds.omega']!r}")
     if v["pipeline.resume_from"] not in ("tau", "T"):
         raise ConfigError(f"config key 'pipeline.resume_from': must be 'tau' or 'T', got {v['pipeline.resume_from']!r}")
     if v["ablate.sweep"] not in ("variants", "curves", "p"):

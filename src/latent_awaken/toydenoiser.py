@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import Condition, NoiseSchedule, VideoLatent
+from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from .numerics import read_ltn1, write_ltn1
 from .rng import stream
 
@@ -79,11 +79,33 @@ class DatasetParams:
 
 
 @dataclass(frozen=True, eq=False)
-class VideoSample:
-    video: VideoLatent
-    cond: Condition
+class Clip:
+    """The draws that define one procedural clip: its motion label, start
+    (cx, cy), velocity, shape kind and size, and the generator settings."""
+
     label: str
+    start: tuple[float, float]
     velocity: float
+    kind: str
+    size: float
+    params: DatasetParams
+
+    @property
+    def video_shape(self) -> tuple[int, int, int, int]:
+        p = self.params
+        return (p.frames, p.channels, p.height, p.width)
+
+    @property
+    def video(self) -> VideoLatent:
+        """The clip's frames, rendered anew on each access."""
+        return VideoLatent(render_clips([self])[0])
+
+
+@dataclass(frozen=True, eq=False)
+class VideoSample(Clip):
+    """A clip's recipe plus its condition; the frames are not stored."""
+
+    cond: Condition
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +139,12 @@ def render_pattern(kind: str, cx, cy, size, height: int, width: int) -> np.ndarr
     if kind == "blob":
         # Each frame's denominator is a Python float: CPython's pow can round
         # size**2 one ulp away from numpy's square of the same value.
-        denom = np.reshape([2.0 * s**2 for s in sizes], (-1, 1, 1))
+        neg_denom = np.reshape([-2.0 * s**2 for s in sizes], (-1, 1, 1))
         # exp(-(dx² + dy²) / denom), in place: clip-sized temporaries would
-        # fragment the heap and raise a training run's peak RSS.
+        # fragment the heap and raise a training run's peak RSS.  Dividing
+        # by the negated denominator gives the same bits as negating first.
         fields = dx**2 + dy**2
-        np.negative(fields, out=fields)
-        fields /= denom
+        fields /= neg_denom
         np.exp(fields, out=fields)
     elif kind == "square":
         # Soft box: full intensity inside the half-width, linear 1-px skirt.
@@ -133,6 +155,50 @@ def render_pattern(kind: str, cx, cy, size, height: int, width: int) -> np.ndarr
     return fields if np.ndim(size) else fields[0]
 
 
+def render_clips(clips: Sequence[Clip], frames: int | None = None) -> np.ndarray:
+    """Render clips of one shape into an (n, L, C, H, W) array of latents,
+    with one ``render_pattern`` pass per shape kind.
+
+    Translation labels move the shape ``velocity`` cells per frame along the
+    label's axis (toroidal wrap); ``static`` keeps it fixed; ``grow`` scales
+    the size by ``1 + grow_rate * l``.  Intensities in [0, 1] map to latents
+    in [-1, 1].  Each frame's centre and size take the same float operations
+    as a scalar per-frame loop would, so clip i is byte-equal to rendering
+    ``clips[i]`` alone.  ``frames`` renders only the first that many frames
+    of each clip.
+    """
+    shapes = {c.video_shape for c in clips}
+    if len(shapes) != 1:
+        raise ValueError(f"clips must share one video shape, got {sorted(shapes)}")
+    ((length, channels, height, width),) = shapes
+    length = length if frames is None else frames
+    for c in clips:
+        if c.label not in MOTION_LABELS:
+            raise ValueError(f"unknown motion label {c.label!r}")
+    draws = np.array(
+        [(*c.start, *DIRECTIONS.get(c.label, (0.0, 0.0)), c.velocity, c.size, c.params.grow_rate) for c in clips]
+    )
+    start, unit = draws[:, None, 0:2], draws[:, None, 2:4]
+    velocity, size, grow_rate = draws[:, 4:, None].transpose(1, 0, 2)
+    moving = np.array([c.label in DIRECTIONS for c in clips])[:, None, None]
+    growing = np.array([c.label == "grow" for c in clips])[:, None]
+    l = np.arange(length, dtype=np.float64)
+    # (n, L, 2) centres and (n, L) sizes, frame by frame.
+    centres = np.where(moving, (start + l[:, None] * velocity[..., None] * unit) % (width, height), start)
+    sizes = np.where(growing, size * (1.0 + grow_rate * l), size)
+    kinds = np.array([c.kind for c in clips])
+    out = np.empty((len(clips), length, channels, height, width))
+    for kind in dict.fromkeys(kinds):
+        rows = kinds == kind
+        cxs, cys = centres[rows].reshape(-1, 2).T
+        fields = render_pattern(kind, cxs, cys, sizes[rows].ravel(), height, width)
+        # In place, and channels by broadcasting, for the same reason as the blob.
+        fields *= 2.0
+        fields -= 1.0
+        out[rows] = fields.reshape(-1, length, 1, height, width)
+    return out
+
+
 def render_video(
     label: str,
     start: tuple[float, float],
@@ -141,30 +207,9 @@ def render_video(
     size: float,
     params: DatasetParams,
 ) -> VideoLatent:
-    """Render the procedural video for one (label, trajectory) combination.
-
-    Translation labels move the shape ``velocity`` cells per frame along the
-    label's axis (toroidal wrap); ``static`` keeps it fixed; ``grow`` scales
-    the size by ``1 + grow_rate * l``.  Intensities in [0, 1] map to latents
-    in [-1, 1].
-    """
-    if label not in MOTION_LABELS:
-        raise ValueError(f"unknown motion label {label!r}")
-    cx0, cy0 = start
-    steps = range(params.frames)
-    cxs, cys, sizes = [cx0] * params.frames, [cy0] * params.frames, [size] * params.frames
-    if label in DIRECTIONS:
-        ux, uy = DIRECTIONS[label]
-        cxs = [(cx0 + l * velocity * ux) % params.width for l in steps]
-        cys = [(cy0 + l * velocity * uy) % params.height for l in steps]
-    elif label == "grow":
-        sizes = [size * (1.0 + params.grow_rate * l) for l in steps]
-    fields01 = render_pattern(kind, cxs, cys, sizes, params.height, params.width)
-    # In place, and channels by broadcasting, for the same reason as the blob.
-    fields01 *= 2.0
-    fields01 -= 1.0
-    shape = (params.frames, params.channels, params.height, params.width)
-    return VideoLatent(np.broadcast_to(fields01[:, None], shape))
+    """Render the procedural video for one (label, trajectory) combination
+    (see ``render_clips``)."""
+    return Clip(label, start, velocity, kind, size, params).video
 
 
 def generate_dataset(
@@ -172,11 +217,12 @@ def generate_dataset(
     params: DatasetParams = DatasetParams(),
     seed: int | np.random.Generator = 0,
 ) -> MotionDataset:
-    """Draw ``n`` labelled videos; the condition of each is its own first frame."""
+    """Draw ``n`` labelled clips; the condition of each is its own first
+    frame, the only frame rendered here."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed, "dataset")
-    samples = []
+    clips = []
     for _ in range(n):
         label = params.labels[rng.integers(len(params.labels))]
         kind = params.shapes[rng.integers(len(params.shapes))]
@@ -187,10 +233,11 @@ def generate_dataset(
         else:
             size = float(params.square_half[rng.integers(len(params.square_half))])
         start = (float(rng.uniform(0, params.width)), float(rng.uniform(0, params.height)))
-        video = render_video(label, start, velocity, kind, size, params)
-        cond = Condition(video.frame(0), label_id(label))
-        samples.append(VideoSample(video, cond, label, velocity))
-    return MotionDataset(tuple(samples))
+        clips.append(Clip(label, start, velocity, kind, size, params))
+    first = render_clips(clips, frames=1)
+    return MotionDataset(
+        tuple(VideoSample(**vars(c), cond=Condition(FrameLatent(f[0]), label_id(c.label))) for c, f in zip(clips, first))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +495,14 @@ def _batch_loss_and_grads(
 
 def _check_samples(model: ToyDenoiser, dataset: MotionDataset) -> None:
     """Refuse, before any step, a dataset ``model`` cannot learn from: one
-    with no samples, a video of another shape, or a condition the model
-    does not take."""
+    with no samples, a clip of another shape, or a condition the model
+    does not take.  Shapes are read from each clip's settings; nothing is
+    rendered."""
     if len(dataset) == 0:
         raise ValueError("dataset has no samples")
     for s in dataset.samples:
-        if s.video.shape != model.video_shape:
-            raise ValueError(f"video shape {s.video.shape} != model shape {model.video_shape}")
+        if s.video_shape != model.video_shape:
+            raise ValueError(f"video shape {s.video_shape} != model shape {model.video_shape}")
         model._check_cond(s.cond)
 
 
@@ -462,8 +510,9 @@ def _stack_samples(
     model: ToyDenoiser,
     samples: Sequence[VideoSample],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten ``samples`` into (videos, cond images, label one-hots)."""
-    z0 = np.stack([s.video.frames.reshape(model.frames, -1) for s in samples])
+    """Flatten ``samples`` into (videos, cond images, label one-hots),
+    rendering the videos straight into their stack."""
+    z0 = render_clips(samples).reshape(len(samples), model.frames, -1)
     cond_img = np.stack([s.cond.image.grid.reshape(-1) for s in samples])
     onehot = np.eye(model.n_labels)[[s.cond.motion_label for s in samples]]
     return z0, cond_img, onehot
@@ -545,14 +594,14 @@ def train(
     replaced, plus the per-epoch loss curve, where loss is the mean
     per-sample sum of squared errors.
 
-    Every sample is checked before the first step.  Each batch is then
-    stacked from the samples it draws, so the call holds a batch or two of
-    inputs next to the dataset, never a second copy of it (8.4 MB for 256
-    default clips, more than any other array of a run).
+    Every sample is checked before the first step.  Each batch's clips are
+    then rendered straight into its stack from the samples it draws, so
+    the call holds a batch or two of clips, never the whole dataset's
+    (8.4 MB for 256 default clips).
 
     Where the caller may run on another CPU than its current one (see
     ``_cpus_apart_from_caller``), the call keeps one worker thread there,
-    joined before it returns or raises.  The worker stacks and noises batch
+    joined before it returns or raises.  The worker renders and noises batch
     k+1 while this thread computes step k, and computes each step's layer-2
     gradient while this thread runs the rest of the backward pass.  With
     no other CPU, or where the platform cannot tell, the call runs on this

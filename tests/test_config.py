@@ -68,6 +68,8 @@ def test_bad_value_names_key():
     [
         ("vsds.p = 1.5", "vsds.p"),
         ("dataset.frames = 1", "dataset.frames"),
+        ("vsds.omega = ONE", "'vsds.omega'"),
+        ("vsds.omega = sqrt", "'vsds.omega'"),
         ("pipeline.resume_from = mid", "pipeline.resume_from"),
         ("ablate.sweep = widths", "ablate.sweep"),
         ("train.epochs = 0", "train.epochs"),

@@ -22,6 +22,7 @@ from latent_awaken.toydenoiser import (
     MODEL_DIMS,
     MOTION_LABELS,
     PARAMETER_NAMES,
+    Clip,
     DatasetParams,
     MotionDataset,
     ToyDenoiser,
@@ -31,6 +32,7 @@ from latent_awaken.toydenoiser import (
     gradient_check,
     label_id,
     load_checkpoint,
+    render_clips,
     render_pattern,
     render_video,
     wrapped_delta,
@@ -156,6 +158,69 @@ def test_render_video_equals_per_frame_scalar_renders(clip):
         expected[l] = 2.0 * render_pattern(kind, cx, cy, size_l, params.height, params.width) - 1.0
     video = render_video(label, (cx0, cy0), velocity, kind, size, params)
     assert video.frames.tobytes() == expected.tobytes()
+
+
+@st.composite
+def mixed_clip_lists(draw):
+    """Clips of one video shape under several DatasetParams: both kinds,
+    every label, velocities that wrap the torus, and generated samples."""
+    dims = {
+        "channels": draw(st.integers(1, 3)),
+        "height": draw(st.integers(2, 24)),
+        "width": draw(st.integers(2, 24)),
+        "frames": draw(st.integers(1, 12)),
+    }
+    variants = [DatasetParams(**dims, grow_rate=draw(st.floats(0.01, 0.5))) for _ in range(draw(st.integers(2, 3)))]
+    listed = []
+    for label in draw(st.lists(st.sampled_from(MOTION_LABELS), min_size=1, max_size=12)):
+        kind = draw(st.sampled_from(("blob", "square")))
+        listed.append(
+            Clip(
+                label,
+                (draw(st.floats(0.0, dims["width"], exclude_max=True)), draw(st.floats(0.0, dims["height"], exclude_max=True))),
+                draw(st.floats(0.01, 30.0)),
+                kind,
+                draw(st.floats(0.5, 4.0) if kind == "blob" else st.sampled_from((0.0, 1.0, 2.0, 1.5))),
+                draw(st.sampled_from(variants)),
+            )
+        )
+    generated = generate_dataset(draw(st.integers(1, 6)), variants[0], seed=draw(st.integers(0, 2**16))).samples
+    return draw(st.permutations(listed + list(generated)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(clips=mixed_clip_lists())
+def test_render_clips_equals_render_video_per_clip(clips):
+    stack = render_clips(clips)
+    assert stack.shape == (len(clips), *clips[0].video_shape)
+    for clip, rendered in zip(clips, stack):
+        one = render_video(clip.label, clip.start, clip.velocity, clip.kind, clip.size, clip.params)
+        assert rendered.tobytes() == one.frames.tobytes()
+        if hasattr(clip, "cond"):  # a generated sample: its condition is frame 0
+            assert clip.cond.image.grid.tobytes() == one.frames[0].tobytes()
+
+
+def test_render_clips_refuses_clips_of_two_shapes():
+    a = Clip("up", (1.0, 2.0), 1.0, "blob", 2.0, DatasetParams())
+    with pytest.raises(ValueError, match="one video shape"):
+        render_clips([a, replace(a, params=DatasetParams(width=12))])
+    with pytest.raises(ValueError, match="unknown motion label"):
+        render_clips([replace(a, label="sideways")])
+
+
+def test_dataset_holds_less_than_one_clip_stack():
+    # A sample keeps its draws and its condition frame; clips are rendered
+    # when they are read, so 256 samples hold far less than their clips.
+    params = DatasetParams()
+    one_stack = 256 * params.frames * params.channels * params.height * params.width * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        data = generate_dataset(256, params, seed=15)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 256
+    assert held < one_stack, f"held {held} bytes, one clip stack {one_stack}"
 
 
 def test_render_pattern_takes_per_frame_sequences():
@@ -638,7 +703,7 @@ def test_train_refuses_a_bad_last_sample_before_any_step(fault, cpus, small_data
     if fault == "label":
         bad, message = replace(last, cond=Condition(last.cond.image, len(MOTION_LABELS))), "out of range"
     else:
-        bad, message = replace(last, video=VideoLatent(last.video.frames[:8])), "video shape"
+        bad, message = replace(last, params=replace(last.params, frames=8)), "video shape"
     data = MotionDataset(small_dataset.samples[:7] + (bad,))
     model = _perturbed_model(14)
     before = {name: p.tobytes() for name, p in model.parameters().items()}

@@ -32,7 +32,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from .config import ConfigError, ExperimentConfig, load_config, parse_enum  # noqa: E402
+from .config import ConfigError, ExperimentConfig, SweepKind, load_config, parse_enum  # noqa: E402
 from .diffusion import Condition, FrameLatent, VideoLatent  # noqa: E402
 from .metrics import diagnose_video  # noqa: E402
 from .numerics import read_ltn1, write_ltn1  # noqa: E402
@@ -198,11 +198,11 @@ def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int
         threads=threads,
     )
     sweep = cfg["ablate.sweep"]
-    if sweep == "variants":
+    if sweep is SweepKind.VARIANTS:
         return run_ablation(benchmark, list(cfg["pipeline.variants"]), vsds_cfg=cfg.vsds_config(), **common)
 
     base_vsds = cfg.vsds_config()
-    if sweep == "curves":
+    if sweep is SweepKind.CURVES:
         keys_and_cfgs = [
             (kind.value, replace(base_vsds, curve=replace(base_vsds.curve, kind=kind)))
             for kind in cfg["ablate.curve_grid"]

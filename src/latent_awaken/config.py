@@ -17,10 +17,10 @@ from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import AngleScope, FusionConfig
-from .pipeline import PipelineVariant, ordered_variants
+from .pipeline import PipelineVariant, ResumeFrom, ordered_variants
 from .proxy import SyntheticProviderParams
-from .toydenoiser import DatasetParams
-from .vsds import CurveKind, VsdsConfig, WeightCurve
+from .toydenoiser import DatasetParams, dims_problem
+from .vsds import CurveKind, OmegaMode, VsdsConfig, WeightCurve
 
 
 class ConfigError(ValueError):
@@ -47,8 +47,18 @@ def _list_of(parse_item):
     return lambda text: tuple(parse_item(w) for w in _parse_words(text))
 
 
+class SweepKind(Enum):
+    """What ``ablate`` varies from row to row: the pipeline variant, or the
+    VS refinement's weight curve or stop fraction p."""
+
+    VARIANTS = "variants"
+    CURVES = "curves"
+    P = "p"
+
+
 # What each enum's values are called in error messages.
-_ENUM_KINDS = {CurveKind: "weight curve", AngleScope: "angle scope", PipelineVariant: "pipeline variant"}
+_ENUM_KINDS = {CurveKind: "weight curve", AngleScope: "angle scope", PipelineVariant: "pipeline variant",
+               OmegaMode: "omega mode", ResumeFrom: "resume step", SweepKind: "sweep kind"}
 
 
 def parse_enum(kind: type[Enum], text: str) -> Enum:
@@ -90,7 +100,7 @@ _SCHEMA: dict[str, tuple] = {
     "vsds.curve": (CurveKind.STEPWISE_DECREASING, _enum(CurveKind)),
     "vsds.w_hi": (2.0, float),
     "vsds.w_lo": (1.0, float),
-    "vsds.omega": ("one_minus_alpha_bar", str),
+    "vsds.omega": (OmegaMode.ONE_MINUS_ALPHA_BAR, _enum(OmegaMode)),
     "vsds.shared_noise": (False, _parse_bool),
     "fusion.angle_scope": (AngleScope.GLOBAL, _enum(AngleScope)),
     "fusion.epsilon_theta": (1e-6, float),
@@ -99,8 +109,8 @@ _SCHEMA: dict[str, tuple] = {
     "pipeline.variants": (
         tuple(PipelineVariant), lambda text: ordered_variants(_list_of(_enum(PipelineVariant))(text))
     ),
-    "pipeline.resume_from": ("tau", str),
-    "ablate.sweep": ("variants", str),
+    "pipeline.resume_from": (ResumeFrom.TAU, _enum(ResumeFrom)),
+    "ablate.sweep": (SweepKind.VARIANTS, _enum(SweepKind)),
     "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _list_of(float)),
     "ablate.curve_grid": (
         (CurveKind.LINEAR_DECREASING, CurveKind.STEPWISE_DECREASING,
@@ -220,12 +230,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'dataset.n': must be >= 1")
     if not 0.0 < v["vsds.p"] <= 1.0:
         raise ConfigError(f"config key 'vsds.p': must be in (0, 1], got {v['vsds.p']}")
-    if v["vsds.omega"] not in ("one", "one_minus_alpha_bar"):
-        raise ConfigError(f"config key 'vsds.omega': must be 'one' or 'one_minus_alpha_bar', got {v['vsds.omega']!r}")
-    if v["pipeline.resume_from"] not in ("tau", "T"):
-        raise ConfigError(f"config key 'pipeline.resume_from': must be 'tau' or 'T', got {v['pipeline.resume_from']!r}")
-    if v["ablate.sweep"] not in ("variants", "curves", "p"):
-        raise ConfigError(f"config key 'ablate.sweep': must be one of variants, curves, p, got {v['ablate.sweep']!r}")
+    problem = dims_problem(v["denoiser.hidden"], v["denoiser.t_embed"])
+    if problem:
+        raise ConfigError("config key 'denoiser.{}': {}".format(*problem))
     if v["train.epochs"] < 1 or v["train.batch"] < 1:
         raise ConfigError("config key 'train.epochs'/'train.batch': must be >= 1")
     if v["train.lr"] <= 0:

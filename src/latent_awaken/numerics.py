@@ -130,7 +130,7 @@ def write_ltn1(path, array) -> None:
     Layout: ``b"LTN1"``, uint32 little-endian rank, rank uint32 dims,
     then the row-major float64 payload.
     """
-    arr = np.ascontiguousarray(np.asarray(array, dtype="<f8"))
+    arr = np.asarray(array, dtype="<f8", order="C")  # ascontiguousarray would make a 0-d array 1-d
     if not np.isfinite(arr).all():
         raise ValueError("refusing to write non-finite values to an LTN1 file")
     path = Path(path)

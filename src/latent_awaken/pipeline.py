@@ -57,6 +57,14 @@ class PipelineVariant(Enum):
 VARIANT_ORDER = tuple(PipelineVariant)
 
 
+class ResumeFrom(Enum):
+    """Where the reverse pass starts after a refinement or a fusion: at the
+    stopping level tau or at the top T (Baseline always starts at T)."""
+
+    TAU = "tau"
+    T = "T"
+
+
 def ordered_variants(variants) -> tuple[PipelineVariant, ...]:
     """``variants`` in VARIANT_ORDER, each once, however they were listed."""
     return tuple(v for v in VARIANT_ORDER if v in set(variants))
@@ -95,7 +103,7 @@ def animate(
     fusion_cfg: FusionConfig = FusionConfig(),
     proxy_provider: ProxyProvider | None = None,
     seed: int = 42,
-    resume_from: str = "tau",
+    resume_from: ResumeFrom = ResumeFrom.TAU,
 ) -> RunResult:
     """Run one variant end to end; fully deterministic in (inputs, seed).
 
@@ -106,9 +114,9 @@ def animate(
     reflects the prepared latent rather than fresh sampling noise (the toy
     denoiser is too small to scrub late-step noise the way a large model
     would).  Intermediate latents are kept in ``RunResult.stages``.
+    ``resume_from`` is a ``ResumeFrom`` or its value.
     """
-    if resume_from not in ("tau", "T"):
-        raise ValueError(f"resume_from must be 'tau' or 'T', got {resume_from!r}")
+    resume_from = ResumeFrom(resume_from)
     frames = getattr(denoiser, "frames", None)
     if frames is None:
         raise ValueError("denoiser must expose its frame count")
@@ -166,7 +174,7 @@ def animate(
         pre_latent = real
     stages["pre_latent"] = pre_latent
 
-    if (refinement, fusion) == (None, None) or resume_from == "T":
+    if (refinement, fusion) == (None, None) or resume_from is ResumeFrom.T:
         t_start = sched.steps
     else:
         t_start = tau_step(sched.steps, vsds_cfg.p)
@@ -259,7 +267,7 @@ def run_ablation(
     fusion_cfg: FusionConfig = FusionConfig(),
     proxy_provider: ProxyProvider | None = None,
     base_seed: int = 42,
-    resume_from: str = "tau",
+    resume_from: ResumeFrom = ResumeFrom.TAU,
     reference_videos: list[VideoLatent] | None = None,
     threads: int = 1,
 ) -> AblationReport:
@@ -285,6 +293,7 @@ def run_ablation(
     if not variants:
         raise ValueError("variant list must be non-empty")
     variants = ordered_variants(variants)
+    resume_from = ResumeFrom(resume_from)
 
     reference_stats = None
     if reference_videos is not None and len(reference_videos) >= 2:

@@ -199,19 +199,6 @@ def render_clips(clips: Sequence[Clip], frames: int | None = None) -> np.ndarray
     return out
 
 
-def render_video(
-    label: str,
-    start: tuple[float, float],
-    velocity: float,
-    kind: str,
-    size: float,
-    params: DatasetParams,
-) -> VideoLatent:
-    """Render the procedural video for one (label, trajectory) combination
-    (see ``render_clips``)."""
-    return Clip(label, start, velocity, kind, size, params).video
-
-
 def generate_dataset(
     n: int,
     params: DatasetParams = DatasetParams(),
@@ -258,6 +245,16 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
 PARAMETER_NAMES = ("w1", "b1", "w2", "b2", "mix")
 # The constructor arguments a checkpoint manifest records.
 MODEL_DIMS = ("frames", "channels", "height", "width", "hidden", "t_embed", "n_labels")
+
+
+def dims_problem(hidden: int, t_embed: int) -> tuple[str, str] | None:
+    """The first of the sizes ``hidden`` and ``t_embed`` that the forward
+    pass cannot use, as (name, reason), or None when both are usable."""
+    if hidden < 1:
+        return "hidden", f"must be >= 1, got {hidden}"
+    if t_embed < 2 or t_embed % 2:
+        return "t_embed", f"must be even and >= 2, got {t_embed}"
+    return None
 
 
 def _read_only(x) -> np.ndarray:
@@ -317,8 +314,11 @@ class ToyDenoiser:
         n_labels: int = len(MOTION_LABELS),
         seed: int = 0,
     ):
-        if min(frames, channels, height, width, hidden, n_labels) < 1:
+        if min(frames, channels, height, width, n_labels) < 1:
             raise ValueError("all model dimensions must be >= 1")
+        problem = dims_problem(hidden, t_embed)
+        if problem:
+            raise ValueError("{} {}".format(*problem))
         self.frames = frames
         self.channels = channels
         self.height = height

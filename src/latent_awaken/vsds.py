@@ -76,27 +76,34 @@ def alpha_at(curve: WeightCurve, i: int, n: int) -> float:
     return lo + (hi - lo) * frac  # LINEAR_INCREASING
 
 
+class OmegaMode(Enum):
+    """Noise-level weighting omega(t) of the refinement gradient."""
+
+    ONE = "one"
+    ONE_MINUS_ALPHA_BAR = "one_minus_alpha_bar"
+
+
 @dataclass(frozen=True)
 class VsdsConfig:
     """Refinement hyper-parameters.
 
     ``p`` sets the stopping level tau = round(T * p); ``omega_mode`` chooses
-    the noise-level weighting of the gradient (constant 1 or 1 - alpha_bar);
-    ``shared_noise`` makes both paths of a dual refinement reuse one noise
-    draw instead of drawing independently.
+    the noise-level weighting of the gradient, ``one`` (constant 1) or
+    ``one_minus_alpha_bar`` (1 - alpha_bar_t), given as an ``OmegaMode`` or
+    its value; ``shared_noise`` makes both paths of a dual refinement reuse
+    one noise draw instead of drawing independently.
     """
 
     p: float = 0.6
     curve: WeightCurve = WeightCurve()
-    omega_mode: str = "one_minus_alpha_bar"
+    omega_mode: OmegaMode = OmegaMode.ONE_MINUS_ALPHA_BAR
     seed: int = 42
     shared_noise: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.omega_mode not in ("one", "one_minus_alpha_bar"):
-            raise ValueError(f"unknown omega_mode {self.omega_mode!r}")
+        object.__setattr__(self, "omega_mode", OmegaMode(self.omega_mode))
 
 
 def tau_step(steps: int, p: float) -> int:
@@ -129,8 +136,8 @@ class RefinementDiverged(RuntimeError):
     """Raised when a refinement update stops being finite."""
 
 
-def _omega(sched: NoiseSchedule, t: int, mode: str) -> float:
-    return 1.0 if mode == "one" else 1.0 - sched.alpha_bars[t - 1]
+def _omega(sched: NoiseSchedule, t: int, mode: OmegaMode) -> float:
+    return 1.0 if mode is OmegaMode.ONE else 1.0 - sched.alpha_bars[t - 1]
 
 
 def _refine(

@@ -448,6 +448,20 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "nope.cfg" in err
 
 
+@pytest.mark.parametrize("line", ["denoiser.t_embed = 3", "denoiser.t_embed = 0", "denoiser.hidden = 0"])
+def test_unusable_denoiser_size_exits_before_any_compute(tmp_path, capsys, monkeypatch, line):
+    generated = []
+    monkeypatch.setattr("latent_awaken.cli.generate_dataset", lambda *args, **kwargs: generated.append(args))
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(l for l in CFG_TEXT.splitlines(keepends=True) if not l.startswith(key)) + line + "\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "duplicate" not in err
+    assert not generated
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_checkpoint_is_usage_error(workspace, tmp_path):
     rc = main(["animate", "--config", str(workspace["cfg"]), "--ckpt", str(tmp_path / "none"),
                "--image", str(workspace["image"]), "--label", "right", "--out", str(tmp_path / "out")])

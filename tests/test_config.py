@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latent_awaken.config import ConfigError, load_config, parse_config, parse_enum
+from latent_awaken.config import ConfigError, SweepKind, load_config, parse_config, parse_enum
 from latent_awaken.fusion import AngleScope
-from latent_awaken.pipeline import PipelineVariant
+from latent_awaken.pipeline import PipelineVariant, ResumeFrom
 from latent_awaken.toydenoiser import MOTION_LABELS
-from latent_awaken.vsds import CurveKind
+from latent_awaken.vsds import CurveKind, OmegaMode
 
 
 def test_defaults():
@@ -20,7 +20,9 @@ def test_defaults():
     assert [k.value for k in cfg["ablate.curve_grid"]] == ["LD", "SD", "SI", "LI"]
     assert cfg.vsds_config().curve.kind is CurveKind.STEPWISE_DECREASING
     assert cfg.fusion_config().angle_scope is AngleScope.GLOBAL
-    assert cfg["pipeline.resume_from"] == "tau"
+    assert cfg["pipeline.resume_from"] is ResumeFrom.TAU
+    assert cfg["ablate.sweep"] is SweepKind.VARIANTS
+    assert cfg.vsds_config().omega_mode is OmegaMode.ONE_MINUS_ALPHA_BAR
 
 
 def test_parse_comments_blanks_and_lists():
@@ -68,10 +70,12 @@ def test_bad_value_names_key():
     [
         ("vsds.p = 1.5", "vsds.p"),
         ("dataset.frames = 1", "dataset.frames"),
-        ("vsds.omega = ONE", "'vsds.omega'"),
         ("vsds.omega = sqrt", "'vsds.omega'"),
         ("pipeline.resume_from = mid", "pipeline.resume_from"),
         ("ablate.sweep = widths", "ablate.sweep"),
+        ("denoiser.t_embed = 3", "'denoiser.t_embed'"),
+        ("denoiser.t_embed = 0", "'denoiser.t_embed'"),
+        ("denoiser.hidden = 0", "'denoiser.hidden'"),
         ("train.epochs = 0", "train.epochs"),
         ("train.lr = -0.5", "train.lr"),
         ("vsds.curve = zigzag", "unknown weight curve"),
@@ -126,6 +130,13 @@ def test_parse_curve_kind_aliases():
         ("fusion.angle_scope", "Per_Frame", "per_frame"),
         ("pipeline.variants", "vs, baseline", "Baseline, VS"),
         ("ablate.curve_grid", "ld, sd", "LD, SD"),
+        ("vsds.omega", "ONE", "one"),
+        ("vsds.omega", "One_Minus_Alpha_Bar", "one_minus_alpha_bar"),
+        ("pipeline.resume_from", "TAU", "tau"),
+        ("pipeline.resume_from", " t ", "T"),
+        ("ablate.sweep", "Variants", "variants"),
+        ("ablate.sweep", "CURVES", "curves"),
+        ("ablate.sweep", "P", "p"),
     ],
 )
 def test_enum_names_hash_in_canonical_spelling(key, a, b):
@@ -177,7 +188,9 @@ override_lines = st.fixed_dictionaries({}, optional={
     "fusion.epsilon_theta": positive.map(repr),
     "proxy.strength": st.floats(0.0, 1.0).map(repr),
     "pipeline.variants": st.lists(st.sampled_from(["Baseline", "V", "S", "VU", "VS"]), min_size=1).map(",".join),
-    "pipeline.resume_from": st.sampled_from(["tau", "T"]),
+    "pipeline.resume_from": st.sampled_from(["tau", "T", "TAU", " t ", "Tau"]),
+    "vsds.omega": st.sampled_from(["one", "ONE", "one_minus_alpha_bar", "One_Minus_Alpha_Bar"]),
+    "ablate.sweep": st.sampled_from(["variants", "Variants", "curves", "CURVES", "p", "P"]),
     "ablate.p_grid": st.lists(unit_interval, min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
 })
 

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from latent_awaken.numerics import (
@@ -143,6 +147,44 @@ def test_ltn1_round_trip_bit_identical(tmp_path):
     back = read_ltn1(path)
     assert back.shape == (3, 4, 5)
     assert back.tobytes() == arr.tobytes()
+
+
+# Ranks 0-4, zero-length dimensions included.
+ltn1_shapes = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)
+finite_f64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=hnp.arrays(np.float64, ltn1_shapes, elements=finite_f64))
+@example(arr=np.array(-0.0))
+@example(arr=np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(np.float64).max]))
+@example(arr=np.zeros((2, 0, 3)))
+def test_ltn1_round_trip_property(arr):
+    # Every finite float64 array, -0.0 and subnormals included, comes back
+    # with its shape and every bit.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ltn1"
+        write_ltn1(path, arr)
+        back = read_ltn1(path)
+    assert back.dtype == np.float64
+    assert back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=4), elements=finite_f64),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.integers(0, 2**16),
+)
+def test_ltn1_refuses_non_finite_on_write(arr, bad, where):
+    arr = arr.copy()
+    arr.flat[where % arr.size] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.ltn1"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_ltn1(path, arr)
+        assert not path.exists()
 
 
 def test_ltn1_bad_magic_names_file(tmp_path):

@@ -15,6 +15,7 @@ from latent_awaken.pipeline import (
     VARIANT_ORDER,
     AblationReport,
     PipelineVariant,
+    ResumeFrom,
     StageError,
     _score_outputs,
     animate,
@@ -226,7 +227,7 @@ def test_animate_validates_inputs():
 
     with pytest.raises(ValueError, match="frame count"):
         animate(image, cond, PipelineVariant.BASELINE, NoFrameCount(), sched)
-    with pytest.raises(ValueError, match="resume_from"):
+    with pytest.raises(ValueError, match="not a valid ResumeFrom"):
         animate(image, cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched, resume_from="middle")
 
 
@@ -238,7 +239,7 @@ def test_resume_from_t_restarts_at_the_top():
     from_tau = animate(image, cond, PipelineVariant.VS, tau_model, sched,
                        vsds_cfg=VsdsConfig(p=0.5), seed=3)
     from_top = animate(image, cond, PipelineVariant.VS, top_model, sched,
-                       vsds_cfg=VsdsConfig(p=0.5), seed=3, resume_from="T")
+                       vsds_cfg=VsdsConfig(p=0.5), seed=3, resume_from=ResumeFrom.T)
     # Both refine twice; only the second samples every level from T down.
     refinements = 2 * update_count(STEPS, 0.5)
     assert sum(tau_model.by_t.values()) == refinements + tau_step(STEPS, 0.5)
@@ -289,6 +290,10 @@ def test_run_ablation_validates_inputs():
         run_ablation([], [PipelineVariant.VS], model, sched)
     with pytest.raises(ValueError, match="variant"):
         run_ablation(bench_items(1), [], model, sched)
+    # An unknown resume step is refused before any task runs, not recorded
+    # as a failure of every item.
+    with pytest.raises(ValueError, match="not a valid ResumeFrom"):
+        run_ablation(bench_items(1), [PipelineVariant.VS], model, sched, resume_from="middle")
 
 
 def test_run_ablation_row_order_and_csv():

@@ -34,7 +34,6 @@ from latent_awaken.toydenoiser import (
     load_checkpoint,
     render_clips,
     render_pattern,
-    render_video,
     wrapped_delta,
     save_checkpoint,
     schedule_digest,
@@ -77,13 +76,13 @@ def test_static_label_gives_identical_frames():
 
 
 def test_right_motion_at_unit_velocity_is_exact_column_roll():
-    video = render_video("right", (3.0, 7.0), 1.0, "blob", 2.0, DatasetParams())
+    video = Clip("right", (3.0, 7.0), 1.0, "blob", 2.0, DatasetParams()).video
     for l in range(video.frame_count):
         assert np.allclose(video.frames[l], np.roll(video.frames[0], l, axis=-1), atol=1e-12)
 
 
 def test_up_motion_rolls_rows_negative():
-    video = render_video("up", (8.0, 8.0), 1.0, "blob", 2.0, DatasetParams())
+    video = Clip("up", (8.0, 8.0), 1.0, "blob", 2.0, DatasetParams()).video
     assert np.allclose(video.frames[1], np.roll(video.frames[0], -1, axis=-2), atol=1e-12)
 
 
@@ -111,7 +110,7 @@ def test_displacement_recovery_matches_label(small_dataset):
 
 
 def test_grow_label_sizes_increase():
-    video = render_video("grow", (8.0, 8.0), 0.0, "blob", 2.0, DatasetParams())
+    video = Clip("grow", (8.0, 8.0), 0.0, "blob", 2.0, DatasetParams()).video
     sizes = per_frame_sizes(video)
     assert np.all(np.diff(sizes) > 0.0)
     assert displacement_estimate(video) == (0.0, 0.0)
@@ -146,7 +145,7 @@ def clips(draw):
 @example(clip=("left", (0.1, 3.0), 0.2, "blob", POW_ULP_SIZE, DatasetParams(height=12, width=20)))
 @example(clip=("up", (3.0, 0.1), 1.7, "square", 2.0, DatasetParams(height=7, width=5, frames=7)))
 def test_render_video_equals_per_frame_scalar_renders(clip):
-    # The per-frame loop render_video replaced, written out here: each frame
+    # The per-frame loop that one clip's render replaced, written out here: each frame
     # from one scalar render_pattern call, velocities taking left/up below 0.
     label, (cx0, cy0), velocity, kind, size, params = clip
     expected = np.empty((params.frames, params.channels, params.height, params.width))
@@ -156,7 +155,7 @@ def test_render_video_equals_per_frame_scalar_renders(clip):
         cy = (cy0 + l * velocity * uy) % params.height if label in DIRECTIONS else cy0
         size_l = size * (1.0 + params.grow_rate * l) if label == "grow" else size
         expected[l] = 2.0 * render_pattern(kind, cx, cy, size_l, params.height, params.width) - 1.0
-    video = render_video(label, (cx0, cy0), velocity, kind, size, params)
+    video = Clip(label, (cx0, cy0), velocity, kind, size, params).video
     assert video.frames.tobytes() == expected.tobytes()
 
 
@@ -194,7 +193,7 @@ def test_render_clips_equals_render_video_per_clip(clips):
     stack = render_clips(clips)
     assert stack.shape == (len(clips), *clips[0].video_shape)
     for clip, rendered in zip(clips, stack):
-        one = render_video(clip.label, clip.start, clip.velocity, clip.kind, clip.size, clip.params)
+        one = Clip(clip.label, clip.start, clip.velocity, clip.kind, clip.size, clip.params).video
         assert rendered.tobytes() == one.frames.tobytes()
         if hasattr(clip, "cond"):  # a generated sample: its condition is frame 0
             assert clip.cond.image.grid.tobytes() == one.frames[0].tobytes()

@@ -18,6 +18,7 @@ from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import ToyDenoiser
 from latent_awaken.vsds import (
     CurveKind,
+    OmegaMode,
     RefinementDiverged,
     VsdsConfig,
     WeightCurve,
@@ -147,6 +148,10 @@ def test_vsds_config_validation():
         VsdsConfig(p=0.0)
     with pytest.raises(ValueError):
         VsdsConfig(p=1.2)
+    # omega is converted once, at construction: a value becomes its member,
+    # and anything else is refused there.
+    assert VsdsConfig(omega_mode="one").omega_mode is OmegaMode.ONE
+    assert VsdsConfig().omega_mode is OmegaMode.ONE_MINUS_ALPHA_BAR
     with pytest.raises(ValueError):
         VsdsConfig(omega_mode="cosine")
 
@@ -161,7 +166,7 @@ def test_vsds_config_validation():
     seed=st.integers(0, 2**16),
     p=st.floats(0.01, 1.0),
     kind=st.sampled_from(CurveKind),
-    omega_mode=st.sampled_from(("one", "one_minus_alpha_bar")),
+    omega_mode=st.sampled_from(OmegaMode),
     shape=st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 6), st.integers(1, 6)),
 )
 def test_oracle_fixed_point(seed, p, kind, omega_mode, shape):

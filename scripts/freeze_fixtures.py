@@ -14,26 +14,21 @@ the 10x ratio the acceptance bound asks for.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-# One BLAS thread, as the CLI and the test session pin it, so the recorded
-# numbers do not depend on the machine's core count.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import numpy as np  # noqa: E402
+from latent_awaken.diffusion import VideoLatent, replicate_static
+from latent_awaken.metrics import linearity_score, motion_energy
+from latent_awaken.numerics import one_blas_thread
+from latent_awaken.rng import stream
+from latent_awaken.vsds import vsds_refine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import fixture_recipe as recipe  # noqa: E402
-
-from latent_awaken.diffusion import replicate_static  # noqa: E402
-from latent_awaken.metrics import linearity_score, motion_energy  # noqa: E402
-from latent_awaken.diffusion import VideoLatent  # noqa: E402
-from latent_awaken.rng import stream  # noqa: E402
-from latent_awaken.vsds import vsds_refine  # noqa: E402
 
 
 def motion_injection_energies(motion_model, static_model, sched):
@@ -74,6 +69,7 @@ def linearity_noise_calibration(n_trials=1000, frame_count=16, side=16, bound=0.
     return below, n_trials, float(np.max(monos))
 
 
+@one_blas_thread()  # so the recorded numbers do not depend on the core count
 def main():
     t0 = time.perf_counter()
     sched = recipe.schedule()

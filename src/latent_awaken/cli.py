@@ -2,44 +2,34 @@
 
 Artifacts are deterministic: given the same config, seed, inputs and BLAS
 build, every file a command writes is byte-identical across reruns, and on
-OpenBLAS builds also on any number of cores.  Wall-clock timings are
-therefore kept out of result files and go to a separate ``run.log``, which
-also records the BLAS build and the OpenBLAS thread setting.  Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+OpenBLAS builds also on any number of cores, since every command runs
+under ``numerics.one_blas_thread``.  Wall-clock timings are therefore kept
+out of result files and go to a separate ``run.log``, which also records
+the BLAS build and the BLAS thread count in force.  Exit codes: 0 success,
+1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import os
 import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 
-# One BLAS thread, set before numpy is first imported: multi-threaded
-# OpenBLAS kernels round differently, so the artifacts would depend on the
-# machine's core count.  The cores go to ablation items and to the two
-# refinement paths instead.  Only OpenBLAS reads this variable; other BLAS
-# builds (MKL, BLIS, Accelerate) keep their own thread count.  A process
-# that loaded numpy before importing this module keeps the BLAS threads it
-# started with.
-if "numpy" not in sys.modules:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import time  # noqa: E402
-from dataclasses import replace  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from .config import ConfigError, ExperimentConfig, SweepKind, load_config, parse_enum  # noqa: E402
-from .diffusion import Condition, FrameLatent, VideoLatent  # noqa: E402
-from .metrics import diagnose_video  # noqa: E402
-from .numerics import read_ltn1, write_ltn1  # noqa: E402
-from .pipeline import AblationReport, PipelineVariant, animate, run_ablation  # noqa: E402
-from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm  # noqa: E402
-from .rng import stream  # noqa: E402
-from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train  # noqa: E402
+from .config import ConfigError, ExperimentConfig, SweepKind, load_config, parse_enum
+from .diffusion import Condition, FrameLatent, VideoLatent
+from .metrics import diagnose_video
+from .numerics import blas_threads, one_blas_thread, read_ltn1, write_ltn1
+from .pipeline import AblationReport, PipelineVariant, animate, run_ablation
+from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
+from .rng import stream
+from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train
 
 
 def _usable_cores() -> int:
@@ -52,16 +42,17 @@ def _usable_cores() -> int:
 
 
 def _blas_line() -> str:
-    """The BLAS build and the OpenBLAS thread setting: the artifact bytes
-    depend on both.  The variable is named as an OpenBLAS setting, because
-    other builds do not read it."""
+    """The BLAS build and the thread count in force: the artifact bytes
+    depend on both."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas.get('name')} {blas.get('version')}"
     except TypeError:  # numpy < 1.26 only prints its build configuration
         build = "unknown"
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset (OpenBLAS default: one per core)")
-    return f"blas: {build}; OpenBLAS only: OPENBLAS_NUM_THREADS={threads}"
+    threads = blas_threads()
+    if threads is None:
+        threads = "not controlled (no OpenBLAS thread control found)"
+    return f"blas: {build}; threads: {threads}"
 
 
 def _write_log(out_dir: Path, lines: list[str]) -> None:
@@ -302,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with one_blas_thread():
+            return args.fn(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

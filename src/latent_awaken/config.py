@@ -11,7 +11,7 @@ enum names are matched ignoring case and written back as the enum's value.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -45,6 +45,11 @@ def _parse_words(text: str) -> tuple[str, ...]:
 
 def _list_of(parse_item):
     return lambda text: tuple(parse_item(w) for w in _parse_words(text))
+
+
+def _grid_of(parse_item):
+    """A sweep grid: each value once, in the order first listed."""
+    return lambda text: tuple(dict.fromkeys(_list_of(parse_item)(text)))
 
 
 class SweepKind(Enum):
@@ -111,11 +116,11 @@ _SCHEMA: dict[str, tuple] = {
     ),
     "pipeline.resume_from": (ResumeFrom.TAU, _enum(ResumeFrom)),
     "ablate.sweep": (SweepKind.VARIANTS, _enum(SweepKind)),
-    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _list_of(float)),
+    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _grid_of(float)),
     "ablate.curve_grid": (
         (CurveKind.LINEAR_DECREASING, CurveKind.STEPWISE_DECREASING,
          CurveKind.STEPWISE_INCREASING, CurveKind.LINEAR_INCREASING),
-        _list_of(_enum(CurveKind)),
+        _grid_of(_enum(CurveKind)),
     ),
 }
 
@@ -150,19 +155,7 @@ class ExperimentConfig:
 
     # -- typed views ------------------------------------------------------
     def dataset_params(self) -> DatasetParams:
-        v = self.values
-        return DatasetParams(
-            channels=v["dataset.channels"],
-            height=v["dataset.height"],
-            width=v["dataset.width"],
-            frames=v["dataset.frames"],
-            shapes=v["dataset.shapes"],
-            labels=v["dataset.labels"],
-            velocities=v["dataset.velocities"],
-            blob_sigma=tuple(v["dataset.blob_sigma"]),
-            square_half=v["dataset.square_half"],
-            grow_rate=v["dataset.grow_rate"],
-        )
+        return DatasetParams(**{f.name: self.values[f"dataset.{f.name}"] for f in fields(DatasetParams)})
 
     def schedule(self) -> NoiseSchedule:
         v = self.values

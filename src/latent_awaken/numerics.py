@@ -1,13 +1,20 @@
 """Small numeric kernels shared across the package.
 
 Vector angles, a PSD matrix square root, the principal-axis statistics and
-the Spearman rank correlation behind the trajectory-linearity metric, and the
-LTN1 tensor file format used for checkpoints and latent videos.
+the Spearman rank correlation behind the trajectory-linearity metric, the
+LTN1 tensor file format used for checkpoints and latent videos, and the pin
+to one BLAS thread that keeps every result independent of the core count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import struct
+import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -165,3 +172,76 @@ def read_ltn1(path) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in LTN1 payload: {path}")
     return arr
+
+
+# OpenBLAS's thread-count functions as numpy's wheels (scipy-openblas, ILP64),
+# older wheels and system builds name them; "{}" is "get" or "set".
+_OPENBLAS_THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_paths() -> list[str]:
+    """The OpenBLAS libraries this process has loaded, or numpy's bundled
+    ones where the platform does not list them."""
+    if sys.platform.startswith("linux"):
+        with open("/proc/self/maps") as fh:
+            return list(dict.fromkeys(line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()))
+    root = Path(np.__file__).parent
+    bundled = (root / ".dylibs", root.parent / "numpy.libs")
+    return [str(p) for d in bundled if d.is_dir() for p in sorted(d.glob("*openblas*"))]
+
+
+@functools.cache
+def _blas_thread_control():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None for
+    other BLAS builds (MKL, Accelerate, BLIS), which are not controlled."""
+    for name, path in itertools.product(_OPENBLAS_THREAD_FUNCTIONS, _openblas_paths()):
+        try:
+            get, set_ = (getattr(ctypes.CDLL(path), name.format(op)) for op in ("get", "set"))
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count now, or None where it is not controlled."""
+    control = _blas_thread_control()
+    return control[0]() if control else None
+
+
+# The count is process-wide, so the pins share it: the first to enter sets
+# one thread, and the last to leave restores what the first found.
+_pin_lock = threading.Lock()
+_pins = 0
+_restore = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with BLAS on one thread, then restore the caller's count.
+
+    Multi-threaded OpenBLAS kernels round differently, so without this the
+    bytes of a result would depend on the machine's core count.  Entries
+    nested in one, or made from other threads while one is active, change
+    nothing.  A no-op where the BLAS is not OpenBLAS.  As a decorator,
+    ``@one_blas_thread()``, it pins each call of the function.
+    """
+    global _pins, _restore
+    with _pin_lock:
+        if _pins == 0:
+            control = _blas_thread_control()
+            found = control[0]() if control else 1
+            _restore = None
+            if found != 1:
+                control[1](1)
+                _restore = functools.partial(control[1], found)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0 and _restore:
+                _restore()

@@ -40,6 +40,7 @@ from .diffusion import (
     reverse_sample,
 )
 from .fusion import FusionConfig, slerp_fuse, uniform_fuse
+from .numerics import one_blas_thread
 from .proxy import ProxyProvider, SyntheticProvider
 from .rng import stream
 from .vsds import VsdsConfig, _keep_paths_serial, dual_path_refine, tau_step, vsds_refine
@@ -93,6 +94,7 @@ class RunResult:
     stages: dict[str, VideoLatent | FrameLatent] = field(default_factory=dict)
 
 
+@one_blas_thread()
 def animate(
     image: FrameLatent,
     cond: Condition,
@@ -258,6 +260,7 @@ def _score_outputs(
     return AblationRow(key, metrics.MetricReport(frechet=frechet, **means), len(outputs), n_failed)
 
 
+@one_blas_thread()
 def run_ablation(
     benchmark: list[tuple[FrameLatent, Condition]],
     variants: list[PipelineVariant],

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
-from .numerics import read_ltn1, write_ltn1
+from .numerics import one_blas_thread, read_ltn1, write_ltn1
 from .rng import stream
 
 MOTION_LABELS = ("static", "right", "left", "up", "down", "grow")
@@ -74,6 +74,10 @@ class DatasetParams:
             label_id(name)
         if not self.velocities or any(v <= 0 for v in self.velocities):
             raise ValueError("velocities must be positive")
+        if len(self.blob_sigma) != 2 or not 0 < self.blob_sigma[0] <= self.blob_sigma[1]:
+            raise ValueError(f"blob_sigma must be a pair lo, hi with 0 < lo <= hi, got {self.blob_sigma}")
+        if not self.square_half or any(h < 0 for h in self.square_half):
+            raise ValueError(f"square_half must be non-negative, got {self.square_half}")
         if self.grow_rate <= 0:
             raise ValueError("grow_rate must be positive")
 
@@ -579,6 +583,7 @@ def _prefetched(items: Iterator, worker: Executor | None) -> Iterator:
         yield item
 
 
+@one_blas_thread()
 def train(
     model: ToyDenoiser,
     dataset: MotionDataset,

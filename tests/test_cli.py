@@ -202,7 +202,7 @@ def test_bad_proxy_is_usage_error_for_every_variant(workspace, tmp_path, capsys,
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # At hidden 600 multi-threaded OpenBLAS kernels round differently.  The
-    # CLI pins one BLAS thread before numpy loads, so the caller's
+    # CLI runs every command on one BLAS thread, so the caller's
     # OPENBLAS_NUM_THREADS cannot change a byte; run.log says what was used.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CFG_TEXT.replace("dataset.n = 16", "dataset.n = 8")
@@ -227,7 +227,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
         for log in (out / "ckpt" / "run.log", out / "anim" / "run.log"):
-            assert "OPENBLAS_NUM_THREADS=1\n" in log.read_text()
+            assert "threads: 1\n" in log.read_text()
         artifacts[threads] = [(out / name).read_bytes() for name in ("ckpt/w1.ltn1", "ckpt/loss.csv", "anim/video.ltn1")]
     assert artifacts["1"] == artifacts["2"]
 
@@ -358,6 +358,21 @@ def test_ablate_curve_sweep(workspace, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["LD", "SD", "SI", "LI"]
 
 
+@pytest.mark.parametrize(
+    "sweep, grid, keys",
+    [("p", "ablate.p_grid = 0.5, 0.5", ["0.5"]), ("curves", "ablate.curve_grid = SI, LD, si", ["SI", "LD"])],
+    ids=["p", "curves"],
+)
+def test_ablate_runs_each_grid_value_once(workspace, tmp_path, sweep, grid, keys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(CFG_TEXT + f"ablate.sweep = {sweep}\n{grid}\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
+                 "--n", "2", "--out", str(out)]) == 0
+    lines = (out / "ablation.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == keys
+
+
 def test_run_artifacts_record_the_settings_they_hash(workspace, tmp_path):
     # Every setting is recorded, so two runs that differ in one key differ in
     # their record; and the record rehashes to the artifact's config_hash.
@@ -459,6 +474,19 @@ def test_unusable_denoiser_size_exits_before_any_compute(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "duplicate" not in err
     assert not generated
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["dataset.blob_sigma = 1.0", "dataset.blob_sigma = 3.0, 2.0", "dataset.blob_sigma = 0.0, 0.0",
+     "dataset.square_half = -3"],
+)
+def test_unusable_dataset_size_exits_before_any_compute(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_TEXT + line + "\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert line.split(" = ")[0].removeprefix("dataset.") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -86,6 +86,11 @@ def test_bad_value_names_key():
         ("ablate.p_grid = 0.0, 0.5", "ablate.p_grid"),
         ("ablate.curve_grid = LD, bogus", "ablate.curve_grid"),
         ("proxy.strength = 1.5", "proxy.strength"),
+        ("dataset.blob_sigma = 1.0", "blob_sigma"),
+        ("dataset.blob_sigma = 1.0, 2.0, 3.0", "blob_sigma"),
+        ("dataset.blob_sigma = 3.0, 2.0", "blob_sigma"),
+        ("dataset.blob_sigma = 0.0, 0.0", "blob_sigma"),
+        ("dataset.square_half = -3", "square_half"),
     ],
 )
 def test_validation_errors_name_the_problem(line, needle):
@@ -161,6 +166,15 @@ def test_variant_list_is_canonical_in_row_order():
     for text in ("VS", "Baseline,V,S,VU,VS"):
         assert f"pipeline.variants = {text}" in parse_config(f"pipeline.variants = {text}\n").canonical().splitlines()
     assert parse_config("").canonical() == parse_config("pipeline.variants = Baseline,V,S,VU,VS\n").canonical()
+
+
+def test_sweep_grids_run_each_value_once():
+    # A repeated grid value would run the same sweep point twice; the
+    # first-listed order is kept, as pipeline.variants keeps one row each.
+    cfg = parse_config("ablate.p_grid = 0.8, 0.5, 0.8, 0.50\nablate.curve_grid = SI, LD, si\n")
+    assert cfg["ablate.p_grid"] == (0.8, 0.5)
+    assert cfg["ablate.curve_grid"] == (CurveKind.STEPWISE_INCREASING, CurveKind.LINEAR_DECREASING)
+    assert cfg.config_hash() == parse_config("ablate.p_grid = 0.8, 0.5\nablate.curve_grid = SI, LD\n").config_hash()
 
 
 def test_config_hash_ignores_formatting():

@@ -1,4 +1,10 @@
+import ast
+import json
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+import latent_awaken
+from latent_awaken import numerics
 from latent_awaken.numerics import (
     angle_between,
+    blas_threads,
+    one_blas_thread,
     principal_axis_stats,
     read_ltn1,
     spearman_rho,
@@ -206,3 +216,192 @@ def test_ltn1_truncated_payload(tmp_path):
 def test_ltn1_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_ltn1(tmp_path / "nan.ltn1", np.array([1.0, np.nan]))
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread
+# ---------------------------------------------------------------------------
+
+
+class FakeBlas:
+    """A BLAS thread count with its (get, set) pair; records each set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+
+@pytest.fixture
+def no_active_pin(monkeypatch):
+    # The test session runs inside a pin of its own; set it aside.
+    monkeypatch.setattr(numerics, "_pins", 0)
+    monkeypatch.setattr(numerics, "_restore", None)
+
+
+def fake_blas(monkeypatch, threads):
+    blas = FakeBlas(threads)
+    monkeypatch.setattr(numerics, "_blas_thread_control", lambda: (blas.get, blas.set))
+    return blas
+
+
+def test_one_blas_thread_sets_one_and_restores(no_active_pin, monkeypatch):
+    blas = fake_blas(monkeypatch, 4)
+    with one_blas_thread():
+        assert blas_threads() == 1
+    assert blas.sets == [1, 4]
+
+
+def test_one_blas_thread_restores_after_an_error(no_active_pin, monkeypatch):
+    blas = fake_blas(monkeypatch, 4)
+    with pytest.raises(RuntimeError), one_blas_thread():
+        raise RuntimeError("inside the pin")
+    assert blas.sets == [1, 4]
+    with one_blas_thread():  # the count of active pins is back to zero
+        pass
+    assert blas.sets == [1, 4, 1, 4]
+
+
+def test_nested_pins_set_nothing(no_active_pin, monkeypatch):
+    blas = fake_blas(monkeypatch, 4)
+    with one_blas_thread():
+        with one_blas_thread():
+            pass
+        assert blas.threads == 1
+    assert blas.sets == [1, 4]
+
+
+def test_concurrent_pins_set_nothing(no_active_pin, monkeypatch):
+    blas = fake_blas(monkeypatch, 4)
+    inside = threading.Barrier(2)
+
+    def pinned():
+        with one_blas_thread():
+            inside.wait(timeout=10)  # both threads hold a pin here
+
+    threads = [threading.Thread(target=pinned) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert blas.sets == [1, 4]
+
+
+def test_pins_from_many_threads_keep_one_thread_inside(no_active_pin, monkeypatch):
+    # More threads than cores entering and leaving with a short switch
+    # interval: a lost update to the pin count would leave a thread inside
+    # at the caller's count, or set or restore twice in a row.
+    blas = fake_blas(monkeypatch, 4)
+    seen = []
+
+    def worker():
+        for _ in range(200):
+            with one_blas_thread():
+                seen.append(blas.threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 1600 and set(seen) == {1}
+    assert blas.threads == 4
+    assert blas.sets == [1, 4] * (len(blas.sets) // 2)
+
+
+def test_one_thread_already_is_left_alone(no_active_pin, monkeypatch):
+    blas = fake_blas(monkeypatch, 1)
+    with one_blas_thread():
+        pass
+    assert blas.sets == []
+
+
+def test_pin_is_a_no_op_without_thread_control(no_active_pin, monkeypatch):
+    monkeypatch.setattr(numerics, "_blas_thread_control", lambda: None)
+    with one_blas_thread():
+        assert blas_threads() is None
+    assert blas_threads() is None
+
+
+def test_session_runs_on_one_blas_thread():
+    # numpy's wheels bundle OpenBLAS; the lookup must find its functions.
+    assert blas_threads() in (1, None)
+
+
+# numpy is loaded before the package, under the caller's thread count.
+NUMPY_FIRST = """
+import hashlib, json
+import numpy as np
+from latent_awaken.diffusion import NoiseSchedule
+from latent_awaken.numerics import blas_threads
+from latent_awaken.pipeline import PipelineVariant, animate, run_ablation
+from latent_awaken.toydenoiser import DatasetParams, ToyDenoiser, generate_dataset, train
+
+# Two training steps: after one, the bytes at two threads still agreed.
+data = generate_dataset(16, DatasetParams(labels=("right", "up")), seed=1)
+sched = NoiseSchedule.linear(40, 1e-4, 0.25)
+model = ToyDenoiser(frames=16, channels=1, height=16, width=16, hidden=600, t_embed=16, seed=0)
+threads = [blas_threads()]
+model, result = train(model, data, sched, epochs=1, seed=0)
+threads.append(blas_threads())
+sample = data.samples[0]
+video = animate(sample.cond.image, sample.cond, PipelineVariant.VS, model, sched, seed=3).output
+threads.append(blas_threads())
+benchmark = [(s.cond.image, s.cond) for s in data.samples[:2]]
+report = run_ablation(benchmark, [PipelineVariant.BASELINE, PipelineVariant.VS], model, sched,
+                      reference_videos=[s.video for s in data.samples[:2]])
+threads.append(blas_threads())
+params = b"".join(a.tobytes() for a in model.parameters().values())
+digests = [hashlib.sha256(b).hexdigest() for b in (
+    params, result.losses.tobytes(), video.frames.tobytes(), report.to_csv().encode())]
+print(json.dumps({"threads": threads, "digests": digests}))
+"""
+
+
+def test_library_calls_do_not_depend_on_the_callers_blas_threads():
+    # train, animate and run_ablation pin one BLAS thread themselves, so a
+    # caller that loaded numpy at two threads gets the bytes of one thread,
+    # and its own count back after each call.
+    src = str(Path(latent_awaken.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_FIRST],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+    if runs["2"]["threads"][0] != 2:
+        pytest.skip(f"OpenBLAS did not start at two threads here: {runs['2']['threads'][0]}")
+    assert runs["1"]["threads"] == [1] * 4
+    assert runs["2"]["threads"] == [2] * 4
+    assert runs["1"]["digests"] == runs["2"]["digests"]
+
+
+def test_only_the_library_pins_blas_threads():
+    # The pin is one_blas_thread's alone: no module, script or test set-up
+    # names the OpenBLAS variable in code (environ[...] =, update, putenv).
+    root = Path(latent_awaken.__file__).parents[2]
+    files = [root / "conftest.py", *(root / "src").rglob("*.py"), *(root / "scripts").rglob("*.py")]
+    offenders = [
+        str(path.relative_to(root))
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and node.value == "OPENBLAS_NUM_THREADS")
+        or (isinstance(node, ast.keyword) and node.arg == "OPENBLAS_NUM_THREADS")
+    ]
+    assert offenders == []

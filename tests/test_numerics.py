@@ -239,27 +239,30 @@ class FakeBlas:
 
 
 @pytest.fixture
-def no_active_pin(monkeypatch):
-    # The test session runs inside a pin of its own; set it aside.
+def fake_blas(monkeypatch):
+    """Installs a fake (get, set) pair at a given count, or no thread
+    control for None, with no pin active: the test session runs inside a
+    pin of its own, set aside here."""
     monkeypatch.setattr(numerics, "_pins", 0)
     monkeypatch.setattr(numerics, "_restore", None)
 
+    def install(threads):
+        blas = FakeBlas(threads)
+        monkeypatch.setattr(numerics, "_blas_thread_control", lambda: (blas.get, blas.set) if threads else None)
+        return blas
 
-def fake_blas(monkeypatch, threads):
-    blas = FakeBlas(threads)
-    monkeypatch.setattr(numerics, "_blas_thread_control", lambda: (blas.get, blas.set))
-    return blas
+    return install
 
 
-def test_one_blas_thread_sets_one_and_restores(no_active_pin, monkeypatch):
-    blas = fake_blas(monkeypatch, 4)
+def test_one_blas_thread_sets_one_and_restores(fake_blas):
+    blas = fake_blas(4)
     with one_blas_thread():
         assert blas_threads() == 1
     assert blas.sets == [1, 4]
 
 
-def test_one_blas_thread_restores_after_an_error(no_active_pin, monkeypatch):
-    blas = fake_blas(monkeypatch, 4)
+def test_one_blas_thread_restores_after_an_error(fake_blas):
+    blas = fake_blas(4)
     with pytest.raises(RuntimeError), one_blas_thread():
         raise RuntimeError("inside the pin")
     assert blas.sets == [1, 4]
@@ -268,8 +271,8 @@ def test_one_blas_thread_restores_after_an_error(no_active_pin, monkeypatch):
     assert blas.sets == [1, 4, 1, 4]
 
 
-def test_nested_pins_set_nothing(no_active_pin, monkeypatch):
-    blas = fake_blas(monkeypatch, 4)
+def test_nested_pins_set_nothing(fake_blas):
+    blas = fake_blas(4)
     with one_blas_thread():
         with one_blas_thread():
             pass
@@ -277,8 +280,8 @@ def test_nested_pins_set_nothing(no_active_pin, monkeypatch):
     assert blas.sets == [1, 4]
 
 
-def test_concurrent_pins_set_nothing(no_active_pin, monkeypatch):
-    blas = fake_blas(monkeypatch, 4)
+def test_concurrent_pins_set_nothing(fake_blas):
+    blas = fake_blas(4)
     inside = threading.Barrier(2)
 
     def pinned():
@@ -293,11 +296,11 @@ def test_concurrent_pins_set_nothing(no_active_pin, monkeypatch):
     assert blas.sets == [1, 4]
 
 
-def test_pins_from_many_threads_keep_one_thread_inside(no_active_pin, monkeypatch):
+def test_pins_from_many_threads_keep_one_thread_inside(fake_blas):
     # More threads than cores entering and leaving with a short switch
     # interval: a lost update to the pin count would leave a thread inside
     # at the caller's count, or set or restore twice in a row.
-    blas = fake_blas(monkeypatch, 4)
+    blas = fake_blas(4)
     seen = []
 
     def worker():
@@ -321,15 +324,15 @@ def test_pins_from_many_threads_keep_one_thread_inside(no_active_pin, monkeypatc
     assert blas.sets == [1, 4] * (len(blas.sets) // 2)
 
 
-def test_one_thread_already_is_left_alone(no_active_pin, monkeypatch):
-    blas = fake_blas(monkeypatch, 1)
+def test_one_thread_already_is_left_alone(fake_blas):
+    blas = fake_blas(1)
     with one_blas_thread():
         pass
     assert blas.sets == []
 
 
-def test_pin_is_a_no_op_without_thread_control(no_active_pin, monkeypatch):
-    monkeypatch.setattr(numerics, "_blas_thread_control", lambda: None)
+def test_pin_is_a_no_op_without_thread_control(fake_blas):
+    fake_blas(None)
     with one_blas_thread():
         assert blas_threads() is None
     assert blas_threads() is None

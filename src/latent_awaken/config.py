@@ -240,8 +240,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key, build in checks:
         try:
             build()
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     for p in v["ablate.p_grid"]:

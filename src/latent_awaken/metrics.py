@@ -20,6 +20,10 @@ from .numerics import PSD_ROUNDOFF, principal_axis_stats, spearman_rho, sqrtm_ps
 from .toydenoiser import DIRECTIONS, MOTION_LABELS, wrapped_delta
 
 
+# Frames linearity_score needs: a line through fewer points fits exactly.
+LINEARITY_MIN_FRAMES = 3
+
+
 def feature_length(frame_count: int) -> int:
     """video_features dimensionality: 2L per-frame stats + 3 motion stats."""
     return 2 * frame_count + 3
@@ -229,8 +233,8 @@ def linearity_score(v: VideoLatent) -> tuple[float, float]:
     between leading-axis projections and frame index.  A degenerate video
     (all frames equal) reports (0.0, 0.0).
     """
-    if v.frame_count < 3:
-        raise ValueError("linearity_score requires at least 3 frames")
+    if v.frame_count < LINEARITY_MIN_FRAMES:
+        raise ValueError(f"linearity_score requires at least {LINEARITY_MIN_FRAMES} frames")
     points = v.frames.reshape(v.frame_count, -1)
     ratio, projections = principal_axis_stats(points)
     if ratio == 0.0:

@@ -260,6 +260,41 @@ def _score_outputs(
     return AblationRow(key, metrics.MetricReport(frechet=frechet, **means), len(outputs), n_failed)
 
 
+def _animate_items(
+    items: list[tuple[FrameLatent, Condition]], variants, denoiser: Denoiser, sched: NoiseSchedule,
+    base_seed: int = 42, threads: int = 1, **settings,
+) -> tuple[dict[tuple[int, PipelineVariant], VideoLatent | Exception], int]:
+    """``animate`` output of every (item, variant) pair, or the exception
+    its run raised, and the number of threads the runs shared.  Item ``i``
+    runs with seed ``base_seed + i`` and ``settings``, the rest of
+    ``animate``'s keyword arguments.
+
+    Each pair is one task, and the tasks share one pool of
+    ``max(threads, 2)`` workers, capped at the number of tasks.  The floor
+    of two is what a single VS or VU run already takes for its two
+    refinement paths, so ``threads`` 1 and 2 behave the same.  Pool workers
+    run a dual refinement's paths one after the other, since the pool has
+    the cores.  A run of exactly one task stays on the caller's thread,
+    which keeps its two paths concurrent.  Each output is the bytes of the
+    same ``animate`` call made on its own.
+    """
+
+    def run_task(task):
+        i, variant = task
+        image, cond = items[i]
+        try:
+            return animate(image, cond, variant, denoiser, sched, seed=base_seed + i, **settings).output
+        except Exception as exc:  # noqa: BLE001 - returned, not silenced
+            return exc
+
+    tasks = [(i, variant) for i in range(len(items)) for variant in variants]
+    workers = min(max(threads, 2), len(tasks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
+            return dict(zip(tasks, pool.map(run_task, tasks))), workers
+    return dict(zip(tasks, map(run_task, tasks))), workers
+
+
 @one_blas_thread()
 def run_ablation(
     benchmark: list[tuple[FrameLatent, Condition]],
@@ -281,20 +316,17 @@ def run_ablation(
     whose run raises are recorded in ``failures`` and excluded from that
     variant's aggregates.
 
-    Each (item, variant) pair is one task, and the tasks share one pool of
-    ``max(threads, 2)`` workers, capped at the number of tasks.  The floor
-    of two is what a single VS or VU run already takes for its two
-    refinement paths, so ``threads`` 1 and 2 behave the same.  Pool workers
-    run a dual refinement's paths one after the other, since the pool has
-    the cores.  A run of exactly one task stays on the caller's thread,
-    which keeps its two paths concurrent.  Results are taken back in item
-    order and scored on the caller's thread, so the report does not depend
-    on the pool.
+    The runs go through ``_animate_items``'s pool.  Results are taken back
+    in item order and scored on the caller's thread, so the report does not
+    depend on the pool.
     """
     if not benchmark:
         raise ValueError("benchmark must be non-empty")
     if not variants:
         raise ValueError("variant list must be non-empty")
+    frames = denoiser.frames
+    if frames < metrics.LINEARITY_MIN_FRAMES:
+        raise ValueError(f"scoring needs at least {metrics.LINEARITY_MIN_FRAMES} frames; the model makes {frames}")
     variants = ordered_variants(variants)
     resume_from = ResumeFrom(resume_from)
 
@@ -303,24 +335,10 @@ def run_ablation(
         ref_feats = np.stack([metrics.video_features(v) for v in reference_videos])
         reference_stats = metrics.FeatureStats.from_features(ref_feats)
 
-    def run_task(task):
-        i, variant = task
-        image, cond = benchmark[i]
-        try:
-            return animate(
-                image, cond, variant, denoiser, sched, vsds_cfg, fusion_cfg,
-                proxy_provider, seed=base_seed + i, resume_from=resume_from,
-            ).output
-        except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-            return exc
-
-    tasks = [(i, variant) for i in range(len(benchmark)) for variant in variants]
-    workers = min(max(threads, 2), len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
-            results = dict(zip(tasks, pool.map(run_task, tasks)))
-    else:
-        results = dict(zip(tasks, map(run_task, tasks)))
+    results, workers = _animate_items(
+        benchmark, variants, denoiser, sched, base_seed, threads, vsds_cfg=vsds_cfg,
+        fusion_cfg=fusion_cfg, proxy_provider=proxy_provider, resume_from=resume_from,
+    )
 
     rows, failures = [], []
     for variant in variants:
@@ -336,7 +354,7 @@ def run_ablation(
 
     return AblationReport(
         rows=rows,
-        feature_dim=metrics.feature_length(denoiser.frames),
+        feature_dim=metrics.feature_length(frames),
         n_items=len(benchmark),
         failures=failures,
         workers=workers,

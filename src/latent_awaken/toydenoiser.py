@@ -617,6 +617,8 @@ def train(
     """
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
+    if not lr > 0:
+        raise ValueError(f"lr must be positive, got {lr}")
     _check_samples(model, dataset)
     rng = stream(seed, "train")
     n = len(dataset)

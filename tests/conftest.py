@@ -14,10 +14,12 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fixture_recipe as recipe
-from latent_awaken.pipeline import PipelineVariant, animate
+from latent_awaken.metrics import FeatureStats, video_features
+from latent_awaken.pipeline import PipelineVariant, _animate_items, _score_outputs
 from latent_awaken.proxy import SyntheticProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,28 +65,24 @@ def held_out_runs(motion_model, static_model, sched):
 
 @pytest.fixture(scope="session")
 def bench_runs(motion_model, sched):
-    """Baseline/VU/VS outputs over the 50-item benchmark, motion prior only.
+    """Baseline/VU/VS outputs over the 50-item benchmark, motion prior only,
+    and each variant's ``_score_outputs`` report against the benchmark clips.
 
     All variants of item i share seed BENCH_RUN_SEED + i, so they see the
     same noise streams and differ only in pipeline structure.
     """
     model, train_secs = motion_model
     bench = recipe.motion_benchmark()
-    provider = SyntheticProvider(recipe.PROXY_PARAMS)
+    items = [(s.cond.image, s.cond) for s in bench.samples]
     variants = (PipelineVariant.BASELINE, PipelineVariant.VU, PipelineVariant.VS)
     t0 = time.perf_counter()
-    outputs = {v: [] for v in variants}
-    for i, sample in enumerate(bench.samples):
-        for variant in variants:
-            run = animate(
-                sample.cond.image, sample.cond, variant, model, sched,
-                recipe.VSDS_CFG, recipe.FUSION_CFG, provider,
-                seed=recipe.BENCH_RUN_SEED + i,
-            )
-            outputs[variant].append(run.output)
-    return {
-        "bench": bench,
-        "outputs": outputs,
-        "run_seconds": time.perf_counter() - t0,
-        "train_seconds": train_secs,
-    }
+    results, _ = _animate_items(
+        items, variants, model, sched, recipe.BENCH_RUN_SEED, vsds_cfg=recipe.VSDS_CFG,
+        fusion_cfg=recipe.FUSION_CFG, proxy_provider=SyntheticProvider(recipe.PROXY_PARAMS),
+    )
+    outputs = recipe.outputs_in_order(results, len(items), variants)
+    run_seconds = time.perf_counter() - t0
+    gt_stats = FeatureStats.from_features(np.stack([video_features(s.video) for s in bench.samples]))
+    scored = {v: [(out, cond, image) for out, (image, cond) in zip(outputs[v], items)] for v in variants}
+    rows = {v: _score_outputs(v.value, scored[v], gt_stats, 0).report for v in variants}
+    return {"bench": bench, "outputs": outputs, "rows": rows, "run_seconds": run_seconds, "train_seconds": train_secs}

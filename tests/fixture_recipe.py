@@ -25,7 +25,7 @@ import time
 
 from latent_awaken.diffusion import NoiseSchedule, VideoLatent
 from latent_awaken.fusion import FusionConfig
-from latent_awaken.pipeline import PipelineVariant, animate
+from latent_awaken.pipeline import PipelineVariant, _animate_items
 from latent_awaken.proxy import SyntheticProvider, SyntheticProviderParams
 from latent_awaken.toydenoiser import (
     DatasetParams,
@@ -84,17 +84,30 @@ def held_out_set() -> MotionDataset:
     return generate_dataset(HELD_OUT_N, MOTION_PARAMS, seed=HELD_OUT_DATA_SEED)
 
 
+def outputs_in_order(results, n_items, variants) -> dict[PipelineVariant, list[VideoLatent]]:
+    """``_animate_items`` results as one output list per variant; raises the
+    failure a loop over the items, each running ``variants`` in order, would
+    meet first, naming its item and variant."""
+    for i in range(n_items):
+        for variant in variants:
+            failure = results[i, variant]
+            if isinstance(failure, Exception):
+                raise RuntimeError(f"item {i}, variant {variant.value}: {failure}") from failure
+    return {variant: [results[i, variant] for i in range(n_items)] for variant in variants}
+
+
 def held_out_runs(motion_model, static_model, sched) -> tuple[list[VideoLatent], list[VideoLatent]]:
     """VS (motion prior) and Baseline (static prior) outputs per held-out
     item; item i runs with seed HELD_OUT_RUN_SEED + i under the full
     refinement/fusion settings."""
-    provider = SyntheticProvider(PROXY_PARAMS)
-    vs, base = [], []
-    for i, sample in enumerate(held_out_set().samples):
-        image, cond, seed = sample.cond.image, sample.cond, HELD_OUT_RUN_SEED + i
-        vs.append(animate(image, cond, PipelineVariant.VS, motion_model, sched, VSDS_CFG, FUSION_CFG, provider, seed=seed).output)
-        base.append(animate(image, cond, PipelineVariant.BASELINE, static_model, sched, seed=seed).output)
-    return vs, base
+    items = [(s.cond.image, s.cond) for s in held_out_set().samples]
+    vs, _ = _animate_items(
+        items, [PipelineVariant.VS], motion_model, sched, HELD_OUT_RUN_SEED,
+        vsds_cfg=VSDS_CFG, fusion_cfg=FUSION_CFG, proxy_provider=SyntheticProvider(PROXY_PARAMS),
+    )
+    base, _ = _animate_items(items, [PipelineVariant.BASELINE], static_model, sched, HELD_OUT_RUN_SEED)
+    runs = outputs_in_order({**vs, **base}, len(items), (PipelineVariant.VS, PipelineVariant.BASELINE))
+    return runs[PipelineVariant.VS], runs[PipelineVariant.BASELINE]
 
 
 def _train_two_phase(model: ToyDenoiser, dataset, sched, seeds: tuple[int, int]):

@@ -19,14 +19,7 @@ from doubles import FRAME_SHAPE, CountingGen, EchoOracle, ZeroDenoiser, tiled_vi
 from latent_awaken.cli import main
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.fusion import AngleScope, FusionConfig, slerp_fuse, uniform_fuse
-from latent_awaken.metrics import (
-    FeatureStats,
-    alignment_score,
-    frechet_distance,
-    linearity_score,
-    motion_energy,
-    video_features,
-)
+from latent_awaken.metrics import FeatureStats, frechet_distance, linearity_score, motion_energy
 from latent_awaken.pipeline import PipelineVariant
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import ToyDenoiser, evaluate_loss, generate_dataset, gradient_check
@@ -207,34 +200,14 @@ def test_criterion_4_motion_injection(held_out_runs, thresholds):
 
 
 def test_criterion_5_benchmark_ordering(bench_runs):
-    bench = bench_runs["bench"]
-    outputs = bench_runs["outputs"]
-    gt_stats = FeatureStats.from_features(
-        np.stack([video_features(s.video) for s in bench.samples])
-    )
-
-    def distance(variant):
-        feats = np.stack([video_features(v) for v in outputs[variant]])
-        return frechet_distance(FeatureStats.from_features(feats), gt_stats)
-
-    def mean_alignment(variant):
-        return float(np.mean([
-            alignment_score(v, s.cond)
-            for v, s in zip(outputs[variant], bench.samples)
-        ]))
-
-    a_vs = mean_alignment(PipelineVariant.VS)
-    a_base = mean_alignment(PipelineVariant.BASELINE)
-    d_vs = distance(PipelineVariant.VS)
-    d_base = distance(PipelineVariant.BASELINE)
-    d_vu = distance(PipelineVariant.VU)
+    vs, vu, base = (bench_runs["rows"][v] for v in (PipelineVariant.VS, PipelineVariant.VU, PipelineVariant.BASELINE))
     elapsed = bench_runs["run_seconds"] + bench_runs["train_seconds"]
-    ok = a_vs > a_base and d_vs < d_base and d_vs <= d_vu and elapsed < 900.0
+    ok = vs.alignment > base.alignment and vs.frechet < base.frechet and vs.frechet <= vu.frechet and elapsed < 900.0
     assert report(
         5,
         ok,
-        f"alignment {a_vs:.3f} > {a_base:.3f}, distance {d_vs:.3f} < base "
-        f"{d_base:.3f} and <= uniform {d_vu:.3f}, {elapsed:.1f}s (<900s incl. training)",
+        f"alignment {vs.alignment:.3f} > {base.alignment:.3f}, distance {vs.frechet:.3f} < base "
+        f"{base.frechet:.3f} and <= uniform {vu.frechet:.3f}, {elapsed:.1f}s (<900s incl. training)",
     )
 
 
@@ -244,15 +217,8 @@ def test_criterion_5_benchmark_ordering(bench_runs):
 
 
 def test_criterion_6_linearity_ordering(bench_runs):
-    bench = bench_runs["bench"]
-    outputs = bench_runs["outputs"]
-
-    def mean_mono(variant):
-        return float(np.mean([linearity_score(v)[1] for v in outputs[variant]]))
-
-    mono_vs = mean_mono(PipelineVariant.VS)
-    mono_base = mean_mono(PipelineVariant.BASELINE)
-    gt_vr = np.array([linearity_score(s.video)[0] for s in bench.samples])
+    mono_vs, mono_base = (bench_runs["rows"][v].linearity_mono for v in (PipelineVariant.VS, PipelineVariant.BASELINE))
+    gt_vr = np.array([linearity_score(s.video)[0] for s in bench_runs["bench"].samples])
     ok = mono_vs >= mono_base + 0.1 and bool(gt_vr.min() > 0.9)
     assert report(
         6,

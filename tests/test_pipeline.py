@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fixture_recipe as recipe
-from doubles import IdentityProvider, ThreadLog, ZeroDenoiser
+from doubles import EchoOracle, IdentityProvider, ThreadLog, ZeroDenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
 from latent_awaken.metrics import FeatureStats, feature_length, fidelity, motion_energy, video_features
@@ -267,6 +267,32 @@ def test_static_prior_baseline_stays_static(held_out_runs):
     assert max(energies) < 1e-3
 
 
+class RefusingDenoiser(ZeroDenoiser):
+    """Refuses every call conditioned on one image."""
+
+    def __init__(self, frames, image):
+        super().__init__(frames)
+        self.image = image
+
+    def predict_noise(self, z_t, cond, t):
+        if np.array_equal(cond.image.grid, self.image.grid):
+            raise ValueError("refused condition")
+        return super().predict_noise(z_t, cond, t)
+
+
+@pytest.mark.parametrize(
+    "motion_refuses, static_refuses, expected",
+    [(None, 3, "item 3, variant Baseline"), (5, 3, "item 3, variant Baseline"), (3, 3, "item 3, variant VS")],
+)
+def test_held_out_runs_raise_the_first_failure(motion_refuses, static_refuses, expected):
+    # The fixture fails with the error a loop over the items, VS before
+    # Baseline, would meet first, not with partial output lists.
+    images = [s.cond.image for s in recipe.held_out_set().samples]
+    motion = ZeroDenoiser(16) if motion_refuses is None else RefusingDenoiser(16, images[motion_refuses])
+    with pytest.raises(RuntimeError, match=f"{expected}: .*refused condition"):
+        recipe.held_out_runs(motion, RefusingDenoiser(16, images[static_refuses]), small_sched())
+
+
 def test_first_frame_anchoring_on_benchmark(bench_runs):
     # Fused latents pin frame 0 to the real path, so the sampled output's
     # first frame sits closer to the input than its last frame does.
@@ -294,6 +320,15 @@ def test_run_ablation_validates_inputs():
     # as a failure of every item.
     with pytest.raises(ValueError, match="not a valid ResumeFrom"):
         run_ablation(bench_items(1), [PipelineVariant.VS], model, sched, resume_from="middle")
+
+
+def test_run_ablation_refuses_a_model_it_cannot_score():
+    # Linearity needs three frames: a two-frame model is refused before its
+    # first call, not after every variant has run.
+    model = EchoOracle(np.zeros((2, 1, 16, 16)), frames=2)
+    with pytest.raises(ValueError, match="at least 3 frames"):
+        run_ablation(bench_items(2), list(VARIANT_ORDER), model, small_sched())
+    assert model.calls == 0
 
 
 def test_run_ablation_row_order_and_csv():

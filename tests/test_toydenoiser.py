@@ -691,6 +691,16 @@ def test_train_rejects_empty_dataset(sched):
         train(ToyDenoiser(seed=0), MotionDataset([]), sched, epochs=1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.5, float("nan")])
+def test_train_refuses_a_rate_that_is_not_positive(lr, small_dataset, sched):
+    # A zero rate trains nothing and a negative one climbs the loss.
+    model = ToyDenoiser(hidden=24, seed=8)
+    before = {name: p.copy() for name, p in model.parameters().items()}
+    with pytest.raises(ValueError, match="lr must be positive"):
+        train(model, small_dataset, sched, epochs=1, lr=lr)
+    assert all(np.array_equal(p, before[name]) for name, p in model.parameters().items())
+
+
 @pytest.mark.parametrize("cpus", ["two", "one"])
 @pytest.mark.parametrize("fault", ["label", "video"])
 def test_train_refuses_a_bad_last_sample_before_any_step(fault, cpus, small_dataset, sched, monkeypatch):

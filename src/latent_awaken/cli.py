@@ -214,6 +214,10 @@ def cmd_ablate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     model = _load_model(args.ckpt, cfg, cfg["dataset.labels"])
+    for dim in ("frames", "channels", "height", "width"):
+        configured, trained = cfg[f"dataset.{dim}"], getattr(model, dim)
+        if configured != trained:
+            raise ConfigError(f"config key 'dataset.{dim}' is {configured}, the checkpoint's {dim} is {trained}")
     threads = _usable_cores()
 
     bench = generate_dataset(args.n, cfg.dataset_params(), seed=stream(cfg["seed"], "ablate/bench"))

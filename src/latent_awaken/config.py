@@ -241,6 +241,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         try:
             build()
         except ValueError as exc:
+            # A refusal that opens with a field's name concerns that key alone.
+            field_key = key.replace("*", str(exc).split(" ", 1)[0])
+            if field_key in v:
+                key = field_key
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     for p in v["ablate.p_grid"]:
         if not 0.0 < p <= 1.0:

@@ -81,11 +81,13 @@ class Denoiser(Protocol):
     """Anything that predicts the noise component of a noised video latent.
 
     ``frames`` is the clip length it denoises; ``pipeline.animate`` builds
-    its static clips from it.  ``predict_noise`` may be called from two
-    threads at once, with different conditions: ``vsds.dual_path_refine``
-    runs its real and proxy paths concurrently.  It must not mutate its
-    inputs, and what it returns must not depend on the calls of the other
-    thread.
+    its static clips from it.  ``predict_noise`` may be called from several
+    threads at once, with different conditions, in no fixed order:
+    ``vsds.dual_path_refine`` runs its real and proxy paths concurrently,
+    and ``pipeline.run_ablation`` runs its (item, variant) tasks on a pool
+    of ``max(threads, 2)`` workers (``ablate`` passes one per allowed core).
+    It must not mutate its inputs, and what it returns must not depend on
+    the calls of the other threads; state kept across calls needs a lock.
     """
 
     frames: int

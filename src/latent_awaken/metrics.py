@@ -29,71 +29,54 @@ def feature_length(frame_count: int) -> int:
     return 2 * frame_count + 3
 
 
-def _frame_weights(frame: np.ndarray) -> np.ndarray | None:
-    """Non-negative intensity weights for centroid estimation.
+def _centroids(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, H, W) weights, (L, 2) torus centroids and (L,) non-constant mask.
 
-    Channels are averaged and the per-frame minimum subtracted, which makes
-    every downstream estimate invariant to uniform brightness offsets.
-    Returns None for constant frames, where no centroid is defined.
+    A frame's weights are its channel mean minus its minimum, which makes
+    every downstream estimate invariant to uniform brightness offsets,
+    normalised to sum to 1; its (cx, cy) is the mean resultant angle per
+    axis.  A constant frame has no centroid: its weights and (cx, cy) are 0.
     """
-    w = frame.mean(axis=0)
-    w = w - w.min()
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    return w / total
-
-
-def _circular_centroid(weights: np.ndarray) -> tuple[float, float]:
-    """Intensity centroid on a torus, via the mean resultant angle per axis."""
-    height, width = weights.shape
+    _, _, height, width = frames.shape
+    w = frames.mean(axis=1)
+    w = w - w.min(axis=(1, 2), keepdims=True)
+    totals = w.sum(axis=(1, 2))
+    varied = totals > 0.0
+    w = w / np.where(varied, totals, 1.0)[:, None, None]
     ang_x = 2.0 * np.pi * np.arange(width) / width
     ang_y = 2.0 * np.pi * np.arange(height) / height
-    wx = weights.sum(axis=0)
-    wy = weights.sum(axis=1)
-    cx = np.arctan2((wx * np.sin(ang_x)).sum(), (wx * np.cos(ang_x)).sum()) * width / (2.0 * np.pi)
-    cy = np.arctan2((wy * np.sin(ang_y)).sum(), (wy * np.cos(ang_y)).sum()) * height / (2.0 * np.pi)
-    return cx % width, cy % height
-
-
-def per_frame_centroids(v: VideoLatent) -> np.ndarray:
-    """(L, 2) array of (cx, cy); constant frames inherit the previous centroid."""
-    out = np.zeros((v.frame_count, 2))
-    last = (0.0, 0.0)
-    for l in range(v.frame_count):
-        w = _frame_weights(v.frames[l])
-        if w is not None:
-            last = _circular_centroid(w)
-        out[l] = last
-    return out
+    wx = w.sum(axis=1)
+    wy = w.sum(axis=2)
+    cx = np.arctan2((wx * np.sin(ang_x)).sum(axis=1), (wx * np.cos(ang_x)).sum(axis=1)) * width / (2.0 * np.pi)
+    cy = np.arctan2((wy * np.sin(ang_y)).sum(axis=1), (wy * np.cos(ang_y)).sum(axis=1)) * height / (2.0 * np.pi)
+    return w, np.stack([cx % width, cy % height], axis=1), varied
 
 
 def displacement_estimate(v: VideoLatent) -> tuple[float, float]:
-    """Mean per-frame (dx, dy) of the dominant pattern, torus-unwrapped."""
+    """Mean per-frame (dx, dy) of the dominant pattern, torus-unwrapped.
+
+    A constant frame takes the centroid of the last frame before it that
+    has one, or (0, 0) when none does.
+    """
     if v.frame_count < 2:
         return 0.0, 0.0
-    cents = per_frame_centroids(v)
+    _, cents, varied = _centroids(v.frames)
+    last = np.maximum.accumulate(np.where(varied, np.arange(v.frame_count), -1))
+    cents = np.where(last[:, None] >= 0, cents[last], 0.0)
     _, _, height, width = v.shape
-    dx = np.mean([wrapped_delta(cents[l + 1, 0], cents[l, 0], width) for l in range(v.frame_count - 1)])
-    dy = np.mean([wrapped_delta(cents[l + 1, 1], cents[l, 1], height) for l in range(v.frame_count - 1)])
+    dx = np.mean(wrapped_delta(cents[1:, 0], cents[:-1, 0], width))
+    dy = np.mean(wrapped_delta(cents[1:, 1], cents[:-1, 1], height))
     return float(dx), float(dy)
 
 
 def per_frame_sizes(v: VideoLatent) -> np.ndarray:
-    """Weighted RMS radius of each frame's pattern about its centroid."""
-    sizes = np.zeros(v.frame_count)
+    """Weighted RMS radius of each frame's pattern about its centroid; 0
+    for a constant frame."""
+    w, cents, varied = _centroids(v.frames)
     _, _, height, width = v.shape
-    xs = np.arange(width, dtype=np.float64)[None, :]
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    for l in range(v.frame_count):
-        w = _frame_weights(v.frames[l])
-        if w is None:
-            continue
-        cx, cy = _circular_centroid(w)
-        dx = wrapped_delta(xs, cx, width)
-        dy = wrapped_delta(ys, cy, height)
-        sizes[l] = np.sqrt((w * (dx**2 + dy**2)).sum())
-    return sizes
+    dx = wrapped_delta(np.arange(width, dtype=np.float64)[None, None, :], cents[:, 0, None, None], width)
+    dy = wrapped_delta(np.arange(height, dtype=np.float64)[None, :, None], cents[:, 1, None, None], height)
+    return np.where(varied, np.sqrt((w * (dx**2 + dy**2)).sum(axis=(1, 2))), 0.0)
 
 
 def motion_energy(v: VideoLatent) -> float:

@@ -515,6 +515,18 @@ def test_checkpoint_from_another_schedule_is_refused(workspace, tmp_path, capsys
     assert "schedule digest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line", ["dataset.frames = 6", "dataset.channels = 2", "dataset.height = 12", "dataset.width = 20"]
+)
+def test_ablate_refuses_a_checkpoint_of_another_frame_shape(workspace, tmp_path, capsys, line):
+    cfg = tmp_path / "shape.cfg"
+    cfg.write_text(CFG_TEXT + line + "\n")
+    out = tmp_path / "ablate"
+    assert main(ablate_args(cfg, workspace["ckpt"], out)) == 2
+    assert f"'{line.split(' = ')[0]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_label_the_checkpoint_never_saw_is_refused(workspace, tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(workspace["ckpt"], ckpt)

@@ -91,12 +91,18 @@ def test_bad_value_names_key():
         ("dataset.blob_sigma = 3.0, 2.0", "blob_sigma"),
         ("dataset.blob_sigma = 0.0, 0.0", "blob_sigma"),
         ("dataset.square_half = -3", "square_half"),
+        ("dataset.velocities = 1.0, -0.5", "velocities"),
+        ("dataset.grow_rate = 0.0", "grow_rate"),
+        ("dataset.height = 1", "'dataset.*': degenerate"),
     ],
 )
 def test_validation_errors_name_the_problem(line, needle):
     with pytest.raises(ConfigError) as err:
         parse_config(line + "\n")
     assert needle in str(err.value)
+    key = line.split(" = ")[0]
+    if key == f"dataset.{needle}":  # a refusal of one dataset field names its full key
+        assert f"config key '{key}'" in str(err.value)
 
 
 def test_parse_variant_case_insensitive():
@@ -209,7 +215,7 @@ override_lines = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(overrides=override_lines)
 def test_canonical_is_sorted_and_parseable(overrides):
     cfg = parse_config("".join(f"{key} = {text}\n" for key, text in overrides.items()))

@@ -48,7 +48,7 @@ seeds = st.integers(0, 2**16)
 scopes = st.sampled_from(AngleScope)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(frames=frame_counts, seed_r=seeds, seed_s=seeds, scope=scopes)
 def test_slerp_endpoints_exact(frames, seed_r, seed_s, scope):
     zr, zs = random_video(seed_r, frames), random_video(seed_s, frames)
@@ -71,7 +71,7 @@ def test_slerp_orthogonal_midframe():
         assert abs(np.linalg.norm(mid) - 1.0) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(frames=frame_counts, seed=seeds, scope=scopes, theta=st.floats(1e-3, 3.0))
 def test_slerp_preserves_norm_of_equal_norm_frames(frames, seed, scope, theta):
     u, v = unit_pair(stream(seed, "fusion-test"), theta)
@@ -97,7 +97,7 @@ def test_slerp_norm_dominates_lerp():
         assert arc_norms[1] > chord_norms[1]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(frames=frame_counts, seed=seeds, scope=scopes, theta=st.floats(0.05, 3.0),
        scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
 def test_slerp_reversal_symmetry(frames, seed, scope, theta, scales):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_awaken.diffusion import Condition, FrameLatent, VideoLatent, replicate_static
 from latent_awaken.metrics import (
@@ -18,7 +20,7 @@ from latent_awaken.metrics import (
     video_features,
 )
 from latent_awaken.rng import stream
-from latent_awaken.toydenoiser import DatasetParams, generate_dataset, label_id, render_pattern
+from latent_awaken.toydenoiser import DatasetParams, generate_dataset, label_id, render_pattern, wrapped_delta
 
 
 def blob_image(cx=5.0, cy=8.0, sigma=2.0, side=16):
@@ -91,6 +93,79 @@ def test_per_frame_sizes_grow_monotone():
     for sample in samples_for("grow"):
         sizes = per_frame_sizes(sample.video)
         assert (np.diff(sizes) > 0.0).all()
+
+
+# The per-frame definition of the centroids and sizes, one frame at a time.
+def _frame_weights(frame):
+    w = frame.mean(axis=0)
+    w = w - w.min()
+    total = w.sum()
+    if total <= 0.0:
+        return None
+    return w / total
+
+
+def _circular_centroid(weights):
+    height, width = weights.shape
+    ang_x = 2.0 * np.pi * np.arange(width) / width
+    ang_y = 2.0 * np.pi * np.arange(height) / height
+    wx = weights.sum(axis=0)
+    wy = weights.sum(axis=1)
+    cx = np.arctan2((wx * np.sin(ang_x)).sum(), (wx * np.cos(ang_x)).sum()) * width / (2.0 * np.pi)
+    cy = np.arctan2((wy * np.sin(ang_y)).sum(), (wy * np.cos(ang_y)).sum()) * height / (2.0 * np.pi)
+    return cx % width, cy % height
+
+
+def reference_displacement(v):
+    cents = np.zeros((v.frame_count, 2))
+    last = (0.0, 0.0)
+    for l in range(v.frame_count):
+        w = _frame_weights(v.frames[l])
+        if w is not None:
+            last = _circular_centroid(w)
+        cents[l] = last
+    _, _, height, width = v.shape
+    dx = np.mean([wrapped_delta(cents[l + 1, 0], cents[l, 0], width) for l in range(v.frame_count - 1)])
+    dy = np.mean([wrapped_delta(cents[l + 1, 1], cents[l, 1], height) for l in range(v.frame_count - 1)])
+    return float(dx), float(dy)
+
+
+def reference_sizes(v):
+    sizes = np.zeros(v.frame_count)
+    _, _, height, width = v.shape
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    for l in range(v.frame_count):
+        w = _frame_weights(v.frames[l])
+        if w is None:
+            continue
+        cx, cy = _circular_centroid(w)
+        dx = wrapped_delta(xs, cx, width)
+        dy = wrapped_delta(ys, cy, height)
+        sizes[l] = np.sqrt((w * (dx**2 + dy**2)).sum())
+    return sizes
+
+
+@st.composite
+def videos_with_constant_frames(draw):
+    frames, channels = draw(st.integers(2, 16)), draw(st.integers(1, 2))
+    height, width = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = stream(draw(st.integers(0, 2**32 - 1)), "centroid-property")
+    video = rng.standard_normal((frames, channels, height, width)) * draw(st.sampled_from([1e-6, 1.0, 300.0]))
+    constant = draw(st.lists(st.booleans(), min_size=frames, max_size=frames))
+    video[np.array(constant)] = draw(st.floats(-2.0, 2.0))
+    return video
+
+
+@settings(max_examples=150)
+@given(video=videos_with_constant_frames(), offset=st.floats(-1.5, 1.5))
+def test_centroid_metrics_match_the_per_frame_definition(video, offset):
+    # Constant frames take the previous centroid in the displacement and size
+    # 0, and brightness-offset copies round on their own: every bit agrees.
+    for frames in (video, video + offset):
+        v = VideoLatent(frames)
+        assert np.array(displacement_estimate(v)).tobytes() == np.array(reference_displacement(v)).tobytes()
+        assert per_frame_sizes(v).tobytes() == reference_sizes(v).tobytes()
 
 
 # ---------------------------------------------------------------------------

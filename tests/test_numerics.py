@@ -108,7 +108,7 @@ def paired_samples(draw):
 
 
 @pytest.mark.filterwarnings("ignore:An input array is constant")
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(pair=paired_samples())
 @example(pair=(np.array([0.0, -0.0, 1.0, -0.0]), np.arange(4)))
 @example(pair=(np.full(5, 2.0), np.arange(5)))
@@ -164,7 +164,7 @@ ltn1_shapes = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)
 finite_f64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(arr=hnp.arrays(np.float64, ltn1_shapes, elements=finite_f64))
 @example(arr=np.array(-0.0))
 @example(arr=np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(np.float64).max]))
@@ -181,7 +181,7 @@ def test_ltn1_round_trip_property(arr):
     assert back.tobytes() == arr.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=4), elements=finite_f64),
     bad=st.sampled_from([np.nan, np.inf, -np.inf]),

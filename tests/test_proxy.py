@@ -218,7 +218,7 @@ def byte_images(draw):
                     dtype=np.float64).reshape(height, width)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ks=byte_images(), cut=st.floats(0.0, 1.0, exclude_max=True))
 def test_pgm_round_trip_on_byte_lattice(ks, cut):
     # values that sit exactly on the 8-bit grid survive write/read unchanged,

@@ -139,7 +139,7 @@ def clips(draw):
     return draw(st.sampled_from(MOTION_LABELS)), start, draw(st.floats(0.01, 3.0)), kind, size, params
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(clip=clips())
 @example(clip=("grow", (15.999999, 0.0), 0.2, "blob", POW_ULP_SIZE, DatasetParams(channels=2, frames=5)))
 @example(clip=("left", (0.1, 3.0), 0.2, "blob", POW_ULP_SIZE, DatasetParams(height=12, width=20)))
@@ -187,7 +187,7 @@ def mixed_clip_lists(draw):
     return draw(st.permutations(listed + list(generated)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(clips=mixed_clip_lists())
 def test_render_clips_equals_render_video_per_clip(clips):
     stack = render_clips(clips)
@@ -378,7 +378,7 @@ def _rel_err(a, b):
 batch_labels = st.lists(st.integers(0, len(MOTION_LABELS) - 1), min_size=1, max_size=5)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     calls=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 120)), min_size=1, max_size=6),
     labels=st.lists(st.integers(0, len(MOTION_LABELS) - 1), min_size=3, max_size=3),
@@ -400,7 +400,7 @@ def test_predict_noise_matches_concatenated_reference(random_model, calls, label
         assert _rel_err(got, expected) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(labels=batch_labels, seed=st.integers(0, 2**16))
 def test_batch_forward_and_gradients_match_concatenated_reference(random_model, sched, labels, seed):
     model = random_model
@@ -422,7 +422,7 @@ def test_batch_forward_and_gradients_match_concatenated_reference(random_model, 
         assert _rel_err(grads[name], expected) < 1e-12, name
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(labels=st.lists(st.sampled_from(MOTION_LABELS), min_size=2, max_size=4, unique=True), seed=st.integers(0, 2**16))
 def test_gradient_check_on_mixed_label_batch(random_model, sched, labels, seed):
     # At most four samples, so gradient_check's batch is all of them.
@@ -762,7 +762,7 @@ def test_checkpoint_missing_manifest(tmp_path):
         load_checkpoint(tmp_path / "nowhere")
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(
     dims=st.tuples(st.integers(1, 4), st.integers(2, 4), st.integers(2, 4), st.integers(1, 8),
                    st.sampled_from([2, 4, 8]), st.integers(1, len(MOTION_LABELS))),

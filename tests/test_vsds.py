@@ -161,7 +161,7 @@ def test_vsds_config_validation():
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**16),
     p=st.floats(0.01, 1.0),

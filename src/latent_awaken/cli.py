@@ -26,7 +26,7 @@ from .config import ConfigError, ExperimentConfig, SweepKind, load_config, parse
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
 from .numerics import blas_threads, one_blas_thread, read_ltn1, write_ltn1
-from .pipeline import AblationReport, PipelineVariant, animate, run_ablation
+from .pipeline import AblationReport, PipelineVariant, _run_rows, animate
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
 from .rng import stream
 from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train
@@ -63,7 +63,8 @@ def _write_log(out_dir: Path, lines: list[str]) -> None:
 
 def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
     """Load a checkpoint and refuse it if it was trained under another
-    schedule or never saw one of ``labels``."""
+    schedule, never saw one of ``labels``, or differs from the config in a
+    model dimension the config sets."""
     ckpt_path = Path(ckpt)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
@@ -78,6 +79,12 @@ def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
     missing = [label for label in labels if label not in trained_labels]
     if missing:
         raise ConfigError(f"checkpoint {ckpt_path} was never trained on label(s) {missing}; it knows {trained_labels}")
+    for key in ("dataset.frames", "dataset.channels", "dataset.height", "dataset.width",
+                "denoiser.hidden", "denoiser.t_embed"):
+        dim = key.split(".")[1]
+        configured, trained = cfg[key], getattr(model, dim)
+        if configured != trained:
+            raise ConfigError(f"config key {key!r} is {configured}, the checkpoint's {dim} is {trained}")
     return model
 
 
@@ -176,37 +183,22 @@ def _settings_record(cfg: ExperimentConfig) -> dict:
 
 
 def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int) -> AblationReport:
-    """Run the configured sweep and collect one report with labeled rows."""
-    sched = cfg.schedule()
-    common = dict(
-        denoiser=model,
-        sched=sched,
-        fusion_cfg=cfg.fusion_config(),
-        proxy_provider=SyntheticProvider(cfg.proxy_params()),
-        base_seed=cfg["seed"],
-        resume_from=cfg["pipeline.resume_from"],
-        reference_videos=reference,
-        threads=threads,
-    )
+    """Run the configured sweep as one task list: a row per variant, or a
+    VS row per weight curve or stop fraction p."""
+    vsds_cfg = cfg.vsds_config()
     sweep = cfg["ablate.sweep"]
     if sweep is SweepKind.VARIANTS:
-        return run_ablation(benchmark, list(cfg["pipeline.variants"]), vsds_cfg=cfg.vsds_config(), **common)
-
-    base_vsds = cfg.vsds_config()
-    if sweep is SweepKind.CURVES:
-        keys_and_cfgs = [
-            (kind.value, replace(base_vsds, curve=replace(base_vsds.curve, kind=kind)))
-            for kind in cfg["ablate.curve_grid"]
-        ]
+        runs = {v.value: (v, vsds_cfg) for v in cfg["pipeline.variants"]}
+    elif sweep is SweepKind.CURVES:
+        curves = [replace(vsds_cfg.curve, kind=kind) for kind in cfg["ablate.curve_grid"]]
+        runs = {c.kind.value: (PipelineVariant.VS, replace(vsds_cfg, curve=c)) for c in curves}
     else:  # p sweep
-        keys_and_cfgs = [(repr(p), replace(base_vsds, p=p)) for p in cfg["ablate.p_grid"]]
-    rows, failures = [], []
-    for key, vsds_cfg in keys_and_cfgs:
-        report = run_ablation(benchmark, [PipelineVariant.VS], vsds_cfg=vsds_cfg, **common)
-        rows.append(replace(report.rows[0], key=key))
-        failures.extend({**failure, "variant": key} for failure in report.failures)
-    # Grids are non-empty (config validation), so ``report`` is bound here.
-    return AblationReport(rows, report.feature_dim, report.n_items, failures, report.workers)
+        runs = {repr(p): (PipelineVariant.VS, replace(vsds_cfg, p=p)) for p in cfg["ablate.p_grid"]}
+    return _run_rows(
+        benchmark, runs, model, cfg.schedule(), reference, cfg["seed"], threads,
+        fusion_cfg=cfg.fusion_config(), proxy_provider=SyntheticProvider(cfg.proxy_params()),
+        resume_from=cfg["pipeline.resume_from"],
+    )
 
 
 def cmd_ablate(args) -> int:
@@ -214,10 +206,6 @@ def cmd_ablate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     model = _load_model(args.ckpt, cfg, cfg["dataset.labels"])
-    for dim in ("frames", "channels", "height", "width"):
-        configured, trained = cfg[f"dataset.{dim}"], getattr(model, dim)
-        if configured != trained:
-            raise ConfigError(f"config key 'dataset.{dim}' is {configured}, the checkpoint's {dim} is {trained}")
     threads = _usable_cores()
 
     bench = generate_dataset(args.n, cfg.dataset_params(), seed=stream(cfg["seed"], "ablate/bench"))

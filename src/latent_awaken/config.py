@@ -221,13 +221,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'dataset.frames': must be >= 2 for video generation")
     if v["dataset.n"] < 1:
         raise ConfigError("config key 'dataset.n': must be >= 1")
-    if not 0.0 < v["vsds.p"] <= 1.0:
-        raise ConfigError(f"config key 'vsds.p': must be in (0, 1], got {v['vsds.p']}")
     problem = dims_problem(v["denoiser.hidden"], v["denoiser.t_embed"])
     if problem:
         raise ConfigError("config key 'denoiser.{}': {}".format(*problem))
-    if v["train.epochs"] < 1 or v["train.batch"] < 1:
-        raise ConfigError("config key 'train.epochs'/'train.batch': must be >= 1")
+    for key in ("train.epochs", "train.batch"):
+        if v[key] < 1:
+            raise ConfigError(f"config key {key!r}: must be >= 1, got {v[key]}")
     if v["train.lr"] <= 0:
         raise ConfigError(f"config key 'train.lr': must be positive, got {v['train.lr']}")
     checks = [

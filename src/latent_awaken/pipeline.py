@@ -261,13 +261,14 @@ def _score_outputs(
 
 
 def _animate_items(
-    items: list[tuple[FrameLatent, Condition]], variants, denoiser: Denoiser, sched: NoiseSchedule,
+    items: list[tuple[FrameLatent, Condition]], runs: dict, denoiser: Denoiser, sched: NoiseSchedule,
     base_seed: int = 42, threads: int = 1, **settings,
-) -> tuple[dict[tuple[int, PipelineVariant], VideoLatent | Exception], int]:
-    """``animate`` output of every (item, variant) pair, or the exception
-    its run raised, and the number of threads the runs shared.  Item ``i``
-    runs with seed ``base_seed + i`` and ``settings``, the rest of
-    ``animate``'s keyword arguments.
+) -> tuple[dict[tuple[int, object], VideoLatent | Exception], int]:
+    """``animate`` output of every (item, key) pair, or the exception its
+    run raised, and the number of threads the runs shared.  ``runs`` maps
+    each row key to the ``(variant, VsdsConfig)`` it runs.  Item ``i`` runs
+    with seed ``base_seed + i`` and ``settings``, the rest of ``animate``'s
+    keyword arguments.
 
     Each pair is one task, and the tasks share one pool of
     ``max(threads, 2)`` workers, capped at the number of tasks.  The floor
@@ -280,14 +281,15 @@ def _animate_items(
     """
 
     def run_task(task):
-        i, variant = task
+        i, key = task
         image, cond = items[i]
+        variant, vsds_cfg = runs[key]
         try:
-            return animate(image, cond, variant, denoiser, sched, seed=base_seed + i, **settings).output
+            return animate(image, cond, variant, denoiser, sched, vsds_cfg, seed=base_seed + i, **settings).output
         except Exception as exc:  # noqa: BLE001 - returned, not silenced
             return exc
 
-    tasks = [(i, variant) for i in range(len(items)) for variant in variants]
+    tasks = [(i, key) for i in range(len(items)) for key in runs]
     workers = min(max(threads, 2), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
@@ -296,6 +298,51 @@ def _animate_items(
 
 
 @one_blas_thread()
+def _run_rows(
+    benchmark: list[tuple[FrameLatent, Condition]], runs: dict[str, tuple[PipelineVariant, VsdsConfig]],
+    denoiser: Denoiser, sched: NoiseSchedule, reference_videos: list[VideoLatent] | None,
+    base_seed: int, threads: int, **settings,
+) -> AblationReport:
+    """Score each row of ``runs``, a map from row key to the ``(variant,
+    VsdsConfig)`` it runs, over the benchmark; rows follow ``runs``, and
+    ``settings`` are the rest of ``animate``'s keyword arguments.
+
+    Every (item, row) pair is one task of ``_animate_items``'s pool, and the
+    reference features are fitted once for all rows.  Results are taken
+    back in item order and scored on the caller's thread, so the report
+    does not depend on the pool.  Failures name the row key.
+    """
+    if not benchmark:
+        raise ValueError("benchmark must be non-empty")
+    if not runs:
+        raise ValueError("need at least one variant or sweep point")
+    frames = denoiser.frames
+    if frames < metrics.LINEARITY_MIN_FRAMES:
+        raise ValueError(f"scoring needs at least {metrics.LINEARITY_MIN_FRAMES} frames; the model makes {frames}")
+    ResumeFrom(settings["resume_from"])  # an unknown value fails here, not in every task
+
+    reference_stats = None
+    if reference_videos is not None and len(reference_videos) >= 2:
+        ref_feats = np.stack([metrics.video_features(v) for v in reference_videos])
+        reference_stats = metrics.FeatureStats.from_features(ref_feats)
+
+    results, workers = _animate_items(benchmark, runs, denoiser, sched, base_seed, threads, **settings)
+
+    rows, failures = [], []
+    for key in runs:
+        outputs, n_failed = [], 0
+        for i, (image, cond) in enumerate(benchmark):
+            value = results[i, key]
+            if isinstance(value, Exception):
+                failures.append({"item": i, "variant": key, "error": str(value)})
+                n_failed += 1
+            else:
+                outputs.append((value, cond, image))
+        rows.append(_score_outputs(key, outputs, reference_stats, n_failed))
+
+    return AblationReport(rows, metrics.feature_length(frames), len(benchmark), failures, workers)
+
+
 def run_ablation(
     benchmark: list[tuple[FrameLatent, Condition]],
     variants: list[PipelineVariant],
@@ -315,47 +362,9 @@ def run_ablation(
     see identical noise streams and differ only in pipeline structure.  Items
     whose run raises are recorded in ``failures`` and excluded from that
     variant's aggregates.
-
-    The runs go through ``_animate_items``'s pool.  Results are taken back
-    in item order and scored on the caller's thread, so the report does not
-    depend on the pool.
     """
-    if not benchmark:
-        raise ValueError("benchmark must be non-empty")
-    if not variants:
-        raise ValueError("variant list must be non-empty")
-    frames = denoiser.frames
-    if frames < metrics.LINEARITY_MIN_FRAMES:
-        raise ValueError(f"scoring needs at least {metrics.LINEARITY_MIN_FRAMES} frames; the model makes {frames}")
-    variants = ordered_variants(variants)
-    resume_from = ResumeFrom(resume_from)
-
-    reference_stats = None
-    if reference_videos is not None and len(reference_videos) >= 2:
-        ref_feats = np.stack([metrics.video_features(v) for v in reference_videos])
-        reference_stats = metrics.FeatureStats.from_features(ref_feats)
-
-    results, workers = _animate_items(
-        benchmark, variants, denoiser, sched, base_seed, threads, vsds_cfg=vsds_cfg,
+    return _run_rows(
+        benchmark, {v.value: (v, vsds_cfg) for v in ordered_variants(variants)}, denoiser, sched,
+        reference_videos, base_seed, threads,
         fusion_cfg=fusion_cfg, proxy_provider=proxy_provider, resume_from=resume_from,
-    )
-
-    rows, failures = [], []
-    for variant in variants:
-        outputs, n_failed = [], 0
-        for i, (image, cond) in enumerate(benchmark):
-            value = results[i, variant]
-            if isinstance(value, Exception):
-                failures.append({"item": i, "variant": variant.value, "error": str(value)})
-                n_failed += 1
-            else:
-                outputs.append((value, cond, image))
-        rows.append(_score_outputs(variant.value, outputs, reference_stats, n_failed))
-
-    return AblationReport(
-        rows=rows,
-        feature_dim=metrics.feature_length(frames),
-        n_items=len(benchmark),
-        failures=failures,
-        workers=workers,
     )

@@ -65,13 +65,13 @@ class DatasetParams:
     grow_rate: float = 0.06
 
     def __post_init__(self):
-        if self.frames < 1 or self.height < 2 or self.width < 2 or self.channels < 1:
-            raise ValueError("degenerate grid dimensions")
-        for s in self.shapes:
-            if s not in ("blob", "square"):
-                raise ValueError(f"unknown shape kind {s!r}")
-        for name in self.labels:
-            label_id(name)
+        for name, least in (("channels", 1), ("height", 2), ("width", 2), ("frames", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not set(self.shapes) <= {"blob", "square"}:
+            raise ValueError(f"shapes holds an unknown shape kind: {self.shapes}; known: blob, square")
+        if not set(self.labels) <= set(MOTION_LABELS):
+            raise ValueError(f"labels holds an unknown motion label: {self.labels}; known: {MOTION_LABELS}")
         if not self.velocities or any(v <= 0 for v in self.velocities):
             raise ValueError("velocities must be positive")
         if len(self.blob_sigma) != 2 or not 0 < self.blob_sigma[0] <= self.blob_sigma[1]:

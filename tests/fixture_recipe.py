@@ -101,13 +101,14 @@ def held_out_runs(motion_model, static_model, sched) -> tuple[list[VideoLatent],
     item; item i runs with seed HELD_OUT_RUN_SEED + i under the full
     refinement/fusion settings."""
     items = [(s.cond.image, s.cond) for s in held_out_set().samples]
-    vs, _ = _animate_items(
-        items, [PipelineVariant.VS], motion_model, sched, HELD_OUT_RUN_SEED,
-        vsds_cfg=VSDS_CFG, fusion_cfg=FUSION_CFG, proxy_provider=SyntheticProvider(PROXY_PARAMS),
+    vs, base = PipelineVariant.VS, PipelineVariant.BASELINE
+    vs_runs, _ = _animate_items(
+        items, {vs: (vs, VSDS_CFG)}, motion_model, sched, HELD_OUT_RUN_SEED,
+        fusion_cfg=FUSION_CFG, proxy_provider=SyntheticProvider(PROXY_PARAMS),
     )
-    base, _ = _animate_items(items, [PipelineVariant.BASELINE], static_model, sched, HELD_OUT_RUN_SEED)
-    runs = outputs_in_order({**vs, **base}, len(items), (PipelineVariant.VS, PipelineVariant.BASELINE))
-    return runs[PipelineVariant.VS], runs[PipelineVariant.BASELINE]
+    base_runs, _ = _animate_items(items, {base: (base, VsdsConfig())}, static_model, sched, HELD_OUT_RUN_SEED)
+    runs = outputs_in_order({**vs_runs, **base_runs}, len(items), (vs, base))
+    return runs[vs], runs[base]
 
 
 def _train_two_phase(model: ToyDenoiser, dataset, sched, seeds: tuple[int, int]):

@@ -6,18 +6,21 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latent_awaken
+from latent_awaken import metrics
 from latent_awaken.cli import _sweep_rows, main
-from latent_awaken.config import parse_config
+from latent_awaken.config import SweepKind, parse_config
 from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
 from latent_awaken.numerics import read_ltn1, write_ltn1
-from latent_awaken.proxy import write_pgm
-from latent_awaken.toydenoiser import MODEL_DIMS, DatasetParams, generate_dataset, render_pattern
+from latent_awaken.pipeline import AblationReport, PipelineVariant, run_ablation
+from latent_awaken.proxy import SyntheticProvider, write_pgm
+from latent_awaken.toydenoiser import MODEL_DIMS, DatasetParams, generate_dataset, load_checkpoint, render_pattern
 
 CFG_TEXT = """\
 seed = 42
@@ -427,6 +430,87 @@ def test_sweep_failures_name_their_sweep_point(sweep, grid, keys):
     assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [(key, 0, 2) for key in keys]
     assert [(f["item"], f["variant"]) for f in report.failures] == [(i, key) for key in keys for i in (0, 1)]
     assert all("above the cut-off" in f["error"] for f in report.failures)
+
+
+class FailsOnCondition:
+    """Forwards to ``model`` but raises for one item's condition, so that
+    item fails at every sweep point and the others succeed."""
+
+    def __init__(self, model, cond):
+        self.model, self.cond, self.frames = model, cond, model.frames
+
+    def predict_noise(self, z_t, cond, t):
+        if cond is self.cond:
+            raise RuntimeError("refused condition")
+        return self.model.predict_noise(z_t, cond, t)
+
+
+def per_point_reports(cfg, model, benchmark, reference):
+    """The sweep as one ``run_ablation`` call per point, its rows and
+    failures re-keyed by the point: the reference for ``_sweep_rows``."""
+    base = cfg.vsds_config()
+    if cfg["ablate.sweep"] is SweepKind.CURVES:
+        points = [(k.value, replace(base, curve=replace(base.curve, kind=k))) for k in cfg["ablate.curve_grid"]]
+    else:
+        points = [(repr(p), replace(base, p=p)) for p in cfg["ablate.p_grid"]]
+    rows, failures = [], []
+    for key, vsds_cfg in points:
+        report = run_ablation(
+            benchmark, [PipelineVariant.VS], model, cfg.schedule(), vsds_cfg, cfg.fusion_config(),
+            SyntheticProvider(cfg.proxy_params()), cfg["seed"], cfg["pipeline.resume_from"], reference,
+        )
+        rows.append(replace(report.rows[0], key=key))
+        failures.extend({**failure, "variant": key} for failure in report.failures)
+    return AblationReport(rows, report.feature_dim, report.n_items, failures)
+
+
+@pytest.mark.parametrize("sweep", ["p", "curves"])
+def test_sweep_is_one_task_list_with_the_per_point_results(workspace, monkeypatch, sweep):
+    # One task list for the whole sweep gives the rows, counts and failure
+    # records of one run per point, and fits the reference features once.
+    cfg = parse_config(CFG_TEXT + f"ablate.sweep = {sweep}\n")
+    samples = generate_dataset(3, cfg.dataset_params(), seed=5).samples
+    benchmark = [(s.cond.image, s.cond) for s in samples]
+    reference = [s.video for s in samples]
+    model = FailsOnCondition(load_checkpoint(workspace["ckpt"])[0], benchmark[1][1])
+    expected = per_point_reports(cfg, model, benchmark, reference)
+
+    calls = []
+
+    def counted(video, featurize=metrics.video_features):
+        calls.append(video)
+        return featurize(video)
+
+    monkeypatch.setattr(metrics, "video_features", counted)
+    report = _sweep_rows(cfg, model, benchmark, reference, threads=2)
+    assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [
+        (row.key, 2, 1) for row in expected.rows
+    ]
+    assert report.failures == expected.failures
+    assert report.to_csv() == expected.to_csv()
+    assert report.to_json() == expected.to_json()
+    assert len(calls) == len(reference) + len(report.rows) * 2
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("animate", "dataset.height = 12"), ("animate", "denoiser.hidden = 64"), ("animate", "denoiser.t_embed = 8"),
+     ("ablate", "denoiser.hidden = 64"), ("ablate", "denoiser.t_embed = 8")],
+)
+def test_config_of_another_model_is_refused(workspace, tmp_path, capsys, command, line):
+    # Every model dimension the config sets must be the checkpoint's; one
+    # that differs is refused by name before anything is written.
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("".join(l for l in CFG_TEXT.splitlines(keepends=True) if not l.startswith(key)) + line + "\n")
+    out = tmp_path / "out"
+    if command == "animate":
+        args = animate_args(dict(workspace, cfg=cfg), out)
+    else:
+        args = ablate_args(cfg, workspace["ckpt"], out)
+    assert main(args) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_pool_size_follows_the_affinity_mask(workspace, tmp_path, monkeypatch):

@@ -77,11 +77,15 @@ def test_bad_value_names_key():
         ("denoiser.t_embed = 0", "'denoiser.t_embed'"),
         ("denoiser.hidden = 0", "'denoiser.hidden'"),
         ("train.epochs = 0", "train.epochs"),
+        ("train.epochs = 0", "config key 'train.epochs': must be >= 1, got 0"),
+        ("train.batch = 0", "config key 'train.batch': must be >= 1, got 0"),
         ("train.lr = -0.5", "train.lr"),
         ("vsds.curve = zigzag", "unknown weight curve"),
         ("fusion.angle_scope = diagonal", "diagonal"),
         ("fusion.mode = slerp", "unknown config key 'fusion.mode'"),
         ("dataset.shapes = triangle", "unknown shape kind"),
+        ("dataset.shapes = triangle", "config key 'dataset.shapes'"),
+        ("dataset.labels = right, foo", "config key 'dataset.labels'"),
         ("pipeline.variants = Baseline, XX", "unknown pipeline variant"),
         ("ablate.p_grid = 0.0, 0.5", "ablate.p_grid"),
         ("ablate.curve_grid = LD, bogus", "ablate.curve_grid"),
@@ -93,7 +97,9 @@ def test_bad_value_names_key():
         ("dataset.square_half = -3", "square_half"),
         ("dataset.velocities = 1.0, -0.5", "velocities"),
         ("dataset.grow_rate = 0.0", "grow_rate"),
-        ("dataset.height = 1", "'dataset.*': degenerate"),
+        ("dataset.height = 1", "'dataset.height'"),
+        ("dataset.channels = 0", "'dataset.channels'"),
+        ("vsds.p = 0.0", "config key 'vsds.p': p must be in (0, 1]"),
     ],
 )
 def test_validation_errors_name_the_problem(line, needle):

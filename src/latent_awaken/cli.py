@@ -25,11 +25,12 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, SweepKind, load_config, parse_enum
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
+from .motion import label_id
 from .numerics import blas_threads, one_blas_thread, read_ltn1, write_ltn1
 from .pipeline import AblationReport, PipelineVariant, _run_rows, animate
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
 from .rng import stream
-from .toydenoiser import ToyDenoiser, generate_dataset, label_id, load_checkpoint, save_checkpoint, schedule_digest, train
+from .toydenoiser import ToyDenoiser, generate_dataset, load_checkpoint, save_checkpoint, schedule_digest, train
 
 
 def _usable_cores() -> int:

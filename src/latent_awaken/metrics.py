@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import Condition, FrameLatent, VideoLatent
+from .motion import DIRECTIONS, label_name, wrapped_delta
 from .numerics import PSD_ROUNDOFF, principal_axis_stats, spearman_rho, sqrtm_psd
-from .toydenoiser import DIRECTIONS, MOTION_LABELS, wrapped_delta
 
 
 # Frames linearity_score needs: a line through fewer points fits exactly.
@@ -182,9 +182,7 @@ def alignment_score(v: VideoLatent, cond: Condition) -> float:
     video's own spatial variance, so a perfectly still video scores 1.
     Grow: Pearson correlation between per-frame pattern size and frame index.
     """
-    if not 0 <= cond.motion_label < len(MOTION_LABELS):
-        raise ValueError(f"unknown motion label id {cond.motion_label}")
-    label = MOTION_LABELS[cond.motion_label]
+    label = label_name(cond.motion_label)
 
     if label == "static":
         me = motion_energy(v)

@@ -17,8 +17,8 @@ from typing import Protocol
 import numpy as np
 
 from .diffusion import Condition, FrameLatent
+from .motion import DIRECTIONS, label_name
 from .numerics import LTN1_MAGIC, read_ltn1
-from .toydenoiser import DIRECTIONS, MOTION_LABELS
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ def synthesize_proxy(
     zero.  Sharpening scales values away from 0 by ``1 + 0.2 * strength``
     and clamps to [-1, 1], so strength 0 is an exact identity.
     """
-    if not 0 <= cond.motion_label < len(MOTION_LABELS):
-        raise ValueError(f"unknown motion label id {cond.motion_label}")
-    label = MOTION_LABELS[cond.motion_label]
+    label = label_name(cond.motion_label)
     strength = params.motion_hint_strength
 
     grid = image.grid

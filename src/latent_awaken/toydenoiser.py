@@ -23,26 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
+from .motion import DIRECTIONS, MOTION_LABELS, label_id, wrapped_delta
 from .numerics import one_blas_thread, read_ltn1, write_ltn1
 from .rng import stream
-
-MOTION_LABELS = ("static", "right", "left", "up", "down", "grow")
-
-# (dx, dy) in grid cells per unit velocity; y grows downward.
-DIRECTIONS = {
-    "right": (1.0, 0.0),
-    "left": (-1.0, 0.0),
-    "up": (0.0, -1.0),
-    "down": (0.0, 1.0),
-}
-
-
-def label_id(name: str) -> int:
-    try:
-        return MOTION_LABELS.index(name)
-    except ValueError:
-        raise ValueError(f"unknown motion label {name!r}; known: {MOTION_LABELS}") from None
-
 
 # ---------------------------------------------------------------------------
 # Procedural dataset
@@ -68,6 +51,9 @@ class DatasetParams:
         for name, least in (("channels", 1), ("height", 2), ("width", 2), ("frames", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("shapes", "labels"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if not set(self.shapes) <= {"blob", "square"}:
             raise ValueError(f"shapes holds an unknown shape kind: {self.shapes}; known: blob, square")
         if not set(self.labels) <= set(MOTION_LABELS):
@@ -94,6 +80,10 @@ class Clip:
     size: float
     params: DatasetParams
 
+    def __post_init__(self):
+        if self.label not in MOTION_LABELS:
+            raise ValueError(f"unknown motion label {self.label!r}")
+
     @property
     def video_shape(self) -> tuple[int, int, int, int]:
         p = self.params
@@ -118,11 +108,6 @@ class MotionDataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def wrapped_delta(coords, center, period: int):
-    """Signed shortest toroidal displacement from ``center`` to ``coords``."""
-    return (coords - center + period / 2.0) % period - period / 2.0
 
 
 def render_pattern(kind: str, cx, cy, size, height: int, width: int) -> np.ndarray:
@@ -176,9 +161,6 @@ def render_clips(clips: Sequence[Clip], frames: int | None = None) -> np.ndarray
         raise ValueError(f"clips must share one video shape, got {sorted(shapes)}")
     ((length, channels, height, width),) = shapes
     length = length if frames is None else frames
-    for c in clips:
-        if c.label not in MOTION_LABELS:
-            raise ValueError(f"unknown motion label {c.label!r}")
     draws = np.array(
         [(*c.start, *DIRECTIONS.get(c.label, (0.0, 0.0)), c.velocity, c.size, c.params.grow_rate) for c in clips]
     )
@@ -294,9 +276,9 @@ class ToyDenoiser:
 
     The memo also lets several threads call one model at once.  The two
     conditions it holds are exactly the live ones in the two-thread cases:
-    the two paths of a dual refinement, or the two workers of
-    ``run_ablation``'s pool, each of which runs its paths one after the
-    other.  A wider pool can evict a worker's condition between its calls.
+    the two paths of a dual refinement, or the two workers of the
+    ``pipeline._animate_items`` pool, each running its paths one by one.
+    A wider pool can evict a worker's condition between its calls.
     Each miss recomputes one condition row, which cost about 7 % of one
     ``predict_noise`` call at hidden 600 and 11 % at hidden 128 (2-vCPU
     Xeon, one BLAS thread), so the memo is not sized to the pool.  Every

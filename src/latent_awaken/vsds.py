@@ -120,9 +120,9 @@ def update_count(steps: int, p: float) -> int:
     return steps - tau_step(steps, p) + 1
 
 
-# Set on the workers of ``run_ablation``'s task pool, whose cores the pool
-# already keeps busy: there the two paths of ``dual_path_refine`` run one
-# after the other instead of starting a thread each.
+# Set on the workers of ``pipeline._animate_items``'s task pool, whose cores
+# the pool already keeps busy: there the two paths of ``dual_path_refine``
+# run one after the other instead of starting a thread each.
 _pool_thread = threading.local()
 
 
@@ -200,7 +200,7 @@ def dual_path_refine(
     on one worker thread while the real path runs on the caller's, so
     ``denoiser.predict_noise`` sees the two conditions from two threads at
     once; the worker is joined before this returns or raises.  On a thread
-    marked by ``_keep_paths_serial`` (a worker of ``run_ablation``'s task
+    marked by ``_keep_paths_serial`` (a worker of ``_animate_items``'s task
     pool, which already has the cores) the paths run one after the other.
     Either way each path's result is computed exactly as it is serially,
     and a failure is the one the serial order raises first: the real

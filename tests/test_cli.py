@@ -235,14 +235,24 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     assert artifacts["1"] == artifacts["2"]
 
 
-def test_cli_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy is the tests' reference.
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [
+        # numpy is the only runtime dependency; scipy is the tests' reference.
+        ("latent_awaken.cli", "scipy"),
+        # The method meets a model only through diffusion.Denoiser.
+        ("latent_awaken.pipeline", "latent_awaken.toydenoiser"),
+        ("latent_awaken.metrics", "latent_awaken.toydenoiser"),
+        ("latent_awaken.proxy", "latent_awaken.toydenoiser"),
+    ],
+)
+def test_import_leaves_module_unloaded(module, unwanted):
     src = str(Path(latent_awaken.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import latent_awaken.cli, sys; "
-         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+         f"import {module}, sys; "
+         f"print(sorted(m for m in sys.modules if m == {unwanted!r} or m.startswith({unwanted + '.'!r})))"],
         env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from latent_awaken.config import ConfigError, SweepKind, load_config, parse_config, parse_enum
 from latent_awaken.fusion import AngleScope
+from latent_awaken.motion import MOTION_LABELS
 from latent_awaken.pipeline import PipelineVariant, ResumeFrom
-from latent_awaken.toydenoiser import MOTION_LABELS
 from latent_awaken.vsds import CurveKind, OmegaMode
 
 

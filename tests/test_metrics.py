@@ -19,8 +19,9 @@ from latent_awaken.metrics import (
     per_frame_sizes,
     video_features,
 )
+from latent_awaken.motion import label_id, wrapped_delta
 from latent_awaken.rng import stream
-from latent_awaken.toydenoiser import DatasetParams, generate_dataset, label_id, render_pattern, wrapped_delta
+from latent_awaken.toydenoiser import DatasetParams, generate_dataset, render_pattern
 
 
 def blob_image(cx=5.0, cy=8.0, sigma=2.0, side=16):

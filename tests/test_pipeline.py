@@ -11,6 +11,7 @@ from doubles import EchoOracle, IdentityProvider, ThreadLog, ZeroDenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
 from latent_awaken.metrics import FeatureStats, feature_length, fidelity, motion_energy, video_features
+from latent_awaken.motion import label_id
 from latent_awaken.pipeline import (
     VARIANT_ORDER,
     AblationReport,
@@ -26,7 +27,6 @@ from latent_awaken.toydenoiser import (
     DatasetParams,
     ToyDenoiser,
     generate_dataset,
-    label_id,
     render_pattern,
 )
 from latent_awaken.vsds import VsdsConfig, tau_step, update_count

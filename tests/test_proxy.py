@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latent_awaken.diffusion import Condition, FrameLatent
+from latent_awaken.motion import DIRECTIONS, MOTION_LABELS, label_id
 from latent_awaken.numerics import write_ltn1
 from latent_awaken.proxy import (
     FileProvider,
@@ -21,7 +22,7 @@ from latent_awaken.proxy import (
     write_pgm,
 )
 from latent_awaken.rng import stream
-from latent_awaken.toydenoiser import DIRECTIONS, MOTION_LABELS, DatasetParams, generate_dataset, label_id
+from latent_awaken.toydenoiser import DatasetParams, generate_dataset
 
 
 def probe_image(seed=0, side=16):

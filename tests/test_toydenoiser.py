@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from latent_awaken import toydenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.metrics import displacement_estimate, per_frame_sizes
+from latent_awaken.motion import DIRECTIONS, MOTION_LABELS, label_id, wrapped_delta
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import (
-    DIRECTIONS,
     MODEL_DIMS,
-    MOTION_LABELS,
     PARAMETER_NAMES,
     Clip,
     DatasetParams,
@@ -30,11 +29,9 @@ from latent_awaken.toydenoiser import (
     evaluate_loss,
     generate_dataset,
     gradient_check,
-    label_id,
     load_checkpoint,
     render_clips,
     render_pattern,
-    wrapped_delta,
     save_checkpoint,
     schedule_digest,
     time_embedding,
@@ -203,8 +200,14 @@ def test_render_clips_refuses_clips_of_two_shapes():
     a = Clip("up", (1.0, 2.0), 1.0, "blob", 2.0, DatasetParams())
     with pytest.raises(ValueError, match="one video shape"):
         render_clips([a, replace(a, params=DatasetParams(width=12))])
-    with pytest.raises(ValueError, match="unknown motion label"):
-        render_clips([replace(a, label="sideways")])
+
+
+def test_clip_refuses_unknown_label(small_dataset):
+    # Checked once, when a clip or sample is built, not on each render.
+    with pytest.raises(ValueError, match="unknown motion label 'sideways'"):
+        Clip("sideways", (1.0, 2.0), 1.0, "blob", 2.0, DatasetParams())
+    with pytest.raises(ValueError, match="unknown motion label 'sideways'"):
+        replace(small_dataset.samples[0], label="sideways")
 
 
 def test_dataset_holds_less_than_one_clip_stack():
@@ -264,6 +267,10 @@ def test_dataset_params_validation():
         DatasetParams(labels=("sideways",))
     with pytest.raises(ValueError):
         DatasetParams(velocities=(-1.0,))
+    with pytest.raises(ValueError, match="^shapes "):
+        DatasetParams(shapes=())
+    with pytest.raises(ValueError, match="^labels "):
+        DatasetParams(labels=())
     with pytest.raises(ValueError):
         generate_dataset(0, DatasetParams(), seed=0)
 

@@ -3,7 +3,9 @@ noising and the variance-zeroed reverse pass.
 
 The latent space is pixel-shaped (there is no codec): a frame latent is a
 (C, H, W) grid in roughly [-1, 1], a video latent stacks L of them.  All
-containers are immutable and finite by construction.
+containers are immutable and finite by construction: each holds the array it
+was given if that is a read-only float64 array owning its memory, else a
+read-only copy (``numerics.read_only``).
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ from typing import Protocol
 
 import numpy as np
 
+from .numerics import read_only
+
 
 def _frozen_array(x, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=np.float64)
+    arr = read_only(x)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
-    arr.flags.writeable = False
     return arr
 
 
@@ -109,14 +112,14 @@ class NoiseSchedule:
     alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        betas = np.array(self.betas, dtype=np.float64)
+        betas = read_only(self.betas)
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("betas must be a non-empty 1-d array")
         if not np.isfinite(betas).all():
             raise ValueError("betas contain non-finite values")
         if (betas <= 0.0).any() or (betas > 0.999).any():
             raise ValueError("betas must lie in (0, 0.999]")
-        alpha_bars = np.cumprod(1.0 - betas)
+        alpha_bars = read_only(np.cumprod(1.0 - betas))
         if not (np.diff(alpha_bars) < 0.0).all():
             raise ValueError("alpha_bar must be strictly decreasing")
         if alpha_bars[-1] >= 0.01:
@@ -124,9 +127,8 @@ class NoiseSchedule:
                 f"terminal alpha_bar must be < 0.01, got {alpha_bars[-1]:.4f}; "
                 "increase T or the beta range"
             )
-        for name, arr in (("betas", betas), ("alpha_bars", alpha_bars)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "alpha_bars", alpha_bars)
 
     @classmethod
     def linear(cls, steps: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02) -> "NoiseSchedule":
@@ -168,23 +170,20 @@ def reverse_sample(
 
     Each step replaces z_t with the posterior mean of z_{t-1} given the
     predicted noise and re-injects nothing, so the trajectory is a pure
-    function of the denoiser.  ``t_start = 0`` returns the input unchanged
+    function of the denoiser.  ``t_start = 0`` returns ``z_start`` itself
     (already clean).
     """
     t_start = int(t_start)
     if not 0 <= t_start <= sched.steps:
         raise ValueError(f"t_start={t_start} outside [0, {sched.steps}]")
-    if t_start == 0:
-        return z_start
-
-    z = z_start.frames
-    shape = z_start.shape
+    z = z_start
     for t in range(t_start, 0, -1):
-        pred = denoiser.predict_noise(VideoLatent(z), cond, t)
-        if pred.shape != shape:
-            raise ValueError(f"denoiser returned shape {pred.shape}, expected {shape}")
+        pred = denoiser.predict_noise(z, cond, t)
+        if pred.shape != z.shape:
+            raise ValueError(f"denoiser returned shape {pred.shape}, expected {z.shape}")
         beta = sched.betas[t - 1]
-        z = (z - beta / np.sqrt(1.0 - sched.alpha_bars[t - 1]) * pred.frames) / np.sqrt(1.0 - beta)
-        if not np.isfinite(z).all():
+        frames = (z.frames - beta / np.sqrt(1.0 - sched.alpha_bars[t - 1]) * pred.frames) / np.sqrt(1.0 - beta)
+        if not np.isfinite(frames).all():
             raise ValueError(f"reverse sampling diverged at step t={t}")
-    return VideoLatent(z)
+        z = VideoLatent(frames)
+    return z

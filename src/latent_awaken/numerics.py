@@ -1,9 +1,10 @@
 """Small numeric kernels shared across the package.
 
-Vector angles, a PSD matrix square root, the principal-axis statistics and
-the Spearman rank correlation behind the trajectory-linearity metric, the
-LTN1 tensor file format used for checkpoints and latent videos, and the pin
-to one BLAS thread that keeps every result independent of the core count.
+The one rule for freezing an array, vector angles, a PSD matrix square
+root, the principal-axis statistics and the Spearman rank correlation behind
+the trajectory-linearity metric, the LTN1 tensor file format used for
+checkpoints and latent videos, and the pin to one BLAS thread that keeps
+every result independent of the core count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ def _as_finite_array(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def read_only(x) -> np.ndarray:
+    """``x`` itself if it is a read-only float64 array owning its memory,
+    otherwise a read-only copy, so no outside handle can write to it."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable):
+        x = np.array(x, dtype=np.float64)
+        x.flags.writeable = False
+    return x
 
 
 def angle_between(a, b) -> float:

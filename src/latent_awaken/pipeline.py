@@ -103,7 +103,7 @@ def animate(
     sched: NoiseSchedule,
     vsds_cfg: VsdsConfig = VsdsConfig(),
     fusion_cfg: FusionConfig = FusionConfig(),
-    proxy_provider: ProxyProvider | None = None,
+    proxy_provider: ProxyProvider = SyntheticProvider(),
     seed: int = 42,
     resume_from: ResumeFrom = ResumeFrom.TAU,
 ) -> RunResult:
@@ -122,8 +122,6 @@ def animate(
     frames = getattr(denoiser, "frames", None)
     if frames is None:
         raise ValueError("denoiser must expose its frame count")
-    if proxy_provider is None:
-        proxy_provider = SyntheticProvider()
 
     timing: dict[str, float] = {}
     stages: dict[str, VideoLatent | FrameLatent] = {}
@@ -350,7 +348,7 @@ def run_ablation(
     sched: NoiseSchedule,
     vsds_cfg: VsdsConfig = VsdsConfig(),
     fusion_cfg: FusionConfig = FusionConfig(),
-    proxy_provider: ProxyProvider | None = None,
+    proxy_provider: ProxyProvider = SyntheticProvider(),
     base_seed: int = 42,
     resume_from: ResumeFrom = ResumeFrom.TAU,
     reference_videos: list[VideoLatent] | None = None,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from .motion import DIRECTIONS, MOTION_LABELS, label_id, wrapped_delta
-from .numerics import one_blas_thread, read_ltn1, write_ltn1
+from .numerics import one_blas_thread, read_ltn1, read_only, write_ltn1
 from .rng import stream
 
 # ---------------------------------------------------------------------------
@@ -111,17 +111,15 @@ class MotionDataset:
 
 
 def render_pattern(kind: str, cx, cy, size, height: int, width: int) -> np.ndarray:
-    """Render a shape as intensity fields in [0, 1].
-
-    Scalar ``cx``, ``cy`` and ``size`` give one (H, W) frame.  Length-L
-    sequences give an (L, H, W) stack whose frame l equals, byte for byte,
-    the scalar call on ``cx[l]``, ``cy[l]`` and ``size[l]``.
+    """Render a shape as an (L, H, W) stack of intensity fields in [0, 1],
+    frame l centred at (``cx[l]``, ``cy[l]``) with size ``size[l]``.  Each
+    frame equals, byte for byte, the one-frame call on those values.
 
     Patterns wrap toroidally and are symmetric about their (possibly
     fractional) center, so the intensity centroid equals the center exactly.
     """
-    if not np.shape(cx) == np.shape(cy) == np.shape(size) or np.ndim(size) > 1:
-        raise ValueError("cx, cy and size must be three scalars or three sequences of one length")
+    if not np.shape(cx) == np.shape(cy) == np.shape(size) or np.ndim(size) != 1:
+        raise ValueError("cx, cy and size must be three sequences of one length")
     sizes = np.reshape(size, -1).tolist()
     dx = wrapped_delta(np.arange(width, dtype=np.float64)[None, :], np.reshape(cx, (-1, 1, 1)), width)
     dy = wrapped_delta(np.arange(height, dtype=np.float64)[:, None], np.reshape(cy, (-1, 1, 1)), height)
@@ -141,7 +139,7 @@ def render_pattern(kind: str, cx, cy, size, height: int, width: int) -> np.ndarr
         fields = np.clip(half - np.abs(dx), 0.0, 1.0) * np.clip(half - np.abs(dy), 0.0, 1.0)
     else:
         raise ValueError(f"unknown shape kind {kind!r}")
-    return fields if np.ndim(size) else fields[0]
+    return fields
 
 
 def render_clips(clips: Sequence[Clip], frames: int | None = None) -> np.ndarray:
@@ -243,15 +241,6 @@ def dims_problem(hidden: int, t_embed: int) -> tuple[str, str] | None:
     return None
 
 
-def _read_only(x) -> np.ndarray:
-    """``x`` itself if it is a read-only float64 array owning its memory,
-    otherwise a read-only copy, so no outside handle can write to it."""
-    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable):
-        x = np.array(x, dtype=np.float64)
-        x.flags.writeable = False
-    return x
-
-
 class ToyDenoiser:
     """Per-frame tanh MLP with a learned temporal mixing matrix.
 
@@ -331,7 +320,7 @@ class ToyDenoiser:
 
     def __setattr__(self, name, value):
         if name in PARAMETER_NAMES:
-            value = _read_only(value)
+            value = read_only(value)
         object.__setattr__(self, name, value)
 
     def parameters(self) -> dict[str, np.ndarray]:

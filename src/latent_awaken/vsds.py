@@ -141,24 +141,24 @@ def _omega(sched: NoiseSchedule, t: int, mode: OmegaMode) -> float:
 
 
 def _refine(
-    z0: np.ndarray,
+    z: VideoLatent,
     cond: Condition,
     denoiser: Denoiser,
     sched: NoiseSchedule,
     cfg: VsdsConfig,
     eps: np.ndarray,
-) -> np.ndarray:
+) -> VideoLatent:
     steps = sched.steps
     tau = tau_step(steps, cfg.p)
     n = steps - tau + 1
-    z = z0.copy()
     for i, t in enumerate(range(steps, tau - 1, -1)):
-        z_t = forward_noise(VideoLatent(z), t, eps, sched)
+        z_t = forward_noise(z, t, eps, sched)
         pred = denoiser.predict_noise(z_t, cond, t)
         grad = _omega(sched, t, cfg.omega_mode) * (pred.frames - eps)
-        z = z - alpha_at(cfg.curve, i, n) * grad
-        if not np.isfinite(z).all():
+        frames = z.frames - alpha_at(cfg.curve, i, n) * grad
+        if not np.isfinite(frames).all():
             raise RefinementDiverged(f"non-finite latent at refinement step t={t}")
+        z = VideoLatent(frames)
     return z
 
 
@@ -174,7 +174,7 @@ def vsds_refine(
     (default: the ``vsds/real`` stream of ``cfg.seed``)."""
     gen = rng if rng is not None else stream(cfg.seed, "vsds/real")
     eps = gen.standard_normal(z0.shape)
-    return VideoLatent(_refine(z0.frames, cond, denoiser, sched, cfg, eps))
+    return _refine(z0, cond, denoiser, sched, cfg, eps)
 
 
 def dual_path_refine(
@@ -219,13 +219,11 @@ def dual_path_refine(
         eps_real = gen_real.standard_normal(real_static.shape)
         eps_proxy = gen_proxy.standard_normal(proxy_static.shape)
 
-    real_args = (real_static.frames, cond, denoiser, sched, cfg, eps_real)
-    proxy_args = (proxy_static.frames, proxy_cond, denoiser, sched, cfg, eps_proxy)
+    real_args = (real_static, cond, denoiser, sched, cfg, eps_real)
+    proxy_args = (proxy_static, proxy_cond, denoiser, sched, cfg, eps_proxy)
     if getattr(_pool_thread, "serial", False):
-        return VideoLatent(_refine(*real_args)), VideoLatent(_refine(*proxy_args))
+        return _refine(*real_args), _refine(*proxy_args)
     # Leaving the ``with`` joins the worker, also when the real path raises.
     with ThreadPoolExecutor(max_workers=1) as pool:
         proxy_future = pool.submit(_refine, *proxy_args)
-        refined_real = _refine(*real_args)
-        refined_proxy = proxy_future.result()
-    return VideoLatent(refined_real), VideoLatent(refined_proxy)
+        return _refine(*real_args), proxy_future.result()

@@ -34,7 +34,7 @@ train.epochs = 3
 
 def quantized_blob(side=16):
     # snap the pattern onto the 8-bit lattice so PGM round trips are exact
-    grid = 2.0 * render_pattern("blob", 5.0, 9.0, 2.0, side, side)[None] - 1.0
+    grid = 2.0 * render_pattern("blob", [5.0], [9.0], [2.0], side, side) - 1.0
     ks = np.rint((grid + 1.0) / 2.0 * 255.0)
     return FrameLatent(2.0 * ks / 255.0 - 1.0)
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latent_awaken.diffusion import (
     Condition,
@@ -193,6 +196,51 @@ def test_video_latent_validates_shape():
     v = VideoLatent(np.zeros((3, 1, 4, 5)))
     assert v.frame_shape == (1, 4, 5)
     assert v.frame(2).shape == (1, 4, 5)
+
+
+def _grids(ndim):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=4), elements=st.floats(-2, 2))
+
+
+# Each container, the field holding its array, and arrays it accepts (betas
+# near 1 end any schedule nearly noise-free of signal).
+CONTAINERS = {
+    "frame": (FrameLatent, "grid", _grids(3)),
+    "video": (VideoLatent, "frames", _grids(4)),
+    "schedule": (NoiseSchedule, "betas", hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(0.995, 0.999))),
+}
+
+
+@given(
+    data=st.data(),
+    kind=st.sampled_from(sorted(CONTAINERS)),
+    source=st.sampled_from(["read-only", "writeable", "view"]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_containers_adopt_read_only_arrays_that_own_their_memory(data, kind, source, bad):
+    make, field, arrays = CONTAINERS[kind]
+    values = data.draw(arrays)
+    if source == "view":
+        owner = np.concatenate([values, values])
+        arr = owner[: len(values)]
+        arr.flags.writeable = False
+    else:
+        arr = owner = values.copy()
+        arr.flags.writeable = source == "writeable"
+    held = getattr(make(arr), field)
+    assert not held.flags.writeable
+    if source == "read-only":
+        assert held is arr
+    else:
+        assert held is not arr
+        owner[...] = bad
+        assert held.tobytes() == values.tobytes()
+    # Non-finite input is refused, also from an array that would be adopted.
+    poisoned = values.copy()
+    poisoned.flat[data.draw(st.integers(0, values.size - 1))] = bad
+    poisoned.flags.writeable = False
+    with pytest.raises(ValueError, match="non-finite"):
+        make(poisoned)
 
 
 def test_condition_rejects_negative_label():

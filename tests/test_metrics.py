@@ -25,7 +25,7 @@ from latent_awaken.toydenoiser import DatasetParams, generate_dataset, render_pa
 
 
 def blob_image(cx=5.0, cy=8.0, sigma=2.0, side=16):
-    return FrameLatent(2.0 * render_pattern("blob", cx, cy, sigma, side, side)[None] - 1.0)
+    return FrameLatent(2.0 * render_pattern("blob", [cx], [cy], [sigma], side, side) - 1.0)
 
 
 def samples_for(label, n=3, seed=4):

@@ -39,7 +39,7 @@ def small_sched():
 
 
 def blob_image(side=8):
-    return FrameLatent(2.0 * render_pattern("blob", 3.0, 4.0, 1.5, side, side)[None] - 1.0)
+    return FrameLatent(2.0 * render_pattern("blob", [3.0], [4.0], [1.5], side, side) - 1.0)
 
 
 class CallHistogram(ZeroDenoiser):

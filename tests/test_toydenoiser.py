@@ -143,7 +143,7 @@ def clips(draw):
 @example(clip=("up", (3.0, 0.1), 1.7, "square", 2.0, DatasetParams(height=7, width=5, frames=7)))
 def test_render_video_equals_per_frame_scalar_renders(clip):
     # The per-frame loop that one clip's render replaced, written out here: each frame
-    # from one scalar render_pattern call, velocities taking left/up below 0.
+    # from its own one-frame render_pattern call, velocities taking left/up below 0.
     label, (cx0, cy0), velocity, kind, size, params = clip
     expected = np.empty((params.frames, params.channels, params.height, params.width))
     for l in range(params.frames):
@@ -151,7 +151,7 @@ def test_render_video_equals_per_frame_scalar_renders(clip):
         cx = (cx0 + l * velocity * ux) % params.width if label in DIRECTIONS else cx0
         cy = (cy0 + l * velocity * uy) % params.height if label in DIRECTIONS else cy0
         size_l = size * (1.0 + params.grow_rate * l) if label == "grow" else size
-        expected[l] = 2.0 * render_pattern(kind, cx, cy, size_l, params.height, params.width) - 1.0
+        expected[l] = 2.0 * render_pattern(kind, [cx], [cy], [size_l], params.height, params.width) - 1.0
     video = Clip(label, (cx0, cy0), velocity, kind, size, params).video
     assert video.frames.tobytes() == expected.tobytes()
 
@@ -231,9 +231,11 @@ def test_render_pattern_takes_per_frame_sequences():
         stack = render_pattern(kind, cxs, cys, sizes, 12, 20)
         assert stack.shape == (3, 12, 20)
         for l in range(3):
-            assert stack[l].tobytes() == render_pattern(kind, cxs[l], cys[l], sizes[l], 12, 20).tobytes()
+            assert stack[l].tobytes() == render_pattern(kind, [cxs[l]], [cys[l]], [sizes[l]], 12, 20).tobytes()
     with pytest.raises(ValueError, match="one length"):
         render_pattern("blob", cxs, cys[:2], sizes, 12, 20)
+    with pytest.raises(ValueError, match="sequences"):
+        render_pattern("blob", cxs[0], cys[0], sizes[0], 12, 20)
 
 
 def test_blob_denominator_is_a_python_float():
@@ -241,7 +243,7 @@ def test_blob_denominator_is_a_python_float():
     dx = wrapped_delta(np.arange(16, dtype=np.float64)[None, :], 5.25, 16)
     dy = wrapped_delta(np.arange(16, dtype=np.float64)[:, None], 9.5, 16)
     expected = np.exp(-(dx**2 + dy**2) / (2.0 * POW_ULP_SIZE**2))
-    assert render_pattern("blob", 5.25, 9.5, POW_ULP_SIZE, 16, 16).tobytes() == expected.tobytes()
+    assert render_pattern("blob", [5.25], [9.5], [POW_ULP_SIZE], 16, 16).tobytes() == expected.tobytes()
     stack = render_pattern("blob", [5.25, 5.25], [9.5, 9.5], [POW_ULP_SIZE, POW_ULP_SIZE], 16, 16)
     assert stack.tobytes() == np.stack([expected, expected]).tobytes()
 
@@ -505,6 +507,18 @@ def test_parameters_are_read_only(small_dataset, sched):
     model.b1 = b1
     b1[...] = 2.0
     assert np.all(model.b1 == 1.0)
+    # So does a read-only view, whose owner can still be written.
+    owner = np.ones(2 * model.hidden)
+    view = owner[: model.hidden]
+    view.flags.writeable = False
+    model.b1 = view
+    owner[...] = 2.0
+    assert np.all(model.b1 == 1.0) and not model.b1.flags.writeable
+    # A read-only float64 array that owns its memory is adopted as it is.
+    b1 = np.full(model.hidden, 3.0)
+    b1.flags.writeable = False
+    model.b1 = b1
+    assert model.b1 is b1
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,9 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 6 --out BENCH_22.json
 
 For each workload of ``BENCHMARK.json`` it runs ``--pairs`` pairs of
-``perfbench/run.py --trace 0``, one run of the parent and one of the change
-per pair, with the same seed within a pair and the side that runs first
+``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds``, one run
+of ``--parent`` and one of ``HEAD`` (the change) per pair, with seed
+``SEED + pair`` for both runs of a pair and the side that runs first
 alternating from pair to pair.  Each side runs from the committed files of
 its revision, exported with ``git archive`` into a temporary directory, so
 neither the working tree nor the repository's ``.git`` is touched.  The file
@@ -36,6 +37,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEED = 2000
 
 
 def git(*args: str) -> bytes:
@@ -103,25 +105,22 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="revision of the parent commit")
-    parser.add_argument("--change", default="HEAD", help="revision of the change (default HEAD)")
     parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    parser.add_argument("--seed", type=int, default=2000, help="seed of the first pair; pair k uses seed + k")
     parser.add_argument("--workload", action="append", choices=names, help="default: every workload")
-    parser.add_argument("--note", default="", help="what the change does, appended to the description")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs and --seconds must be positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
 
-    revs = {side: git("rev-parse", "--short", rev).decode().strip() for side, rev in zip(SIDES, (args.parent, args.change))}
+    seconds = bench["run_seconds"]
+    revs = {side: git("rev-parse", "--short", rev).decode().strip() for side, rev in zip(SIDES, (args.parent, "HEAD"))}
     workloads = args.workload or names
     report = {
-        "what": ("perfbench end-to-end runs of the parent commit and of the change, alternating which side runs "
-        "first, same seed within a pair; quartiles by linear interpolation (numpy.percentile). " + args.note).strip(),
+        "what": "perfbench end-to-end runs of the parent commit and of the change, alternating which side runs "
+        "first, same seed within a pair; quartiles by linear interpolation (numpy.percentile).",
         **revs,
-        "command": f"{' '.join(bench['command'])} --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0; "
-        f"seeds {args.seed}-{args.seed + args.pairs - 1} for each workload",
+        "command": f"{' '.join(bench['command'])} --workload <w> --seed <s> --seconds {seconds:g} --trace 0; "
+        f"seeds {SEED}-{SEED + args.pairs - 1} for each workload",
         "host": f"{platform.platform()}, {os.cpu_count()} CPUs",
         "env": None,
         "summary": {},
@@ -134,10 +133,10 @@ def main(argv=None) -> int:
             export(revs[side], trees[side])
         for workload in workloads:
             for pair in range(args.pairs):
-                seed = args.seed + pair
+                seed = SEED + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    record, env = run_once(trees[side], bench["command"], workload, seed, args.seconds)
+                    record, env = run_once(trees[side], bench["command"], workload, seed, seconds)
                     report["env"] = report["env"] or env
                     report["runs"].append(
                         {"workload": workload, "pair": pair, "seed": seed, "side": side,

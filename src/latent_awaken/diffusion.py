@@ -3,9 +3,10 @@ noising and the variance-zeroed reverse pass.
 
 The latent space is pixel-shaped (there is no codec): a frame latent is a
 (C, H, W) grid in roughly [-1, 1], a video latent stacks L of them.  All
-containers are immutable and finite by construction: each holds the array it
-was given if that is a read-only float64 array owning its memory, else a
-read-only copy (``numerics.read_only``).
+containers are read-only and checked finite when built: each holds the array
+it was given if that is a read-only float64 array owning its memory (whose
+owner must then not turn writing back on), else a read-only copy
+(``numerics.read_only``).
 """
 
 from __future__ import annotations

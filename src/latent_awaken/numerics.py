@@ -37,7 +37,8 @@ def _as_finite_array(x, name: str) -> np.ndarray:
 
 def read_only(x) -> np.ndarray:
     """``x`` itself if it is a read-only float64 array owning its memory,
-    otherwise a read-only copy, so no outside handle can write to it."""
+    otherwise a read-only copy.  An adopted array is handed over: its owner
+    could turn writing back on and reach the holder, so it must not."""
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable):
         x = np.array(x, dtype=np.float64)
         x.flags.writeable = False

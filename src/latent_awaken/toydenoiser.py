@@ -257,8 +257,9 @@ class ToyDenoiser:
 
     Parameters are read-only arrays; an update replaces an array instead of
     writing into it, and assigning one stores a read-only copy unless the
-    array is already read-only and owns its memory.  This is what makes it
-    safe for ``predict_noise`` to memoise its context projection: the
+    array is already read-only and owns its memory, in which case it is
+    handed over and its owner must not turn writing back on.  This is what
+    makes it safe for ``predict_noise`` to memoise its context projection: the
     condition part (cond image, label and b1) is kept for the last two
     ``Condition`` objects seen, the time part for every ``t`` seen, and both
     are dropped as soon as ``w1`` or ``b1`` is a different object.

@@ -243,6 +243,24 @@ def test_containers_adopt_read_only_arrays_that_own_their_memory(data, kind, sou
         make(poisoned)
 
 
+def test_adopted_array_is_handed_over():
+    # An adopted array stays reachable through its owner, which NumPy lets turn
+    # writing back on: its writes reach the container, past the finiteness check.
+    # This is why a caller must not write to an array it handed over.
+    a = np.zeros((1, 1, 2, 2))
+    a.flags.writeable = False
+    v = VideoLatent(a)
+    a.flags.writeable = True
+    a[...] = np.nan
+    assert np.isnan(v.frames).all()
+    # A copied array is out of reach: the same write does not reach a latent
+    # built from a writeable array.
+    b = np.zeros((1, 1, 2, 2))
+    w = VideoLatent(b)
+    b[...] = np.nan
+    assert np.isfinite(w.frames).all()
+
+
 def test_condition_rejects_negative_label():
     image = FrameLatent(np.zeros((1, 4, 4)))
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ enum names are matched ignoring case and written back as the enum's value.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -34,6 +35,13 @@ def _parse_bool(text: str) -> bool:
     if t in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _parse_words(text: str) -> tuple[str, ...]:
@@ -89,34 +97,34 @@ _SCHEMA: dict[str, tuple] = {
     "dataset.frames": (16, int),
     "dataset.shapes": (("blob", "square"), _parse_words),
     "dataset.labels": (("static", "right", "left", "up", "down", "grow"), _parse_words),
-    "dataset.velocities": ((1.0,), _list_of(float)),
-    "dataset.blob_sigma": ((1.6, 2.6), _list_of(float)),
+    "dataset.velocities": ((1.0,), _list_of(_parse_float)),
+    "dataset.blob_sigma": ((1.6, 2.6), _list_of(_parse_float)),
     "dataset.square_half": ((1, 2), _list_of(int)),
-    "dataset.grow_rate": (0.06, float),
+    "dataset.grow_rate": (0.06, _parse_float),
     "schedule.steps": (1000, int),
-    "schedule.beta_start": (1e-4, float),
-    "schedule.beta_end": (0.02, float),
+    "schedule.beta_start": (1e-4, _parse_float),
+    "schedule.beta_end": (0.02, _parse_float),
     "denoiser.hidden": (128, int),
     "denoiser.t_embed": (16, int),
     "train.epochs": (10, int),
-    "train.lr": (0.5, float),
+    "train.lr": (0.5, _parse_float),
     "train.batch": (8, int),
-    "vsds.p": (0.6, float),
+    "vsds.p": (0.6, _parse_float),
     "vsds.curve": (CurveKind.STEPWISE_DECREASING, _enum(CurveKind)),
-    "vsds.w_hi": (2.0, float),
-    "vsds.w_lo": (1.0, float),
+    "vsds.w_hi": (2.0, _parse_float),
+    "vsds.w_lo": (1.0, _parse_float),
     "vsds.omega": (OmegaMode.ONE_MINUS_ALPHA_BAR, _enum(OmegaMode)),
     "vsds.shared_noise": (False, _parse_bool),
     "fusion.angle_scope": (AngleScope.GLOBAL, _enum(AngleScope)),
-    "fusion.epsilon_theta": (1e-6, float),
-    "proxy.strength": (0.5, float),
+    "fusion.epsilon_theta": (1e-6, _parse_float),
+    "proxy.strength": (0.5, _parse_float),
     # Parsed to the rows run_ablation runs, so those rows have one hash.
     "pipeline.variants": (
         tuple(PipelineVariant), lambda text: ordered_variants(_list_of(_enum(PipelineVariant))(text))
     ),
     "pipeline.resume_from": (ResumeFrom.TAU, _enum(ResumeFrom)),
     "ablate.sweep": (SweepKind.VARIANTS, _enum(SweepKind)),
-    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _grid_of(float)),
+    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _grid_of(_parse_float)),
     "ablate.curve_grid": (
         (CurveKind.LINEAR_DECREASING, CurveKind.STEPWISE_DECREASING,
          CurveKind.STEPWISE_INCREASING, CurveKind.LINEAR_INCREASING),
@@ -168,7 +176,6 @@ class ExperimentConfig:
             p=v["vsds.p"],
             curve=curve,
             omega_mode=v["vsds.omega"],
-            seed=v["seed"],
             shared_noise=v["vsds.shared_noise"],
         )
 
@@ -227,7 +234,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("train.epochs", "train.batch"):
         if v[key] < 1:
             raise ConfigError(f"config key {key!r}: must be >= 1, got {v[key]}")
-    if v["train.lr"] <= 0:
+    if not v["train.lr"] > 0:
         raise ConfigError(f"config key 'train.lr': must be positive, got {v['train.lr']}")
     checks = [
         ("dataset.*", cfg.dataset_params),

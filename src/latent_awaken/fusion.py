@@ -34,7 +34,7 @@ class FusionConfig:
     epsilon_theta: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon_theta <= 0.0:
+        if not self.epsilon_theta > 0.0:
             raise ValueError("epsilon_theta must be positive")
 
 

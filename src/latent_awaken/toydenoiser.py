@@ -58,13 +58,13 @@ class DatasetParams:
             raise ValueError(f"shapes holds an unknown shape kind: {self.shapes}; known: blob, square")
         if not set(self.labels) <= set(MOTION_LABELS):
             raise ValueError(f"labels holds an unknown motion label: {self.labels}; known: {MOTION_LABELS}")
-        if not self.velocities or any(v <= 0 for v in self.velocities):
+        if not self.velocities or any(not v > 0 for v in self.velocities):
             raise ValueError("velocities must be positive")
         if len(self.blob_sigma) != 2 or not 0 < self.blob_sigma[0] <= self.blob_sigma[1]:
             raise ValueError(f"blob_sigma must be a pair lo, hi with 0 < lo <= hi, got {self.blob_sigma}")
         if not self.square_half or any(h < 0 for h in self.square_half):
             raise ValueError(f"square_half must be non-negative, got {self.square_half}")
-        if self.grow_rate <= 0:
+        if not self.grow_rate > 0:
             raise ValueError("grow_rate must be positive")
 
 
@@ -331,10 +331,6 @@ class ToyDenoiser:
         a new array to the attribute of the same name.
         """
         return {name: getattr(self, name) for name in PARAMETER_NAMES}
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
 
     @property
     def video_shape(self) -> tuple[int, int, int, int]:
@@ -623,64 +619,6 @@ def train(
             epoch_loss[epoch] += loss * size
     curve = epoch_loss / n * per_sample_scale
     return model, TrainResult(curve, float(curve[-1]))
-
-
-def evaluate_loss(
-    model: ToyDenoiser,
-    dataset: MotionDataset,
-    sched: NoiseSchedule,
-    seed: int = 0,
-    rounds: int = 4,
-) -> float:
-    """Mean per-sample noise-prediction loss over fresh (t, eps) draws."""
-    _check_samples(model, dataset)
-    rng = stream(seed, "eval")
-    inputs = _stack_samples(model, dataset.samples)
-    total = 0.0
-    for _ in range(rounds):
-        z_t, ctx, eps = _assemble_batch(model, *inputs, rng, sched)
-        total += _batch_loss(model, z_t, ctx, eps)[0]
-    return total / rounds * model.frames * model.frame_dim
-
-
-def gradient_check(
-    model: ToyDenoiser,
-    dataset: MotionDataset,
-    sched: NoiseSchedule,
-    n_coords: int = 20,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Compare analytic gradients against central differences.
-
-    Probes ``n_coords`` randomly chosen parameter coordinates on a single
-    fixed batch and returns the worst relative error.
-    """
-    _check_samples(model, dataset)
-    rng = stream(seed, "gradcheck")
-    idx = rng.permutation(len(dataset))[: min(4, len(dataset))]
-    batch = _stack_samples(model, [dataset.samples[i] for i in idx])
-    z_t, ctx, eps = _assemble_batch(model, *batch, rng, sched)
-    _, grads = _batch_loss_and_grads(model, z_t, ctx, eps)
-
-    names = sorted(PARAMETER_NAMES)
-    worst = 0.0
-    for _ in range(n_coords):
-        name = names[rng.integers(len(names))]
-        p = getattr(model, name)
-        flat_i = int(rng.integers(p.size))
-        losses = []
-        for delta in (step, -step):
-            probe = p.copy()
-            probe.flat[flat_i] += delta
-            setattr(model, name, probe)
-            losses.append(_batch_loss(model, z_t, ctx, eps)[0])
-        setattr(model, name, p)
-        numeric = (losses[0] - losses[1]) / (2.0 * step)
-        analytic = grads[name].flat[flat_i]
-        denom = max(abs(numeric) + abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from .diffusion import Condition, Denoiser, FrameLatent, NoiseSchedule, VideoLatent, forward_noise
-from .rng import stream
 
 
 class CurveKind(Enum):
@@ -92,6 +91,11 @@ class VsdsConfig:
     ``one_minus_alpha_bar`` (1 - alpha_bar_t), given as an ``OmegaMode`` or
     its value; ``shared_noise`` makes both paths of a dual refinement reuse
     one noise draw instead of drawing independently.
+
+    ``seed`` is read by nothing: every refinement draws from the generator
+    its caller passes.  The field stays only because the benchmark's
+    workloads still construct ``VsdsConfig(..., seed=0)``; it goes when
+    they stop.
     """
 
     p: float = 0.6
@@ -167,14 +171,11 @@ def vsds_refine(
     cond: Condition,
     denoiser: Denoiser,
     sched: NoiseSchedule,
-    cfg: VsdsConfig = VsdsConfig(),
-    rng: np.random.Generator | None = None,
+    cfg: VsdsConfig,
+    rng: np.random.Generator,
 ) -> VideoLatent:
-    """Refine one clean latent; draws exactly one noise tensor from ``rng``
-    (default: the ``vsds/real`` stream of ``cfg.seed``)."""
-    gen = rng if rng is not None else stream(cfg.seed, "vsds/real")
-    eps = gen.standard_normal(z0.shape)
-    return _refine(z0, cond, denoiser, sched, cfg, eps)
+    """Refine one clean latent; draws exactly one noise tensor from ``rng``."""
+    return _refine(z0, cond, denoiser, sched, cfg, rng.standard_normal(z0.shape))
 
 
 def dual_path_refine(
@@ -183,18 +184,17 @@ def dual_path_refine(
     cond: Condition,
     denoiser: Denoiser,
     sched: NoiseSchedule,
-    cfg: VsdsConfig = VsdsConfig(),
-    rng_real: np.random.Generator | None = None,
-    rng_proxy: np.random.Generator | None = None,
+    cfg: VsdsConfig,
+    rng_real: np.random.Generator,
+    rng_proxy: np.random.Generator,
 ) -> tuple[VideoLatent, VideoLatent]:
     """Refine the real and proxy latents independently.
 
     The real path uses ``cond`` as given; the proxy path swaps in the proxy's
     own first frame as conditioning image (same motion label), so each path
     is anchored to its own source.  With ``cfg.shared_noise`` both paths see
-    the same single noise draw; otherwise the real path draws first, then the
-    proxy path, each exactly once.  A missing generator falls back to the
-    ``vsds/shared``, ``vsds/real`` or ``vsds/proxy`` stream of ``cfg.seed``.
+    the one draw from ``rng_real``, and ``rng_proxy`` is not read; otherwise
+    the real path draws first, then the proxy path, each exactly once.
 
     The noise draws stay on the caller's thread.  The proxy path then runs
     on one worker thread while the real path runs on the caller's, so
@@ -210,14 +210,8 @@ def dual_path_refine(
         raise ValueError(f"path shape mismatch: {real_static.shape} vs {proxy_static.shape}")
     proxy_cond = Condition(FrameLatent(proxy_static.frames[0]), cond.motion_label)
 
-    if cfg.shared_noise:
-        gen = rng_real if rng_real is not None else stream(cfg.seed, "vsds/shared")
-        eps_real = eps_proxy = gen.standard_normal(real_static.shape)
-    else:
-        gen_real = rng_real if rng_real is not None else stream(cfg.seed, "vsds/real")
-        gen_proxy = rng_proxy if rng_proxy is not None else stream(cfg.seed, "vsds/proxy")
-        eps_real = gen_real.standard_normal(real_static.shape)
-        eps_proxy = gen_proxy.standard_normal(proxy_static.shape)
+    eps_real = rng_real.standard_normal(real_static.shape)
+    eps_proxy = eps_real if cfg.shared_noise else rng_proxy.standard_normal(proxy_static.shape)
 
     real_args = (real_static, cond, denoiser, sched, cfg, eps_real)
     proxy_args = (proxy_static, proxy_cond, denoiser, sched, cfg, eps_proxy)

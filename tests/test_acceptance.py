@@ -22,8 +22,9 @@ from latent_awaken.fusion import AngleScope, FusionConfig, slerp_fuse, uniform_f
 from latent_awaken.metrics import FeatureStats, frechet_distance, linearity_score, motion_energy
 from latent_awaken.pipeline import PipelineVariant
 from latent_awaken.rng import stream
-from latent_awaken.toydenoiser import ToyDenoiser, evaluate_loss, generate_dataset, gradient_check
+from latent_awaken.toydenoiser import ToyDenoiser, generate_dataset
 from latent_awaken.vsds import VsdsConfig, dual_path_refine, update_count, vsds_refine
+from training_checks import evaluate_loss, gradient_check
 
 PER_FRAME = FusionConfig(angle_scope=AngleScope.PER_FRAME)
 

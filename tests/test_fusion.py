@@ -165,4 +165,5 @@ def test_fusion_config_validation():
         FusionConfig(epsilon_theta=0.0)
     with pytest.raises(ValueError):
         FusionConfig(epsilon_theta=-1e-9)
-
+    with pytest.raises(ValueError):
+        FusionConfig(epsilon_theta=float("nan"))

@@ -203,27 +203,18 @@ def test_single_noise_draw_per_path():
 
     shared_cfg = VsdsConfig(p=0.5, shared_noise=True)
     gen_s = CountingGen(stream(11, "vsds/shared").bit_generator)
-    dual_path_refine(z0, z0, cond, model, sched, shared_cfg, rng_real=gen_s)
+    gen_unread = CountingGen(stream(11, "vsds/proxy").bit_generator)
+    dual_path_refine(z0, z0, cond, model, sched, shared_cfg, rng_real=gen_s, rng_proxy=gen_unread)
     assert gen_s.draws == 1
+    assert gen_unread.draws == 0
 
 
 def test_refine_leaves_input_untouched():
     sched = small_sched()
     z0 = small_latent()
     before = z0.frames.copy()
-    vsds_refine(z0, cond_for(z0), ZeroDenoiser(frames=SHAPE[0]), sched, VsdsConfig(p=0.5))
+    vsds_refine(z0, cond_for(z0), ZeroDenoiser(frames=SHAPE[0]), sched, VsdsConfig(p=0.5), stream(0, "vsds/real"))
     assert np.array_equal(z0.frames, before)
-
-
-def test_default_rng_is_the_config_seed_stream():
-    # Omitting rng must reproduce the labeled stream keyed by cfg.seed.
-    sched = small_sched()
-    cfg = VsdsConfig(p=0.5, seed=123)
-    z0 = small_latent()
-    model = ZeroDenoiser(frames=SHAPE[0])
-    out_default = vsds_refine(z0, cond_for(z0), model, sched, cfg)
-    out_explicit = vsds_refine(z0, cond_for(z0), model, sched, cfg, rng=stream(123, "vsds/real"))
-    assert np.array_equal(out_default.frames, out_explicit.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +256,10 @@ def test_dual_path_draws_are_independent_unless_shared():
     assert not np.array_equal(r.frames, p.frames)
 
     shared_cfg = VsdsConfig(p=0.5, shared_noise=True)
-    r, p = dual_path_refine(z0, z0, cond, model, sched, shared_cfg, rng_real=stream(3, "vsds/shared"))
+    r, p = dual_path_refine(
+        z0, z0, cond, model, sched, shared_cfg,
+        rng_real=stream(3, "vsds/shared"), rng_proxy=stream(3, "vsds/proxy"),
+    )
     assert np.array_equal(r.frames, p.frames)
 
 
@@ -294,7 +288,10 @@ def test_dual_path_shape_mismatch():
     other = VideoLatent(np.zeros((3, 1, 8, 8)))
     z0 = small_latent()
     with pytest.raises(ValueError, match="shape mismatch"):
-        dual_path_refine(z0, other, cond_for(z0), ZeroDenoiser(frames=3), sched, VsdsConfig(p=0.5))
+        dual_path_refine(
+            z0, other, cond_for(z0), ZeroDenoiser(frames=3), sched, VsdsConfig(p=0.5),
+            rng_real=stream(0, "vsds/real"), rng_proxy=stream(0, "vsds/proxy"),
+        )
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -310,7 +307,7 @@ def test_refinement_diverged_on_overflow():
             return VideoLatent(np.full_like(z_t.frames, 1e308))
 
     with pytest.raises(RefinementDiverged, match="non-finite"):
-        vsds_refine(z0, cond_for(z0), HugeDenoiser(frames=SHAPE[0]), sched, VsdsConfig(p=0.5))
+        vsds_refine(z0, cond_for(z0), HugeDenoiser(frames=SHAPE[0]), sched, VsdsConfig(p=0.5), stream(0, "vsds/real"))
 
 
 class DivergesOnPath(ZeroDenoiser):
@@ -373,7 +370,9 @@ def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():
 
     def threads_used():
         model = ThreadLog(SHAPE[0])
-        dual_path_refine(zr, zs, cond_for(zr), model, sched, cfg)
+        dual_path_refine(
+            zr, zs, cond_for(zr), model, sched, cfg, rng_real=stream(0, "vsds/real"), rng_proxy=stream(0, "vsds/proxy")
+        )
         return len(model.threads)
 
     assert threads_used() == 2

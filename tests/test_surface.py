@@ -12,7 +12,7 @@ def _definitions(tree):
     """Every function, class and method node, dunder methods aside (Python
     calls those itself)."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 yield node
 

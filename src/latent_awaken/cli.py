@@ -150,7 +150,7 @@ def cmd_animate(args) -> int:
     run = animate(
         image, cond, variant, model, cfg.schedule(),
         vsds_cfg=cfg.vsds_config(), fusion_cfg=cfg.fusion_config(),
-        proxy_provider=provider, seed=cfg["seed"], resume_from=cfg["pipeline.resume_from"],
+        proxy_provider=provider, seed=cfg["seed"],
     )
 
     out_dir = Path(args.out)
@@ -198,7 +198,6 @@ def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int
     return _run_rows(
         benchmark, runs, model, cfg.schedule(), reference, cfg["seed"], threads,
         fusion_cfg=cfg.fusion_config(), proxy_provider=SyntheticProvider(cfg.proxy_params()),
-        resume_from=cfg["pipeline.resume_from"],
     )
 
 

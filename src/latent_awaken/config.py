@@ -18,23 +18,14 @@ from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import AngleScope, FusionConfig
-from .pipeline import PipelineVariant, ResumeFrom, ordered_variants
+from .pipeline import PipelineVariant, ordered_variants
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams, dims_problem
-from .vsds import CurveKind, OmegaMode, VsdsConfig, WeightCurve
+from .vsds import CurveKind, VsdsConfig, WeightCurve
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending key."""
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float(text: str) -> float:
@@ -71,7 +62,7 @@ class SweepKind(Enum):
 
 # What each enum's values are called in error messages.
 _ENUM_KINDS = {CurveKind: "weight curve", AngleScope: "angle scope", PipelineVariant: "pipeline variant",
-               OmegaMode: "omega mode", ResumeFrom: "resume step", SweepKind: "sweep kind"}
+               SweepKind: "sweep kind"}
 
 
 def parse_enum(kind: type[Enum], text: str) -> Enum:
@@ -113,8 +104,6 @@ _SCHEMA: dict[str, tuple] = {
     "vsds.curve": (CurveKind.STEPWISE_DECREASING, _enum(CurveKind)),
     "vsds.w_hi": (2.0, _parse_float),
     "vsds.w_lo": (1.0, _parse_float),
-    "vsds.omega": (OmegaMode.ONE_MINUS_ALPHA_BAR, _enum(OmegaMode)),
-    "vsds.shared_noise": (False, _parse_bool),
     "fusion.angle_scope": (AngleScope.GLOBAL, _enum(AngleScope)),
     "fusion.epsilon_theta": (1e-6, _parse_float),
     "proxy.strength": (0.5, _parse_float),
@@ -122,7 +111,6 @@ _SCHEMA: dict[str, tuple] = {
     "pipeline.variants": (
         tuple(PipelineVariant), lambda text: ordered_variants(_list_of(_enum(PipelineVariant))(text))
     ),
-    "pipeline.resume_from": (ResumeFrom.TAU, _enum(ResumeFrom)),
     "ablate.sweep": (SweepKind.VARIANTS, _enum(SweepKind)),
     "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _grid_of(_parse_float)),
     "ablate.curve_grid": (
@@ -134,8 +122,6 @@ _SCHEMA: dict[str, tuple] = {
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
@@ -172,12 +158,7 @@ class ExperimentConfig:
     def vsds_config(self) -> VsdsConfig:
         v = self.values
         curve = WeightCurve(v["vsds.curve"], w_hi=v["vsds.w_hi"], w_lo=v["vsds.w_lo"])
-        return VsdsConfig(
-            p=v["vsds.p"],
-            curve=curve,
-            omega_mode=v["vsds.omega"],
-            shared_noise=v["vsds.shared_noise"],
-        )
+        return VsdsConfig(p=v["vsds.p"], curve=curve)
 
     def fusion_config(self) -> FusionConfig:
         v = self.values

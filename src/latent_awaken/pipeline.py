@@ -58,14 +58,6 @@ class PipelineVariant(Enum):
 VARIANT_ORDER = tuple(PipelineVariant)
 
 
-class ResumeFrom(Enum):
-    """Where the reverse pass starts after a refinement or a fusion: at the
-    stopping level tau or at the top T (Baseline always starts at T)."""
-
-    TAU = "tau"
-    T = "T"
-
-
 def ordered_variants(variants) -> tuple[PipelineVariant, ...]:
     """``variants`` in VARIANT_ORDER, each once, however they were listed."""
     return tuple(v for v in VARIANT_ORDER if v in set(variants))
@@ -105,7 +97,6 @@ def animate(
     fusion_cfg: FusionConfig = FusionConfig(),
     proxy_provider: ProxyProvider = SyntheticProvider(),
     seed: int = 42,
-    resume_from: ResumeFrom = ResumeFrom.TAU,
 ) -> RunResult:
     """Run one variant end to end; fully deterministic in (inputs, seed).
 
@@ -115,10 +106,11 @@ def animate(
     variance-zeroed — it tracks the posterior mean, so the output
     reflects the prepared latent rather than fresh sampling noise (the toy
     denoiser is too small to scrub late-step noise the way a large model
-    would).  Intermediate latents are kept in ``RunResult.stages``.
-    ``resume_from`` is a ``ResumeFrom`` or its value.
+    would).  The reverse pass starts at the stopping level tau of
+    ``vsds_cfg`` after a refinement or a fusion, and at the top T for
+    Baseline, which has neither.  Intermediate latents are kept in
+    ``RunResult.stages``.
     """
-    resume_from = ResumeFrom(resume_from)
     frames = getattr(denoiser, "frames", None)
     if frames is None:
         raise ValueError("denoiser must expose its frame count")
@@ -159,7 +151,7 @@ def animate(
                 denoiser,
                 sched,
                 vsds_cfg,
-                rng_real=stream(seed, "vsds/shared" if vsds_cfg.shared_noise else "vsds/real"),
+                rng_real=stream(seed, "vsds/real"),
                 rng_proxy=stream(seed, "vsds/proxy"),
             ),
         )
@@ -174,7 +166,7 @@ def animate(
         pre_latent = real
     stages["pre_latent"] = pre_latent
 
-    if (refinement, fusion) == (None, None) or resume_from is ResumeFrom.T:
+    if (refinement, fusion) == (None, None):
         t_start = sched.steps
     else:
         t_start = tau_step(sched.steps, vsds_cfg.p)
@@ -317,7 +309,6 @@ def _run_rows(
     frames = denoiser.frames
     if frames < metrics.LINEARITY_MIN_FRAMES:
         raise ValueError(f"scoring needs at least {metrics.LINEARITY_MIN_FRAMES} frames; the model makes {frames}")
-    ResumeFrom(settings["resume_from"])  # an unknown value fails here, not in every task
 
     reference_stats = None
     if reference_videos is not None and len(reference_videos) >= 2:
@@ -350,7 +341,6 @@ def run_ablation(
     fusion_cfg: FusionConfig = FusionConfig(),
     proxy_provider: ProxyProvider = SyntheticProvider(),
     base_seed: int = 42,
-    resume_from: ResumeFrom = ResumeFrom.TAU,
     reference_videos: list[VideoLatent] | None = None,
     threads: int = 1,
 ) -> AblationReport:
@@ -364,5 +354,5 @@ def run_ablation(
     return _run_rows(
         benchmark, {v.value: (v, vsds_cfg) for v in ordered_variants(variants)}, denoiser, sched,
         reference_videos, base_seed, threads,
-        fusion_cfg=fusion_cfg, proxy_provider=proxy_provider, resume_from=resume_from,
+        fusion_cfg=fusion_cfg, proxy_provider=proxy_provider,
     )

@@ -672,6 +672,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     for key in MODEL_DIMS + ("dataset", "schedule_digest"):
         if manifest.get(key) is None:
             raise ValueError(f"checkpoint manifest {manifest_path} has no value for {key!r}")
+    for key in MODEL_DIMS:
+        if type(manifest[key]) is not int:  # not isinstance: a JSON true would pass as 1
+            raise ValueError(f"checkpoint manifest {manifest_path} gives {key!r} as {manifest[key]!r}, not an integer")
     model = ToyDenoiser(**{dim: manifest[dim] for dim in MODEL_DIMS})
     for name, p in model.parameters().items():
         arr = read_ltn1(ckpt_dir / f"{name}.ltn1")

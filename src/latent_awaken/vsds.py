@@ -75,22 +75,14 @@ def alpha_at(curve: WeightCurve, i: int, n: int) -> float:
     return lo + (hi - lo) * frac  # LINEAR_INCREASING
 
 
-class OmegaMode(Enum):
-    """Noise-level weighting omega(t) of the refinement gradient."""
-
-    ONE = "one"
-    ONE_MINUS_ALPHA_BAR = "one_minus_alpha_bar"
-
-
 @dataclass(frozen=True)
 class VsdsConfig:
     """Refinement hyper-parameters.
 
-    ``p`` sets the stopping level tau = round(T * p); ``omega_mode`` chooses
-    the noise-level weighting of the gradient, ``one`` (constant 1) or
-    ``one_minus_alpha_bar`` (1 - alpha_bar_t), given as an ``OmegaMode`` or
-    its value; ``shared_noise`` makes both paths of a dual refinement reuse
-    one noise draw instead of drawing independently.
+    ``p`` sets the stopping level tau = round(T * p), and ``curve`` the
+    update weight of each iteration.  The residual at level t is always
+    weighted by omega(t) = 1 - alpha_bar_t, and each path always draws its
+    own noise.
 
     ``seed`` is read by nothing: every refinement draws from the generator
     its caller passes.  The field stays only because the benchmark's
@@ -100,14 +92,11 @@ class VsdsConfig:
 
     p: float = 0.6
     curve: WeightCurve = WeightCurve()
-    omega_mode: OmegaMode = OmegaMode.ONE_MINUS_ALPHA_BAR
     seed: int = 42
-    shared_noise: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        object.__setattr__(self, "omega_mode", OmegaMode(self.omega_mode))
 
 
 def tau_step(steps: int, p: float) -> int:
@@ -140,10 +129,6 @@ class RefinementDiverged(RuntimeError):
     """Raised when a refinement update stops being finite."""
 
 
-def _omega(sched: NoiseSchedule, t: int, mode: OmegaMode) -> float:
-    return 1.0 if mode is OmegaMode.ONE else 1.0 - sched.alpha_bars[t - 1]
-
-
 def _refine(
     z: VideoLatent,
     cond: Condition,
@@ -158,7 +143,7 @@ def _refine(
     for i, t in enumerate(range(steps, tau - 1, -1)):
         z_t = forward_noise(z, t, eps, sched)
         pred = denoiser.predict_noise(z_t, cond, t)
-        grad = _omega(sched, t, cfg.omega_mode) * (pred.frames - eps)
+        grad = (1.0 - sched.alpha_bars[t - 1]) * (pred.frames - eps)
         frames = z.frames - alpha_at(cfg.curve, i, n) * grad
         if not np.isfinite(frames).all():
             raise RefinementDiverged(f"non-finite latent at refinement step t={t}")
@@ -192,9 +177,9 @@ def dual_path_refine(
 
     The real path uses ``cond`` as given; the proxy path swaps in the proxy's
     own first frame as conditioning image (same motion label), so each path
-    is anchored to its own source.  With ``cfg.shared_noise`` both paths see
-    the one draw from ``rng_real``, and ``rng_proxy`` is not read; otherwise
-    the real path draws first, then the proxy path, each exactly once.
+    is anchored to its own source.  The real path draws its noise from
+    ``rng_real`` first, then the proxy path from ``rng_proxy``, each exactly
+    once.
 
     The noise draws stay on the caller's thread.  The proxy path then runs
     on one worker thread while the real path runs on the caller's, so
@@ -211,7 +196,7 @@ def dual_path_refine(
     proxy_cond = Condition(FrameLatent(proxy_static.frames[0]), cond.motion_label)
 
     eps_real = rng_real.standard_normal(real_static.shape)
-    eps_proxy = eps_real if cfg.shared_noise else rng_proxy.standard_normal(proxy_static.shape)
+    eps_proxy = rng_proxy.standard_normal(proxy_static.shape)
 
     real_args = (real_static, cond, denoiser, sched, cfg, eps_real)
     proxy_args = (proxy_static, proxy_cond, denoiser, sched, cfg, eps_proxy)

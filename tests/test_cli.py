@@ -467,7 +467,7 @@ def per_point_reports(cfg, model, benchmark, reference):
     for key, vsds_cfg in points:
         report = run_ablation(
             benchmark, [PipelineVariant.VS], model, cfg.schedule(), vsds_cfg, cfg.fusion_config(),
-            SyntheticProvider(cfg.proxy_params()), cfg["seed"], cfg["pipeline.resume_from"], reference,
+            SyntheticProvider(cfg.proxy_params()), cfg["seed"], reference,
         )
         rows.append(replace(report.rows[0], key=key))
         failures.extend({**failure, "variant": key} for failure in report.failures)
@@ -662,6 +662,13 @@ def test_checkpoint_without_a_dimension_is_usage_error(workspace, tmp_path, caps
     ws = copy_with_manifest_edit(workspace, tmp_path / "ckpt", lambda m: m.pop(dim))
     assert main(animate_args(ws, tmp_path / "anim")) == 2
     assert repr(dim) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["64", 64.0, 16.5, True], ids=["str", "integral-float", "float", "bool"])
+def test_checkpoint_with_a_dimension_that_is_not_an_integer_is_usage_error(workspace, tmp_path, capsys, value):
+    ws = copy_with_manifest_edit(workspace, tmp_path / "ckpt", lambda m: m.update(hidden=value))
+    assert main(animate_args(ws, tmp_path / "anim")) == 2
+    assert "'hidden'" in capsys.readouterr().err
 
 
 def test_checkpoint_missing_a_parameter_file_is_usage_error(workspace, tmp_path, capsys):

@@ -16,7 +16,6 @@ from latent_awaken.pipeline import (
     VARIANT_ORDER,
     AblationReport,
     PipelineVariant,
-    ResumeFrom,
     StageError,
     _score_outputs,
     animate,
@@ -227,24 +226,6 @@ def test_animate_validates_inputs():
 
     with pytest.raises(ValueError, match="frame count"):
         animate(image, cond, PipelineVariant.BASELINE, NoFrameCount(), sched)
-    with pytest.raises(ValueError, match="not a valid ResumeFrom"):
-        animate(image, cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched, resume_from="middle")
-
-
-def test_resume_from_t_restarts_at_the_top():
-    sched = small_sched()
-    image = blob_image()
-    cond = Condition(image, label_id("right"))
-    tau_model, top_model = CallHistogram(frames=6), CallHistogram(frames=6)
-    from_tau = animate(image, cond, PipelineVariant.VS, tau_model, sched,
-                       vsds_cfg=VsdsConfig(p=0.5), seed=3)
-    from_top = animate(image, cond, PipelineVariant.VS, top_model, sched,
-                       vsds_cfg=VsdsConfig(p=0.5), seed=3, resume_from=ResumeFrom.T)
-    # Both refine twice; only the second samples every level from T down.
-    refinements = 2 * update_count(STEPS, 0.5)
-    assert sum(tau_model.by_t.values()) == refinements + tau_step(STEPS, 0.5)
-    assert sum(top_model.by_t.values()) == refinements + STEPS
-    assert not np.array_equal(from_tau.output.frames, from_top.output.frames)
 
 
 def test_stage_errors_name_the_stage():
@@ -316,10 +297,6 @@ def test_run_ablation_validates_inputs():
         run_ablation([], [PipelineVariant.VS], model, sched)
     with pytest.raises(ValueError, match="variant"):
         run_ablation(bench_items(1), [], model, sched)
-    # An unknown resume step is refused before any task runs, not recorded
-    # as a failure of every item.
-    with pytest.raises(ValueError, match="not a valid ResumeFrom"):
-        run_ablation(bench_items(1), [PipelineVariant.VS], model, sched, resume_from="middle")
 
 
 def test_run_ablation_refuses_a_model_it_cannot_score():
@@ -373,14 +350,13 @@ def test_run_ablation_threads_do_not_change_results():
     reference_videos = [s.video for s in generate_dataset(4, params, seed=5).samples]
     for n_items in (1, 2, 5):
         items = [(s.cond.image, s.cond) for s in generate_dataset(n_items, params, seed=4).samples]
-        for shared_noise in (False, True):
-            vsds_cfg = VsdsConfig(p=0.5, shared_noise=shared_noise)
-            expected = direct_report(items, model, sched, vsds_cfg, 20, reference_videos)
-            for threads in (1, 2, 3):
-                report = run_ablation(items, list(VARIANT_ORDER), model, sched, vsds_cfg=vsds_cfg, base_seed=20,
-                                      reference_videos=reference_videos, threads=threads)
-                assert report.to_csv() == expected.to_csv()
-                assert report.to_json() == expected.to_json()
+        vsds_cfg = VsdsConfig(p=0.5)
+        expected = direct_report(items, model, sched, vsds_cfg, 20, reference_videos)
+        for threads in (1, 2, 3):
+            report = run_ablation(items, list(VARIANT_ORDER), model, sched, vsds_cfg=vsds_cfg, base_seed=20,
+                                  reference_videos=reference_videos, threads=threads)
+            assert report.to_csv() == expected.to_csv()
+            assert report.to_json() == expected.to_json()
 
 
 def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():

@@ -882,3 +882,12 @@ def test_manifest_without_dimension_or_provenance_is_refused(key, null, sched, t
     _edit_manifest(tmp_path, lambda m: m.update({key: None}) if null else m.pop(key))
     with pytest.raises(ValueError, match=repr(key)):
         load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["64", 64.0, 16.5, True], ids=["str", "integral-float", "float", "bool"])
+@pytest.mark.parametrize("key", MODEL_DIMS)
+def test_manifest_dimension_that_is_not_an_integer_is_refused(key, value, sched, tmp_path):
+    _random_checkpoint(tmp_path, sched)
+    _edit_manifest(tmp_path, lambda m: m.update({key: value}))
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'manifest.json'} gives {key!r}")):
+        load_checkpoint(tmp_path)

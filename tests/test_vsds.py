@@ -18,7 +18,6 @@ from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import ToyDenoiser
 from latent_awaken.vsds import (
     CurveKind,
-    OmegaMode,
     RefinementDiverged,
     VsdsConfig,
     WeightCurve,
@@ -148,12 +147,6 @@ def test_vsds_config_validation():
         VsdsConfig(p=0.0)
     with pytest.raises(ValueError):
         VsdsConfig(p=1.2)
-    # omega is converted once, at construction: a value becomes its member,
-    # and anything else is refused there.
-    assert VsdsConfig(omega_mode="one").omega_mode is OmegaMode.ONE
-    assert VsdsConfig().omega_mode is OmegaMode.ONE_MINUS_ALPHA_BAR
-    with pytest.raises(ValueError):
-        VsdsConfig(omega_mode="cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +159,14 @@ def test_vsds_config_validation():
     seed=st.integers(0, 2**16),
     p=st.floats(0.01, 1.0),
     kind=st.sampled_from(CurveKind),
-    omega_mode=st.sampled_from(OmegaMode),
     shape=st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 6), st.integers(1, 6)),
 )
-def test_oracle_fixed_point(seed, p, kind, omega_mode, shape):
+def test_oracle_fixed_point(seed, p, kind, shape):
     # When the denoiser predicts the injected noise exactly, every gradient
     # is zero and the latent must come back bit-for-bit, whatever the curve,
-    # weighting, stopping level or shape.
+    # stopping level or shape.
     sched = small_sched()
-    cfg = VsdsConfig(p=p, curve=WeightCurve(kind), omega_mode=omega_mode, seed=0)
+    cfg = VsdsConfig(p=p, curve=WeightCurve(kind), seed=0)
     z0 = VideoLatent(stream(seed, "test-init").standard_normal(shape) * 0.1)
     eps = stream(seed, "vsds/real").standard_normal(shape)
     oracle = EchoOracle(eps, frames=shape[0])
@@ -201,12 +193,19 @@ def test_single_noise_draw_per_path():
     assert gen_r.draws == 1
     assert gen_p.draws == 1
 
-    shared_cfg = VsdsConfig(p=0.5, shared_noise=True)
-    gen_s = CountingGen(stream(11, "vsds/shared").bit_generator)
-    gen_unread = CountingGen(stream(11, "vsds/proxy").bit_generator)
-    dual_path_refine(z0, z0, cond, model, sched, shared_cfg, rng_real=gen_s, rng_proxy=gen_unread)
-    assert gen_s.draws == 1
-    assert gen_unread.draws == 0
+
+def test_residual_is_weighted_by_one_minus_alpha_bar():
+    # A zero prediction leaves only the noise in the residual, so step i at
+    # level t moves the latent by alpha_i * (1 - alpha_bar_t) * eps.
+    sched = small_sched()
+    cfg = VsdsConfig(p=0.5)
+    z0 = small_latent()
+    out = vsds_refine(z0, cond_for(z0), ZeroDenoiser(frames=SHAPE[0]), sched, cfg, stream(4, "vsds/real"))
+    eps = stream(4, "vsds/real").standard_normal(SHAPE)
+    levels = range(sched.steps, tau_step(sched.steps, cfg.p) - 1, -1)
+    n = update_count(sched.steps, cfg.p)
+    pull = sum(alpha_at(cfg.curve, i, n) * (1.0 - sched.alpha_bars[t - 1]) for i, t in enumerate(levels))
+    np.testing.assert_allclose(out.frames, z0.frames + pull * eps, rtol=0, atol=1e-12)
 
 
 def test_refine_leaves_input_untouched():
@@ -254,13 +253,6 @@ def test_dual_path_draws_are_independent_unless_shared():
         rng_real=stream(3, "vsds/real"), rng_proxy=stream(3, "vsds/proxy"),
     )
     assert not np.array_equal(r.frames, p.frames)
-
-    shared_cfg = VsdsConfig(p=0.5, shared_noise=True)
-    r, p = dual_path_refine(
-        z0, z0, cond, model, sched, shared_cfg,
-        rng_real=stream(3, "vsds/shared"), rng_proxy=stream(3, "vsds/proxy"),
-    )
-    assert np.array_equal(r.frames, p.frames)
 
 
 def test_dual_path_proxy_conditions_on_its_own_frame():
@@ -393,8 +385,7 @@ def perturbed_model(seed, shape, hidden):
     return model
 
 
-@pytest.mark.parametrize("shared_noise", [False, True], ids=["own-noise", "shared-noise"])
-def test_concurrent_paths_match_the_serial_bytes(shared_noise):
+def test_concurrent_paths_match_the_serial_bytes():
     # Each round, both paths race on a fresh model's cold memo.  The model is
     # wide enough that its matmuls release the GIL for long stretches, so
     # the paths overlap; a tiny switch interval interleaves their Python
@@ -402,22 +393,21 @@ def test_concurrent_paths_match_the_serial_bytes(shared_noise):
     # computes it alone.
     shape, hidden = (16, 1, 16, 16), 256
     sched = small_sched()
-    cfg = VsdsConfig(p=0.5, shared_noise=shared_noise)
+    cfg = VsdsConfig(p=0.5)
     zr, zs = (VideoLatent(stream(seed, "test-init").standard_normal(shape) * 0.1) for seed in (1, 2))
     cond = cond_for(zr, label=2)
     proxy_cond = Condition(FrameLatent(zs.frames[0]), cond.motion_label)
-    real_label, proxy_label = ("vsds/shared", "vsds/shared") if shared_noise else ("vsds/real", "vsds/proxy")
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(10):
             reference = perturbed_model(seed, shape, hidden)
-            want_real = vsds_refine(zr, cond, reference, sched, cfg, rng=stream(seed, real_label))
-            want_proxy = vsds_refine(zs, proxy_cond, reference, sched, cfg, rng=stream(seed, proxy_label))
+            want_real = vsds_refine(zr, cond, reference, sched, cfg, rng=stream(seed, "vsds/real"))
+            want_proxy = vsds_refine(zs, proxy_cond, reference, sched, cfg, rng=stream(seed, "vsds/proxy"))
             got_real, got_proxy = dual_path_refine(
                 zr, zs, cond, perturbed_model(seed, shape, hidden), sched, cfg,
-                rng_real=stream(seed, real_label), rng_proxy=stream(seed, proxy_label),
+                rng_real=stream(seed, "vsds/real"), rng_proxy=stream(seed, "vsds/proxy"),
             )
             assert got_real.frames.tobytes() == want_real.frames.tobytes(), f"real path, seed {seed}"
             assert got_proxy.frames.tobytes() == want_proxy.frames.tobytes(), f"proxy path, seed {seed}"

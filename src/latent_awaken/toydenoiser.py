@@ -673,8 +673,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
         if manifest.get(key) is None:
             raise ValueError(f"checkpoint manifest {manifest_path} has no value for {key!r}")
     for key in MODEL_DIMS:
-        if type(manifest[key]) is not int:  # not isinstance: a JSON true would pass as 1
-            raise ValueError(f"checkpoint manifest {manifest_path} gives {key!r} as {manifest[key]!r}, not an integer")
+        # not isinstance: a JSON true would pass as 1
+        if type(manifest[key]) is not int or manifest[key] < 1:
+            raise ValueError(f"checkpoint manifest {manifest_path} gives {key!r} as {manifest[key]!r}, not an integer >= 1")
     model = ToyDenoiser(**{dim: manifest[dim] for dim in MODEL_DIMS})
     for name, p in model.parameters().items():
         arr = read_ltn1(ckpt_dir / f"{name}.ltn1")

@@ -664,8 +664,8 @@ def test_checkpoint_without_a_dimension_is_usage_error(workspace, tmp_path, caps
     assert repr(dim) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["64", 64.0, 16.5, True], ids=["str", "integral-float", "float", "bool"])
-def test_checkpoint_with_a_dimension_that_is_not_an_integer_is_usage_error(workspace, tmp_path, capsys, value):
+@pytest.mark.parametrize("value", ["64", 64.0, 16.5, True, 0], ids=["str", "integral-float", "float", "bool", "zero"])
+def test_checkpoint_with_a_dimension_that_is_not_a_positive_integer_is_usage_error(workspace, tmp_path, capsys, value):
     ws = copy_with_manifest_edit(workspace, tmp_path / "ckpt", lambda m: m.update(hidden=value))
     assert main(animate_args(ws, tmp_path / "anim")) == 2
     assert "'hidden'" in capsys.readouterr().err

@@ -884,9 +884,9 @@ def test_manifest_without_dimension_or_provenance_is_refused(key, null, sched, t
         load_checkpoint(tmp_path)
 
 
-@pytest.mark.parametrize("value", ["64", 64.0, 16.5, True], ids=["str", "integral-float", "float", "bool"])
+@pytest.mark.parametrize("value", ["64", 64.0, 16.5, True, 0], ids=["str", "integral-float", "float", "bool", "zero"])
 @pytest.mark.parametrize("key", MODEL_DIMS)
-def test_manifest_dimension_that_is_not_an_integer_is_refused(key, value, sched, tmp_path):
+def test_manifest_dimension_that_is_not_a_positive_integer_is_refused(key, value, sched, tmp_path):
     _random_checkpoint(tmp_path, sched)
     _edit_manifest(tmp_path, lambda m: m.update({key: value}))
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'manifest.json'} gives {key!r}")):

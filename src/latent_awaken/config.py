@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
-from .fusion import AngleScope, FusionConfig
+from .fusion import FusionConfig
 from .pipeline import PipelineVariant, ordered_variants
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams, dims_problem
@@ -61,8 +61,7 @@ class SweepKind(Enum):
 
 
 # What each enum's values are called in error messages.
-_ENUM_KINDS = {CurveKind: "weight curve", AngleScope: "angle scope", PipelineVariant: "pipeline variant",
-               SweepKind: "sweep kind"}
+_ENUM_KINDS = {CurveKind: "weight curve", PipelineVariant: "pipeline variant", SweepKind: "sweep kind"}
 
 
 def parse_enum(kind: type[Enum], text: str) -> Enum:
@@ -104,7 +103,6 @@ _SCHEMA: dict[str, tuple] = {
     "vsds.curve": (CurveKind.STEPWISE_DECREASING, _enum(CurveKind)),
     "vsds.w_hi": (2.0, _parse_float),
     "vsds.w_lo": (1.0, _parse_float),
-    "fusion.angle_scope": (AngleScope.GLOBAL, _enum(AngleScope)),
     "fusion.epsilon_theta": (1e-6, _parse_float),
     "proxy.strength": (0.5, _parse_float),
     # Parsed to the rows run_ablation runs, so those rows have one hash.
@@ -161,8 +159,7 @@ class ExperimentConfig:
         return VsdsConfig(p=v["vsds.p"], curve=curve)
 
     def fusion_config(self) -> FusionConfig:
-        v = self.values
-        return FusionConfig(angle_scope=v["fusion.angle_scope"], epsilon_theta=v["fusion.epsilon_theta"])
+        return FusionConfig(epsilon_theta=self.values["fusion.epsilon_theta"])
 
     def proxy_params(self) -> SyntheticProviderParams:
         return SyntheticProviderParams(motion_hint_strength=self.values["proxy.strength"])

@@ -59,8 +59,13 @@ VARIANT_ORDER = tuple(PipelineVariant)
 
 
 def ordered_variants(variants) -> tuple[PipelineVariant, ...]:
-    """``variants`` in VARIANT_ORDER, each once, however they were listed."""
-    return tuple(v for v in VARIANT_ORDER if v in set(variants))
+    """``variants`` in VARIANT_ORDER, each once, however they were listed.
+    Anything that is not a ``PipelineVariant`` is refused."""
+    variants = tuple(variants)
+    for v in variants:
+        if not isinstance(v, PipelineVariant):
+            raise ValueError(f"not a pipeline variant: {v!r}")
+    return tuple(v for v in VARIANT_ORDER if v in variants)
 
 
 # variant -> (refinement: None/"real"/"dual", fusion: None/"slerp"/"uniform").

@@ -35,7 +35,6 @@ class CurveKind(Enum):
     STEPWISE_DECREASING = "SD"
     STEPWISE_INCREASING = "SI"
     LINEAR_INCREASING = "LI"
-    CONSTANT = "constant"
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,8 @@ class WeightCurve:
     """Update-weight profile over the refinement iterations.
 
     Stepwise curves hold ``w_hi`` on one half of the iterations and ``w_lo``
-    on the other; linear curves interpolate between the two ends; constant
-    stays at ``w_lo`` throughout.
+    on the other; linear curves interpolate between the two ends.  With
+    ``w_hi == w_lo`` every curve is the constant weight.
     """
 
     kind: CurveKind = CurveKind.STEPWISE_DECREASING
@@ -63,8 +62,6 @@ def alpha_at(curve: WeightCurve, i: int, n: int) -> float:
     if not 0 <= i < n:
         raise ValueError(f"iteration {i} outside [0, {n})")
     kind, hi, lo = curve.kind, curve.w_hi, curve.w_lo
-    if kind is CurveKind.CONSTANT:
-        return lo
     if kind is CurveKind.STEPWISE_DECREASING:
         return hi if i < n / 2 else lo
     if kind is CurveKind.STEPWISE_INCREASING:

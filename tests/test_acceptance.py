@@ -18,15 +18,13 @@ import fixture_recipe as recipe
 from doubles import FRAME_SHAPE, CountingGen, EchoOracle, ZeroDenoiser, tiled_video, unit_pair
 from latent_awaken.cli import main
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
-from latent_awaken.fusion import AngleScope, FusionConfig, slerp_fuse, uniform_fuse
+from latent_awaken.fusion import slerp_fuse, uniform_fuse
 from latent_awaken.metrics import FeatureStats, frechet_distance, linearity_score, motion_energy
 from latent_awaken.pipeline import PipelineVariant
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import ToyDenoiser, generate_dataset
 from latent_awaken.vsds import VsdsConfig, dual_path_refine, update_count, vsds_refine
 from training_checks import evaluate_loss, gradient_check
-
-PER_FRAME = FusionConfig(angle_scope=AngleScope.PER_FRAME)
 
 CFG_TEXT = """\
 seed = 42
@@ -61,7 +59,7 @@ def test_criterion_1_slerp_invariants():
         r = 0.5 + 2.0 * gen.uniform()
         a = tiled_video(r * u)
         b = tiled_video(r * v)
-        arc = slerp_fuse(a, b, PER_FRAME)
+        arc = slerp_fuse(a, b)
         chord = uniform_fuse(a, b)
         worst_endpoint = max(
             worst_endpoint,
@@ -78,13 +76,12 @@ def test_criterion_1_slerp_invariants():
         g = stream(seed, "acceptance/slerp-endpoints")
         a = VideoLatent(g.standard_normal((4, *FRAME_SHAPE)))
         b = VideoLatent(g.standard_normal((4, *FRAME_SHAPE)) * 1.7)
-        for cfg in (FusionConfig(), PER_FRAME):
-            arc = slerp_fuse(a, b, cfg)
-            worst_endpoint = max(
-                worst_endpoint,
-                float(np.abs(arc.frames[0] - a.frames[0]).max()),
-                float(np.abs(arc.frames[-1] - b.frames[-1]).max()),
-            )
+        arc = slerp_fuse(a, b)
+        worst_endpoint = max(
+            worst_endpoint,
+            float(np.abs(arc.frames[0] - a.frames[0]).max()),
+            float(np.abs(arc.frames[-1] - b.frames[-1]).max()),
+        )
     elapsed = time.perf_counter() - t0
     ok = (
         worst_endpoint <= 1e-12

@@ -584,6 +584,19 @@ def test_unusable_dataset_size_exits_before_any_compute(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line, needle",
+    [("fusion.angle_scope = global", "unknown config key 'fusion.angle_scope'"),
+     ("vsds.curve = constant", "unknown weight curve 'constant'")],
+)
+def test_removed_settings_are_usage_errors(tmp_path, capsys, line, needle):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_TEXT + line + "\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_checkpoint_is_usage_error(workspace, tmp_path):
     rc = main(["animate", "--config", str(workspace["cfg"]), "--ckpt", str(tmp_path / "none"),
                "--image", str(workspace["image"]), "--label", "right", "--out", str(tmp_path / "out")])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latent_awaken.config import ConfigError, SweepKind, load_config, parse_config, parse_enum
 from latent_awaken.diffusion import NoiseSchedule
-from latent_awaken.fusion import AngleScope, FusionConfig
+from latent_awaken.fusion import FusionConfig
 from latent_awaken.motion import MOTION_LABELS
 from latent_awaken.pipeline import PipelineVariant
 from latent_awaken.proxy import SyntheticProviderParams
@@ -25,7 +25,6 @@ def test_defaults():
     assert [v.value for v in cfg["pipeline.variants"]] == ["Baseline", "V", "S", "VU", "VS"]
     assert [k.value for k in cfg["ablate.curve_grid"]] == ["LD", "SD", "SI", "LI"]
     assert cfg.vsds_config().curve.kind is CurveKind.STEPWISE_DECREASING
-    assert cfg.fusion_config().angle_scope is AngleScope.GLOBAL
     assert cfg["ablate.sweep"] is SweepKind.VARIANTS
 
 
@@ -99,8 +98,9 @@ def test_bad_value_names_key():
         ("train.batch = 0", "config key 'train.batch': must be >= 1, got 0"),
         ("train.lr = -0.5", "train.lr"),
         ("vsds.curve = zigzag", "unknown weight curve"),
-        ("fusion.angle_scope = diagonal", "diagonal"),
         ("fusion.mode = slerp", "unknown config key 'fusion.mode'"),
+        ("fusion.angle_scope = global", "unknown config key 'fusion.angle_scope'"),
+        ("vsds.curve = constant", "unknown weight curve"),
         ("vsds.omega = one", "unknown config key 'vsds.omega'"),
         ("vsds.shared_noise = true", "unknown config key 'vsds.shared_noise'"),
         ("pipeline.resume_from = T", "unknown config key 'pipeline.resume_from'"),
@@ -157,11 +157,10 @@ def test_parse_variant_case_insensitive():
 def test_parse_curve_kind_aliases():
     # Only the CurveKind values are accepted, in any case, with spaces trimmed.
     for text, kind in [("LD", CurveKind.LINEAR_DECREASING), ("sd", CurveKind.STEPWISE_DECREASING),
-                       ("Si", CurveKind.STEPWISE_INCREASING), (" li ", CurveKind.LINEAR_INCREASING),
-                       ("CONSTANT", CurveKind.CONSTANT)]:
+                       ("Si", CurveKind.STEPWISE_INCREASING), (" li ", CurveKind.LINEAR_INCREASING)]:
         assert parse_enum(CurveKind, text) is kind
         assert parse_config(f"vsds.curve = {text}\n")["vsds.curve"] is kind
-    for name in ("stepwise-decreasing", "const", "quadratic"):
+    for name in ("stepwise-decreasing", "const", "constant", "CONSTANT", "quadratic"):
         with pytest.raises(ValueError, match="unknown weight curve"):
             parse_enum(CurveKind, name)
         with pytest.raises(ConfigError, match="unknown weight curve"):
@@ -172,7 +171,6 @@ def test_parse_curve_kind_aliases():
     "key, a, b",
     [
         ("vsds.curve", "sd", "SD"),
-        ("fusion.angle_scope", "Per_Frame", "per_frame"),
         ("pipeline.variants", "vs, baseline", "Baseline, VS"),
         ("ablate.curve_grid", "ld, sd", "LD, SD"),
         ("ablate.sweep", "Variants", "variants"),
@@ -232,8 +230,7 @@ override_lines = st.fixed_dictionaries({}, optional={
     "dataset.velocities": st.lists(positive, min_size=1, max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
     "train.lr": positive.map(repr),
     "vsds.p": unit_interval.map(repr),
-    "vsds.curve": st.sampled_from(["LD", "SD", "SI", "LI", "constant"]),
-    "fusion.angle_scope": st.sampled_from(["global", "per_frame", " Per_Frame "]),
+    "vsds.curve": st.sampled_from(["LD", "SD", "SI", "LI", " li "]),
     "fusion.epsilon_theta": positive.map(repr),
     "proxy.strength": st.floats(0.0, 1.0).map(repr),
     "pipeline.variants": st.lists(st.sampled_from(["Baseline", "V", "S", "VU", "VS"]), min_size=1).map(",".join),

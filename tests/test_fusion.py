@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from doubles import DIM, FRAME_SHAPE, tiled_video, unit_pair
 from latent_awaken.diffusion import VideoLatent
-from latent_awaken.fusion import AngleScope, FusionConfig, beta_schedule, slerp_fuse, uniform_fuse
+from latent_awaken.fusion import FusionConfig, beta_schedule, slerp_fuse, uniform_fuse
+from latent_awaken.numerics import angle_between
 from latent_awaken.rng import stream
 
-PER_FRAME = FusionConfig(angle_scope=AngleScope.PER_FRAME)
+
 def random_video(seed, frames=5, scale=1.0):
     return VideoLatent(stream(seed, "fusion-test").standard_normal((frames, *FRAME_SHAPE)) * scale)
 
@@ -38,21 +39,18 @@ def test_beta_schedule_values():
 
 def test_slerp_equal_inputs_is_identity():
     v = random_video(1)
-    for cfg in (FusionConfig(), PER_FRAME):
-        out = slerp_fuse(v, v, cfg)
-        assert np.array_equal(out.frames, v.frames)
+    assert np.array_equal(slerp_fuse(v, v).frames, v.frames)
 
 
 frame_counts = st.integers(2, 9)
 seeds = st.integers(0, 2**16)
-scopes = st.sampled_from(AngleScope)
 
 
 @settings(max_examples=60)
-@given(frames=frame_counts, seed_r=seeds, seed_s=seeds, scope=scopes)
-def test_slerp_endpoints_exact(frames, seed_r, seed_s, scope):
+@given(frames=frame_counts, seed_r=seeds, seed_s=seeds)
+def test_slerp_endpoints_exact(frames, seed_r, seed_s):
     zr, zs = random_video(seed_r, frames), random_video(seed_s, frames)
-    out = slerp_fuse(zr, zs, FusionConfig(angle_scope=scope))
+    out = slerp_fuse(zr, zs)
     assert np.abs(out.frames[0] - zr.frames[0]).max() <= 1e-12
     assert np.abs(out.frames[-1] - zs.frames[-1]).max() <= 1e-12
 
@@ -64,19 +62,17 @@ def test_slerp_orthogonal_midframe():
     u[0] = 1.0
     v = np.zeros(DIM)
     v[3] = 1.0
-    for cfg in (FusionConfig(), PER_FRAME):
-        out = slerp_fuse(tiled_video(u), tiled_video(v), cfg)
-        mid = out.frames[1].ravel()
-        assert np.abs(mid - (u + v) / np.sqrt(2.0)).max() < 1e-12
-        assert abs(np.linalg.norm(mid) - 1.0) < 1e-12
+    mid = slerp_fuse(tiled_video(u), tiled_video(v)).frames[1].ravel()
+    assert np.abs(mid - (u + v) / np.sqrt(2.0)).max() < 1e-12
+    assert abs(np.linalg.norm(mid) - 1.0) < 1e-12
 
 
 @settings(max_examples=60)
-@given(frames=frame_counts, seed=seeds, scope=scopes, theta=st.floats(1e-3, 3.0))
-def test_slerp_preserves_norm_of_equal_norm_frames(frames, seed, scope, theta):
+@given(frames=frame_counts, seed=seeds, theta=st.floats(1e-3, 3.0))
+def test_slerp_preserves_norm_of_equal_norm_frames(frames, seed, theta):
     u, v = unit_pair(stream(seed, "fusion-test"), theta)
     zr, zs = tiled_video(2.5 * u, frames=frames), tiled_video(2.5 * v, frames=frames)
-    out = slerp_fuse(zr, zs, FusionConfig(angle_scope=scope))
+    out = slerp_fuse(zr, zs)
     norms = np.linalg.norm(out.frames.reshape(frames, -1), axis=1)
     assert np.abs(norms - 2.5).max() <= 1e-9
 
@@ -89,7 +85,7 @@ def test_slerp_norm_dominates_lerp():
         theta = gen.uniform(0.1, 3.0)
         u, v = unit_pair(gen, theta)
         zr, zs = tiled_video(u), tiled_video(v)
-        arc = slerp_fuse(zr, zs, PER_FRAME).frames.reshape(3, -1)
+        arc = slerp_fuse(zr, zs).frames.reshape(3, -1)
         chord = uniform_fuse(zr, zs).frames.reshape(3, -1)
         arc_norms = np.linalg.norm(arc, axis=1)
         chord_norms = np.linalg.norm(chord, axis=1)
@@ -98,25 +94,23 @@ def test_slerp_norm_dominates_lerp():
 
 
 @settings(max_examples=60)
-@given(frames=frame_counts, seed=seeds, scope=scopes, theta=st.floats(0.05, 3.0),
+@given(frames=frame_counts, seed=seeds, theta=st.floats(0.05, 3.0),
        scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
-def test_slerp_reversal_symmetry(frames, seed, scope, theta, scales):
+def test_slerp_reversal_symmetry(frames, seed, theta, scales):
     # For frame-constant inputs, swapping them and reading the frames
     # backwards walks the same arc (beta and 1 - beta trade places).
     u, v = unit_pair(stream(seed, "fusion-test"), theta)
     zr, zs = tiled_video(scales[0] * u, frames=frames), tiled_video(scales[1] * v, frames=frames)
-    cfg = FusionConfig(angle_scope=scope)
-    fwd = slerp_fuse(zr, zs, cfg)
-    rev = slerp_fuse(zs, zr, cfg)
+    fwd = slerp_fuse(zr, zs)
+    rev = slerp_fuse(zs, zr)
     assert np.abs(fwd.frames - rev.frames[::-1]).max() <= 1e-12
 
 
 def test_slerp_rejects_antipodal():
     zr = random_video(8)
     zs = VideoLatent(-zr.frames)
-    for cfg in (FusionConfig(), PER_FRAME):
-        with pytest.raises(ValueError, match="antipodal"):
-            slerp_fuse(zr, zs, cfg)
+    with pytest.raises(ValueError, match="antipodal"):
+        slerp_fuse(zr, zs)
 
 
 def test_slerp_rejects_zero_norm():
@@ -124,11 +118,6 @@ def test_slerp_rejects_zero_norm():
     v = random_video(9, frames=3)
     with pytest.raises(ValueError, match="cannot measure global"):
         slerp_fuse(zero, v, FusionConfig())
-    # only one frame is zero: per-frame mode names it
-    partial = v.frames.copy()
-    partial[1] = 0.0
-    with pytest.raises(ValueError, match="frame 1"):
-        slerp_fuse(VideoLatent(partial), v, PER_FRAME)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +138,54 @@ def test_uniform_fuse_examples():
 
     v = random_video(10)
     assert np.array_equal(uniform_fuse(v, v).frames, v.frames)
+
+
+# ---------------------------------------------------------------------------
+# the one mix both fusions share
+# ---------------------------------------------------------------------------
+
+
+def reference_mix(zr, zs, theta):
+    """The mix written one frame at a time, as its definition reads."""
+    out = np.empty_like(zr.frames)
+    for l, (a, b, beta) in enumerate(zip(zr.frames, zs.frames, beta_schedule(zr.frame_count))):
+        if theta == 0.0:
+            out[l] = a + beta * (b - a)
+        else:
+            sin_theta = np.sin(theta)
+            out[l] = (np.sin((1.0 - beta) * theta) / sin_theta) * a + (np.sin(beta * theta) / sin_theta) * b
+    return out
+
+
+@st.composite
+def latent_pairs(draw):
+    frames, channels = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    gen = stream(draw(seeds), "fusion-mix")
+    kind = draw(st.sampled_from(["random", "tiled", "equal", "near-parallel"]))
+    if kind == "tiled":
+        u, v = unit_pair(gen, draw(st.floats(1e-3, 3.0)))
+        zr, zs = (np.broadcast_to(w.reshape(FRAME_SHAPE), (frames, channels, 4, 4)) for w in (u, v))
+        return VideoLatent(zr), VideoLatent(draw(st.floats(0.5, 2.0)) * zs)
+    zr = gen.standard_normal((frames, channels, 4, 4))
+    if kind == "random":
+        zs = draw(st.floats(0.5, 2.0)) * gen.standard_normal(zr.shape)
+    elif kind == "equal":
+        zs = zr
+    else:  # an angle below epsilon_theta, which takes the linear cut
+        zs = draw(st.floats(0.5, 2.0)) * zr + 1e-9 * gen.standard_normal(zr.shape)
+    return VideoLatent(zr), VideoLatent(zs)
+
+
+@settings(max_examples=300)
+@given(pair=latent_pairs())
+def test_fusions_match_the_per_frame_mix(pair):
+    # Both fusions are one array expression over the frame axis; each must
+    # equal the frame-by-frame mix byte for byte.
+    zr, zs = pair
+    theta = angle_between(zr.frames, zs.frames)
+    theta = 0.0 if theta < FusionConfig().epsilon_theta else theta
+    assert slerp_fuse(zr, zs).frames.tobytes() == reference_mix(zr, zs, theta).tobytes()
+    assert uniform_fuse(zr, zs).frames.tobytes() == reference_mix(zr, zs, 0.0).tobytes()
 
 
 def test_shape_mismatch_rejected():

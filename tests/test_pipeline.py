@@ -19,6 +19,7 @@ from latent_awaken.pipeline import (
     StageError,
     _score_outputs,
     animate,
+    ordered_variants,
     run_ablation,
 )
 from latent_awaken.rng import stream
@@ -297,6 +298,17 @@ def test_run_ablation_validates_inputs():
         run_ablation([], [PipelineVariant.VS], model, sched)
     with pytest.raises(ValueError, match="variant"):
         run_ablation(bench_items(1), [], model, sched)
+
+
+@pytest.mark.parametrize("variants", [["VS"], [PipelineVariant.VS, "V"], [PipelineVariant.V, None]])
+def test_variants_that_are_not_members_are_refused(variants):
+    # A variant's value is not the variant: it is refused by name, not
+    # dropped from the rows.
+    bad = next(v for v in variants if not isinstance(v, PipelineVariant))
+    with pytest.raises(ValueError, match=f"not a pipeline variant: {bad!r}"):
+        ordered_variants(variants)
+    with pytest.raises(ValueError, match=f"not a pipeline variant: {bad!r}"):
+        run_ablation(bench_items(1), variants, ZeroDenoiser(frames=6), small_sched())
 
 
 def test_run_ablation_refuses_a_model_it_cannot_score():

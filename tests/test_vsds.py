@@ -88,9 +88,11 @@ def test_alpha_at_linear_curves():
     assert alpha_at(li, 0, 1) == 0.5
 
 
-def test_alpha_at_constant_uses_w_lo():
-    curve = WeightCurve(CurveKind.CONSTANT, w_hi=5.0, w_lo=0.25)
-    assert all(alpha_at(curve, i, 7) == 0.25 for i in range(7))
+def test_alpha_at_equal_ends_is_constant():
+    # A constant weight is any curve whose two ends are equal.
+    for kind in CurveKind:
+        curve = WeightCurve(kind, w_hi=0.25, w_lo=0.25)
+        assert all(alpha_at(curve, i, 7) == 0.25 for i in range(7))
 
 
 def test_alpha_at_validates_indices():

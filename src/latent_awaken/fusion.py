@@ -22,13 +22,14 @@ from .numerics import angle_between
 @dataclass(frozen=True)
 class FusionConfig:
     """``epsilon_theta``: slerp angles below it mix linearly, and angles
-    above pi minus it are refused."""
+    above pi minus it are refused.  It must lie in (0, pi/2), where the two
+    ranges do not overlap."""
 
     epsilon_theta: float = 1e-6
 
     def __post_init__(self):
-        if not self.epsilon_theta > 0.0:
-            raise ValueError("epsilon_theta must be positive")
+        if not 0.0 < self.epsilon_theta < np.pi / 2:
+            raise ValueError(f"epsilon_theta must be in (0, pi/2), got {self.epsilon_theta}")
 
 
 def beta_schedule(frame_count: int) -> np.ndarray:

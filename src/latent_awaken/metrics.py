@@ -10,14 +10,19 @@ arranged along their dominant feature-space axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .motion import DIRECTIONS, label_name, wrapped_delta
-from .numerics import PSD_ROUNDOFF, principal_axis_stats, spearman_rho, sqrtm_psd
+from .numerics import principal_axis_stats, read_only, spearman_rho
+
+# A symmetric matrix counts as PSD if its least eigenvalue is no lower than
+# -PSD_ROUNDOFF * max(1, top eigenvalue): the eigensolver's error scales with
+# the matrix.
+PSD_ROUNDOFF = 1e-10
 
 
 # Frames linearity_score needs: a line through fewer points fits exactly.
@@ -116,25 +121,34 @@ def video_features(v: VideoLatent) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureStats:
-    """Gaussian fit (mean, covariance) over feature vectors."""
+    """Gaussian fit (mean, covariance) over feature vectors.
+
+    The covariance is checked symmetric and PSD once, here, and ``root`` is
+    its symmetric square root from the same eigendecomposition (eigenvalues
+    within ``PSD_ROUNDOFF`` below zero clipped to 0).  ``mean``,
+    ``covariance`` and ``root`` are read-only, so a checked fit cannot be
+    edited afterwards.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
+    root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        mean = read_only(self.mean)
+        cov = read_only(self.covariance)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError(f"inconsistent stats shapes: mean {mean.shape}, covariance {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("non-finite statistics")
         if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError("covariance must be symmetric")
-        vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
+        vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
         if vals.min() < -PSD_ROUNDOFF * max(1.0, float(vals.max())):
             raise ValueError("covariance must be PSD within tolerance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "root", read_only((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T))
 
     @classmethod
     def from_features(cls, features) -> "FeatureStats":
@@ -154,14 +168,13 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     """Fréchet (Gaussian 2-Wasserstein) distance between two fits.
 
     d^2 = |mu_a - mu_b|^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}); the cross term
-    is evaluated through the symmetric product sqrt(S_a) S_b sqrt(S_a), whose
-    eigenvalues are computed directly.
+    comes from the eigenvalues of the symmetric product sqrt(S_a) S_b
+    sqrt(S_a), with sqrt(S_a) the fit's own ``root``.
     """
     if a.mean.size != b.mean.size:
         raise ValueError(f"feature dimensions differ: {a.mean.size} vs {b.mean.size}")
     delta = a.mean - b.mean
-    root_a = sqrtm_psd(a.covariance)
-    inner = root_a @ b.covariance @ root_a
+    inner = a.root @ b.covariance @ a.root
     vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
     vals = np.clip(vals, 0.0, None)
     d2 = float(delta @ delta + np.trace(a.covariance) + np.trace(b.covariance) - 2.0 * np.sqrt(vals).sum())

@@ -1,8 +1,8 @@
 """Small numeric kernels shared across the package.
 
-The one rule for freezing an array, vector angles, a PSD matrix square
-root, the principal-axis statistics and the Spearman rank correlation behind
-the trajectory-linearity metric, the LTN1 tensor file format used for
+The one rule for freezing an array, vector angles, the principal-axis
+statistics and the Spearman rank correlation behind the
+trajectory-linearity metric, the LTN1 tensor file format used for
 checkpoints and latent videos, and the pin to one BLAS thread that keeps
 every result independent of the core count.
 """
@@ -21,11 +21,6 @@ from pathlib import Path
 import numpy as np
 
 LTN1_MAGIC = b"LTN1"
-
-# A symmetric matrix counts as PSD if its least eigenvalue is no lower than
-# -PSD_ROUNDOFF * max(1, top eigenvalue): the eigensolver's error scales with
-# the matrix.
-PSD_ROUNDOFF = 1e-10
 
 
 def _as_finite_array(x, name: str) -> np.ndarray:
@@ -121,25 +116,6 @@ def spearman_rho(x, y) -> float:
     if distinct_x < 2 or distinct_y < 2:
         return float("nan")
     return float(np.corrcoef(np.column_stack((rx, ry)), rowvar=False)[1, 0])
-
-
-def sqrtm_psd(m) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Negative eigenvalues within ``PSD_ROUNDOFF`` are treated as round-off
-    and clipped to zero; anything more negative raises.
-    """
-    m = _as_finite_array(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max()))):
-        raise ValueError("matrix is not symmetric")
-    sym = (m + m.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    if vals.min() < -PSD_ROUNDOFF * max(1.0, float(vals.max())):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min():.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def write_ltn1(path, array) -> None:

@@ -140,6 +140,8 @@ def _refine(
     for i, t in enumerate(range(steps, tau - 1, -1)):
         z_t = forward_noise(z, t, eps, sched)
         pred = denoiser.predict_noise(z_t, cond, t)
+        if pred.shape != z.shape:
+            raise ValueError(f"denoiser returned shape {pred.shape}, expected {z.shape}")
         grad = (1.0 - sched.alpha_bars[t - 1]) * (pred.frames - eps)
         frames = z.frames - alpha_at(cfg.curve, i, n) * grad
         if not np.isfinite(frames).all():

@@ -123,6 +123,7 @@ def test_bad_value_names_key():
         ("vsds.p = 0.0", "config key 'vsds.p': p must be in (0, 1]"),
         ("fusion.epsilon_theta = nan", "config key 'fusion.epsilon_theta': expected a finite number"),
         ("fusion.epsilon_theta = inf", "config key 'fusion.epsilon_theta': expected a finite number"),
+        ("fusion.epsilon_theta = 2.0", "config key 'fusion.epsilon_theta': epsilon_theta must be in (0, pi/2)"),
         ("dataset.grow_rate = nan", "config key 'dataset.grow_rate': expected a finite number"),
         ("dataset.grow_rate = inf", "config key 'dataset.grow_rate': expected a finite number"),
         ("dataset.velocities = nan", "config key 'dataset.velocities': expected a finite number"),
@@ -231,7 +232,7 @@ override_lines = st.fixed_dictionaries({}, optional={
     "train.lr": positive.map(repr),
     "vsds.p": unit_interval.map(repr),
     "vsds.curve": st.sampled_from(["LD", "SD", "SI", "LI", " li "]),
-    "fusion.epsilon_theta": positive.map(repr),
+    "fusion.epsilon_theta": st.floats(1e-9, np.pi / 2, exclude_max=True).map(repr),
     "proxy.strength": st.floats(0.0, 1.0).map(repr),
     "pipeline.variants": st.lists(st.sampled_from(["Baseline", "V", "S", "VU", "VS"]), min_size=1).map(",".join),
     "ablate.sweep": st.sampled_from(["variants", "Variants", "curves", "CURVES", "p", "P"]),

@@ -204,3 +204,9 @@ def test_fusion_config_validation():
         FusionConfig(epsilon_theta=-1e-9)
     with pytest.raises(ValueError):
         FusionConfig(epsilon_theta=float("nan"))
+    # From pi/2 on, the linear cut (theta < eps) and the antipodal refusal
+    # (theta > pi - eps) overlap.
+    for eps in (np.pi / 2, 2.0, np.pi):
+        with pytest.raises(ValueError, match="epsilon_theta"):
+            FusionConfig(epsilon_theta=eps)
+    assert FusionConfig(epsilon_theta=np.nextafter(np.pi / 2, 0.0)).epsilon_theta < np.pi / 2

@@ -215,6 +215,28 @@ def test_feature_stats_validation():
         FeatureStats(np.zeros(3), np.eye(2))
 
 
+def test_feature_stats_root_squares_back():
+    g = stream(5, "sqrtm")
+    a = g.standard_normal((6, 6))
+    m = a @ a.T + 0.1 * np.eye(6)
+    root = FeatureStats(np.zeros(6), m).root
+    assert np.allclose(root @ root, m, atol=1e-10)
+    assert np.allclose(root, root.T, atol=1e-12)
+
+
+def test_feature_stats_arrays_are_read_only():
+    # The covariance is checked once, when the fit is made, so neither the
+    # fit's arrays nor the caller's arrays it was made from can change it.
+    mean, cov = np.zeros(2), np.eye(2)
+    stats = FeatureStats(mean, cov)
+    for name in ("mean", "covariance", "root"):
+        arr = getattr(stats, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = -5.0
+    mean[0], cov[0, 0] = 3.0, -5.0
+    assert stats.mean[0] == 0.0 and stats.covariance[0, 0] == 1.0
+
+
 def test_feature_stats_from_features_projects_to_psd():
     # fewer samples than dimensions: the sample covariance is singular, and
     # after the PSD projection any negative eigenvalue is reconstruction

@@ -23,7 +23,6 @@ from latent_awaken.numerics import (
     principal_axis_stats,
     read_ltn1,
     spearman_rho,
-    sqrtm_psd,
     write_ltn1,
 )
 from latent_awaken.rng import stream
@@ -127,26 +126,6 @@ def test_spearman_rho_needs_paired_1d_samples():
         spearman_rho(np.arange(4.0), np.arange(5.0))
     with pytest.raises(ValueError):
         spearman_rho(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_sqrtm_psd_squares_back():
-    g = stream(5, "sqrtm")
-    a = g.standard_normal((6, 6))
-    m = a @ a.T + 0.1 * np.eye(6)
-    s = sqrtm_psd(m)
-    assert np.allclose(s @ s, m, atol=1e-10)
-    assert np.allclose(s, s.T, atol=1e-12)
-
-
-def test_sqrtm_psd_rejects_asymmetric():
-    m = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        sqrtm_psd(m)
-
-
-def test_sqrtm_psd_rejects_negative_definite():
-    with pytest.raises(ValueError):
-        sqrtm_psd(np.diag([1.0, -0.5]))
 
 
 def test_ltn1_round_trip_bit_identical(tmp_path):

@@ -355,6 +355,32 @@ def test_dual_path_raises_what_the_serial_order_raises(real_t, proxy_t):
     assert threading.active_count() == before
 
 
+class OneFramePrediction(ZeroDenoiser):
+    """Predicts one frame of zero noise, whatever the clip length."""
+
+    def predict_noise(self, z_t, cond, t):
+        return VideoLatent(np.zeros_like(z_t.frames[:1]))
+
+
+def test_refinement_refuses_a_prediction_of_the_wrong_shape():
+    # A one-frame prediction would broadcast against a four-frame latent; the
+    # refinement refuses it as the reverse pass does, so animate names the
+    # stage that called the denoiser.
+    sched, cfg = small_sched(), VsdsConfig(p=0.5)
+    z0 = VideoLatent(stream(3, "test-init").standard_normal((4, 1, 4, 4)))
+    cond = cond_for(z0)
+    model = OneFramePrediction(4)
+    message = "denoiser returned shape (1, 1, 4, 4), expected (4, 1, 4, 4)"
+
+    with pytest.raises(ValueError) as err:
+        vsds_refine(z0, cond, model, sched, cfg, stream(0, "vsds/real"))
+    assert str(err.value) == message
+    for variant in (PipelineVariant.V, PipelineVariant.VU, PipelineVariant.VS):
+        with pytest.raises(StageError) as err:
+            animate(z0.frame(0), cond, variant, model, sched, vsds_cfg=cfg, proxy_provider=IdentityProvider(), seed=0)
+        assert str(err.value) == f"stage 'vsds': {message}"
+
+
 def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():
     # The proxy path gets its own thread whether the caller is the main
     # thread or not; a pool thread marked by _keep_paths_serial (run_ablation

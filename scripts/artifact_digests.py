@@ -4,7 +4,8 @@
 
 Runs the CLI of the source tree ``DIR`` (default: this repository) on a
 small config: ``train``, ``animate`` for each pipeline variant, and
-``ablate`` for the variants, ``p`` and curves sweeps.  Every file is written
+``ablate`` for each list of ``ROWS``: the variants, a ``p`` sweep, the
+curves, and a mixed list with repeats.  Every file is written
 under ``OUT``, which must not exist yet.  Prints ``sha256  path`` for every
 file except ``run.log``, which holds timings.  For each ``result.json`` and
 ``ablation.json`` it also prints ``sha256  path#payload``, the digest of its
@@ -25,7 +26,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VARIANTS = ("Baseline", "V", "S", "VU", "VS")
-SWEEPS = ("variants", "p", "curves")
+# ablate output directory -> ablate.rows
+ROWS = {
+    "variants": "Baseline, V, S, VU, VS",
+    "p": "0.2, 0.4, 0.6, 0.8, 1.0",
+    "curves": "LD, SD, SI, LI",
+    "mixed": "vs, 0.4, ld, Baseline, 0.40, LD",
+}
 CONFIG = """\
 seed = 42
 dataset.n = 16
@@ -66,17 +73,17 @@ def main(argv=None) -> int:
     def cli(*command: str) -> None:
         run("-m", "latent_awaken.cli", *command)
 
-    for sweep in SWEEPS:
-        (out / f"{sweep}.cfg").write_text(CONFIG + f"ablate.sweep = {sweep}\n")
+    for name, rows in ROWS.items():
+        (out / f"{name}.cfg").write_text(CONFIG + f"ablate.rows = {rows}\n")
     cfg, ckpt, image = str(out / "variants.cfg"), str(out / "train"), str(out / "image.ltn1")
     run("-c", IMAGE, cfg, image)
     cli("train", "--config", cfg, "--out", ckpt)
     for variant in VARIANTS:
         cli("animate", "--config", cfg, "--ckpt", ckpt, "--image", image, "--label", "right",
             "--variant", variant, "--out", str(out / "animate" / variant))
-    for sweep in SWEEPS:
-        cli("ablate", "--config", str(out / f"{sweep}.cfg"), "--ckpt", ckpt, "--n", "3",
-            "--out", str(out / "ablate" / sweep))
+    for name in ROWS:
+        cli("ablate", "--config", str(out / f"{name}.cfg"), "--ckpt", ckpt, "--n", "3",
+            "--out", str(out / "ablate" / name))
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "run.log"):
         name, data = path.relative_to(out).as_posix(), path.read_bytes()

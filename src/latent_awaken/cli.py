@@ -17,12 +17,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, SweepKind, load_config, parse_enum
+from .config import ConfigError, ExperimentConfig, load_config, parse_enum
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
 from .motion import label_id
@@ -184,19 +183,9 @@ def _settings_record(cfg: ExperimentConfig) -> dict:
 
 
 def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int) -> AblationReport:
-    """Run the configured sweep as one task list: a row per variant, or a
-    VS row per weight curve or stop fraction p."""
-    vsds_cfg = cfg.vsds_config()
-    sweep = cfg["ablate.sweep"]
-    if sweep is SweepKind.VARIANTS:
-        runs = {v.value: (v, vsds_cfg) for v in cfg["pipeline.variants"]}
-    elif sweep is SweepKind.CURVES:
-        curves = [replace(vsds_cfg.curve, kind=kind) for kind in cfg["ablate.curve_grid"]]
-        runs = {c.kind.value: (PipelineVariant.VS, replace(vsds_cfg, curve=c)) for c in curves}
-    else:  # p sweep
-        runs = {repr(p): (PipelineVariant.VS, replace(vsds_cfg, p=p)) for p in cfg["ablate.p_grid"]}
+    """Run the configured ``ablate.rows`` as one task list, in listed order."""
     return _run_rows(
-        benchmark, runs, model, cfg.schedule(), reference, cfg["seed"], threads,
+        benchmark, cfg.ablation_rows(), model, cfg.schedule(), reference, cfg["seed"], threads,
         fusion_cfg=cfg.fusion_config(), proxy_provider=SyntheticProvider(cfg.proxy_params()),
     )
 

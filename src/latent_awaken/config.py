@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from contextlib import suppress
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import FusionConfig
-from .pipeline import PipelineVariant, ordered_variants
+from .pipeline import PipelineVariant
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams, dims_problem
 from .vsds import CurveKind, VsdsConfig, WeightCurve
@@ -47,21 +48,12 @@ def _list_of(parse_item):
 
 
 def _grid_of(parse_item):
-    """A sweep grid: each value once, in the order first listed."""
+    """A list of rows: each value once, in the order first listed."""
     return lambda text: tuple(dict.fromkeys(_list_of(parse_item)(text)))
 
 
-class SweepKind(Enum):
-    """What ``ablate`` varies from row to row: the pipeline variant, or the
-    VS refinement's weight curve or stop fraction p."""
-
-    VARIANTS = "variants"
-    CURVES = "curves"
-    P = "p"
-
-
 # What each enum's values are called in error messages.
-_ENUM_KINDS = {CurveKind: "weight curve", PipelineVariant: "pipeline variant", SweepKind: "sweep kind"}
+_ENUM_KINDS = {CurveKind: "weight curve", PipelineVariant: "pipeline variant"}
 
 
 def parse_enum(kind: type[Enum], text: str) -> Enum:
@@ -73,8 +65,15 @@ def parse_enum(kind: type[Enum], text: str) -> Enum:
     raise ValueError(f"unknown {_ENUM_KINDS[kind]} {text!r}; known: {', '.join(m.value for m in kind)}")
 
 
-def _enum(kind: type[Enum]):
-    return lambda text: parse_enum(kind, text)
+def _parse_row(text: str):
+    """One ``ablate.rows`` entry: a pipeline variant, a weight curve or a stop fraction p."""
+    for kind in (PipelineVariant, CurveKind):
+        with suppress(ValueError):
+            return parse_enum(kind, text)
+    with suppress(ValueError):
+        return _parse_float(text)
+    known = ", ".join(m.value for kind in (PipelineVariant, CurveKind) for m in kind)
+    raise ValueError(f"{text!r} is not a pipeline variant, a weight curve or a stop fraction p; known: {known}")
 
 
 # key -> (default value, parser). The parser receives the raw string.
@@ -100,22 +99,12 @@ _SCHEMA: dict[str, tuple] = {
     "train.lr": (0.5, _parse_float),
     "train.batch": (8, int),
     "vsds.p": (0.6, _parse_float),
-    "vsds.curve": (CurveKind.STEPWISE_DECREASING, _enum(CurveKind)),
+    "vsds.curve": (CurveKind.STEPWISE_DECREASING, lambda text: parse_enum(CurveKind, text)),
     "vsds.w_hi": (2.0, _parse_float),
     "vsds.w_lo": (1.0, _parse_float),
     "fusion.epsilon_theta": (1e-6, _parse_float),
     "proxy.strength": (0.5, _parse_float),
-    # Parsed to the rows run_ablation runs, so those rows have one hash.
-    "pipeline.variants": (
-        tuple(PipelineVariant), lambda text: ordered_variants(_list_of(_enum(PipelineVariant))(text))
-    ),
-    "ablate.sweep": (SweepKind.VARIANTS, _enum(SweepKind)),
-    "ablate.p_grid": ((0.2, 0.4, 0.6, 0.8, 1.0), _grid_of(_parse_float)),
-    "ablate.curve_grid": (
-        (CurveKind.LINEAR_DECREASING, CurveKind.STEPWISE_DECREASING,
-         CurveKind.STEPWISE_INCREASING, CurveKind.LINEAR_INCREASING),
-        _grid_of(_enum(CurveKind)),
-    ),
+    "ablate.rows": (tuple(PipelineVariant), _grid_of(_parse_row)),
 }
 
 
@@ -163,6 +152,20 @@ class ExperimentConfig:
 
     def proxy_params(self) -> SyntheticProviderParams:
         return SyntheticProviderParams(motion_hint_strength=self.values["proxy.strength"])
+
+    def ablation_rows(self) -> dict[str, tuple[PipelineVariant, VsdsConfig]]:
+        """``ablate.rows`` as row key -> (variant, VsdsConfig), in listed order: a variant runs
+        with the configured settings, a weight curve or a stop fraction p runs VS with it."""
+        vsds_cfg = self.vsds_config()
+        runs = {}
+        for row in self.values["ablate.rows"]:
+            if isinstance(row, PipelineVariant):
+                runs[row.value] = (row, vsds_cfg)
+            elif isinstance(row, CurveKind):
+                runs[row.value] = (PipelineVariant.VS, replace(vsds_cfg, curve=replace(vsds_cfg.curve, kind=row)))
+            else:
+                runs[repr(row)] = (PipelineVariant.VS, replace(vsds_cfg, p=row))
+        return runs
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -220,6 +223,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         ("vsds.*", cfg.vsds_config),
         ("fusion.*", cfg.fusion_config),
         ("proxy.strength", cfg.proxy_params),
+        ("ablate.rows", cfg.ablation_rows),
     ]
     for key, build in checks:
         try:
@@ -230,6 +234,3 @@ def _validate(cfg: ExperimentConfig) -> None:
             if field_key in v:
                 key = field_key
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for p in v["ablate.p_grid"]:
-        if not 0.0 < p <= 1.0:
-            raise ConfigError(f"config key 'ablate.p_grid': p values must be in (0, 1], got {p}")

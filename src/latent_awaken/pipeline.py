@@ -314,6 +314,10 @@ def _run_rows(
     frames = denoiser.frames
     if frames < metrics.LINEARITY_MIN_FRAMES:
         raise ValueError(f"scoring needs at least {metrics.LINEARITY_MIN_FRAMES} frames; the model makes {frames}")
+    clip = (frames, *benchmark[0][0].shape)
+    for i, video in enumerate(reference_videos or ()):
+        if video.shape != clip:
+            raise ValueError(f"reference video {i} has shape {video.shape}, the benchmark's clips have {clip}")
 
     reference_stats = None
     if reference_videos is not None and len(reference_videos) >= 2:

@@ -660,18 +660,23 @@ def save_checkpoint(
 def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     """Rebuild a ToyDenoiser from ``save_checkpoint`` output.
 
-    The manifest must give every dimension and the provenance; the model
-    those dimensions build decides which parameter files are read and what
-    shape each must have.
+    The manifest must give every dimension and the provenance, with the
+    training labels as a list; the model those dimensions build decides
+    which parameter files are read and what shape each must have.
     """
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in checkpoint dir: {ckpt_dir}")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest {manifest_path} is not a JSON object")
     for key in MODEL_DIMS + ("dataset", "schedule_digest"):
         if manifest.get(key) is None:
             raise ValueError(f"checkpoint manifest {manifest_path} has no value for {key!r}")
+    labels = manifest["dataset"].get("labels") if isinstance(manifest["dataset"], dict) else None
+    if not isinstance(labels, list) or not all(label in MOTION_LABELS for label in labels):
+        raise ValueError(f"checkpoint manifest {manifest_path} has no list of motion labels under 'dataset.labels'")
     for key in MODEL_DIMS:
         # not isinstance: a JSON true would pass as 1
         if type(manifest[key]) is not int or manifest[key] < 1:

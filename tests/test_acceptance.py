@@ -1,4 +1,4 @@
-"""Acceptance gate: the eight checks the package has to clear, end to end.
+"""Acceptance gate: the nine checks the package has to clear, end to end.
 
 Each test prints one ``[PASS]/[FAIL] criterion N`` line with the measured
 numbers so a plain ``pytest -s tests/test_acceptance.py`` reads as a report.
@@ -19,8 +19,9 @@ from doubles import FRAME_SHAPE, CountingGen, EchoOracle, ZeroDenoiser, tiled_vi
 from latent_awaken.cli import main
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
-from latent_awaken.metrics import FeatureStats, frechet_distance, linearity_score, motion_energy
-from latent_awaken.pipeline import PipelineVariant
+from latent_awaken.metrics import FeatureStats, alignment_score, frechet_distance, linearity_score, motion_energy
+from latent_awaken.pipeline import PipelineVariant, _animate_items
+from latent_awaken.proxy import SyntheticProvider
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import ToyDenoiser, generate_dataset
 from latent_awaken.vsds import VsdsConfig, dual_path_refine, update_count, vsds_refine
@@ -36,7 +37,7 @@ train.epochs = 3
 """
 
 
-def report(n: int, ok: bool, detail: str) -> bool:
+def report(n: int | str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}")
     return ok
 
@@ -189,6 +190,36 @@ def test_criterion_4_motion_injection(held_out_runs, thresholds):
         f"energy ratio {ratio:.1f} (>10), refined mean {vs.mean():.5f} "
         f"(>={frozen['vs_energy_min']:.5f}), baseline mean {base.mean():.6f} "
         f"(<={frozen['baseline_energy_max']:.6f}), {elapsed:.1f}s (<300s incl. training)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 4b. motion injection within one prior: the static-output failure mode
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_4b_static_prior_motion(held_out_runs, static_model, sched):
+    # On the prior that only saw still clips, plain sampling stays static;
+    # the paper's claim is that VS moves the clip the labelled way anyway.
+    # The Baseline outputs are criterion 4's; only the VS runs are new.
+    model, _ = static_model
+    items = [(s.cond.image, s.cond) for s in recipe.held_out_set().samples]
+    vs = PipelineVariant.VS
+    t0 = time.perf_counter()
+    results, _ = _animate_items(
+        items, {vs: (vs, recipe.VSDS_CFG)}, model, sched, recipe.HELD_OUT_RUN_SEED,
+        fusion_cfg=recipe.FUSION_CFG, proxy_provider=SyntheticProvider(recipe.PROXY_PARAMS),
+    )
+    outputs = {"vs": recipe.outputs_in_order(results, len(items), (vs,))[vs], "base": held_out_runs["baseline"]}
+    elapsed = time.perf_counter() - t0
+    energy = {k: np.mean([motion_energy(v) for v in outs]) for k, outs in outputs.items()}
+    align = {k: np.mean([alignment_score(v, cond) for v, (_, cond) in zip(outs, items)]) for k, outs in outputs.items()}
+    ok = energy["vs"] > energy["base"] and align["vs"] > align["base"]
+    assert report(
+        "4b",
+        ok,
+        f"static prior, {len(items)} held-out items: VS energy {energy['vs']:.5f} > baseline {energy['base']:.6f}, "
+        f"VS alignment {align['vs']:.3f} > baseline {align['base']:.3f}, {elapsed:.1f}s for the VS runs",
     )
 
 

@@ -15,12 +15,13 @@ import pytest
 import latent_awaken
 from latent_awaken import metrics
 from latent_awaken.cli import _sweep_rows, main
-from latent_awaken.config import SweepKind, parse_config
+from latent_awaken.config import parse_config
 from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
 from latent_awaken.numerics import read_ltn1, write_ltn1
 from latent_awaken.pipeline import AblationReport, PipelineVariant, run_ablation
 from latent_awaken.proxy import SyntheticProvider, write_pgm
 from latent_awaken.toydenoiser import MODEL_DIMS, DatasetParams, generate_dataset, load_checkpoint, render_pattern
+from latent_awaken.vsds import CurveKind
 
 CFG_TEXT = """\
 seed = 42
@@ -339,7 +340,7 @@ def test_ablate_variant_sweep(workspace, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["Baseline", "V", "S", "VU", "VS"]
 
     payload = json.loads((out / "ablation.json").read_text())
-    assert "ablate.sweep = variants" in payload["config"]
+    assert "ablate.rows = Baseline,V,S,VU,VS" in payload["config"]
     assert "seed = 42" in payload["config"]
     assert payload["config_hash"]
     assert payload["n_items"] == 2
@@ -353,7 +354,7 @@ def test_ablate_variant_sweep(workspace, tmp_path):
 
 def test_ablate_p_sweep(workspace, tmp_path):
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(CFG_TEXT + "ablate.sweep = p\n")
+    cfg.write_text(CFG_TEXT + "ablate.rows = 0.2, 0.4, 0.6, 0.8, 1.0\n")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
                  "--n", "2", "--out", str(out)]) == 0
@@ -363,7 +364,7 @@ def test_ablate_p_sweep(workspace, tmp_path):
 
 def test_ablate_curve_sweep(workspace, tmp_path):
     cfg = tmp_path / "curves.cfg"
-    cfg.write_text(CFG_TEXT + "ablate.sweep = curves\n")
+    cfg.write_text(CFG_TEXT + "ablate.rows = LD, SD, SI, LI\n")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
                  "--n", "2", "--out", str(out)]) == 0
@@ -372,18 +373,37 @@ def test_ablate_curve_sweep(workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sweep, grid, keys",
-    [("p", "ablate.p_grid = 0.5, 0.5", ["0.5"]), ("curves", "ablate.curve_grid = SI, LD, si", ["SI", "LD"])],
-    ids=["p", "curves"],
+    "rows, keys", [("0.5, 0.5", ["0.5"]), ("SI, LD, si", ["SI", "LD"])], ids=["p", "curves"],
 )
-def test_ablate_runs_each_grid_value_once(workspace, tmp_path, sweep, grid, keys):
+def test_ablate_runs_each_grid_value_once(workspace, tmp_path, rows, keys):
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text(CFG_TEXT + f"ablate.sweep = {sweep}\n{grid}\n")
+    cfg.write_text(CFG_TEXT + f"ablate.rows = {rows}\n")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
                  "--n", "2", "--out", str(out)]) == 0
     lines = (out / "ablation.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == keys
+
+
+def test_ablate_writes_rows_in_listed_order(workspace, tmp_path):
+    # Variants, curves and stop fractions mix in one list; each row runs
+    # once, in the order first listed, with the bytes it has in a list of
+    # its own kind.
+    csv = {}
+    for name, rows in [("mixed", "vs, 0.4, ld, Baseline, 0.40, LD"), ("variants", "Baseline, V, S, VU, VS"),
+                       ("p", "0.4"), ("curves", "LD")]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(CFG_TEXT + f"ablate.rows = {rows}\n")
+        out = tmp_path / name
+        assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
+                     "--n", "2", "--out", str(out)]) == 0
+        lines = (out / "ablation.csv").read_text().splitlines()
+        csv[name] = {line.split(",")[0]: line for line in lines[1:]}
+        if name == "mixed":
+            assert "ablate.rows = VS,0.4,LD,Baseline" in json.loads((out / "ablation.json").read_text())["config"]
+    assert list(csv["mixed"]) == ["VS", "0.4", "LD", "Baseline"]
+    for key, line in csv["mixed"].items():
+        assert line == {**csv["variants"], **csv["p"], **csv["curves"]}[key]
 
 
 def test_run_artifacts_record_the_settings_they_hash(workspace, tmp_path):
@@ -392,7 +412,7 @@ def test_run_artifacts_record_the_settings_they_hash(workspace, tmp_path):
     records = {}
     for strength in ("0.25", "0.75"):
         cfg = tmp_path / f"strength_{strength}.cfg"
-        cfg.write_text(CFG_TEXT + f"pipeline.variants = VS\nproxy.strength = {strength}\n")
+        cfg.write_text(CFG_TEXT + f"ablate.rows = VS\nproxy.strength = {strength}\n")
         anim, ablate = tmp_path / f"anim_{strength}", tmp_path / f"ablate_{strength}"
         assert main(animate_args(dict(workspace, cfg=cfg), anim)) == 0
         assert main(ablate_args(cfg, workspace["ckpt"], ablate)) == 0
@@ -421,19 +441,19 @@ class FailsAboveCutoff:
 
 
 @pytest.mark.parametrize(
-    "sweep, grid, keys",
+    "rows, keys",
     [
-        ("p", "ablate.p_grid = 0.4, 0.8", ["0.4", "0.8"]),
-        ("curves", "ablate.curve_grid = LD, SI", ["LD", "SI"]),
-        # rows take the curves' canonical names, however the grid spells them
-        ("curves", "ablate.curve_grid = ld, si", ["LD", "SI"]),
+        ("0.4, 0.8", ["0.4", "0.8"]),
+        ("LD, SI", ["LD", "SI"]),
+        # rows take the curves' canonical names, however the list spells them
+        ("ld, si", ["LD", "SI"]),
     ],
     ids=["p", "curves", "curves-any-case"],
 )
-def test_sweep_failures_name_their_sweep_point(sweep, grid, keys):
+def test_sweep_failures_name_their_sweep_point(rows, keys):
     # Every refinement starts at T, above the cut-off, so each item of each
     # sweep point fails; each failure must say which point it belongs to.
-    cfg = parse_config(CFG_TEXT + f"ablate.sweep = {sweep}\n{grid}\n")
+    cfg = parse_config(CFG_TEXT + f"ablate.rows = {rows}\n")
     samples = generate_dataset(2, cfg.dataset_params(), seed=1).samples
     model = FailsAboveCutoff(cfg.dataset_params().frames, cutoff=cfg["schedule.steps"] // 2)
     report = _sweep_rows(cfg, model, [(s.cond.image, s.cond) for s in samples], None, threads=1)
@@ -459,10 +479,11 @@ def per_point_reports(cfg, model, benchmark, reference):
     """The sweep as one ``run_ablation`` call per point, its rows and
     failures re-keyed by the point: the reference for ``_sweep_rows``."""
     base = cfg.vsds_config()
-    if cfg["ablate.sweep"] is SweepKind.CURVES:
-        points = [(k.value, replace(base, curve=replace(base.curve, kind=k))) for k in cfg["ablate.curve_grid"]]
-    else:
-        points = [(repr(p), replace(base, p=p)) for p in cfg["ablate.p_grid"]]
+    points = [
+        (row.value, replace(base, curve=replace(base.curve, kind=row)))
+        if isinstance(row, CurveKind) else (repr(row), replace(base, p=row))
+        for row in cfg["ablate.rows"]
+    ]
     rows, failures = [], []
     for key, vsds_cfg in points:
         report = run_ablation(
@@ -474,11 +495,11 @@ def per_point_reports(cfg, model, benchmark, reference):
     return AblationReport(rows, report.feature_dim, report.n_items, failures)
 
 
-@pytest.mark.parametrize("sweep", ["p", "curves"])
-def test_sweep_is_one_task_list_with_the_per_point_results(workspace, monkeypatch, sweep):
+@pytest.mark.parametrize("rows", ["0.2, 0.4, 0.6, 0.8, 1.0", "LD, SD, SI, LI"], ids=["p", "curves"])
+def test_sweep_is_one_task_list_with_the_per_point_results(workspace, monkeypatch, rows):
     # One task list for the whole sweep gives the rows, counts and failure
     # records of one run per point, and fits the reference features once.
-    cfg = parse_config(CFG_TEXT + f"ablate.sweep = {sweep}\n")
+    cfg = parse_config(CFG_TEXT + f"ablate.rows = {rows}\n")
     samples = generate_dataset(3, cfg.dataset_params(), seed=5).samples
     benchmark = [(s.cond.image, s.cond) for s in samples]
     reference = [s.video for s in samples]
@@ -538,7 +559,7 @@ def test_ablate_pool_size_follows_the_affinity_mask(workspace, tmp_path, monkeyp
     assert csv[1] == csv[2]
     # A single (item, variant) task runs on the caller's thread alone.
     cfg = tmp_path / "one.cfg"
-    cfg.write_text(CFG_TEXT + "pipeline.variants = VS\n")
+    cfg.write_text(CFG_TEXT + "ablate.rows = VS\n")
     out = tmp_path / "one"
     assert main(["ablate", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]), "--n", "1", "--out", str(out)]) == 0
     assert "1 task thread(s) on 2 core(s)" in (out / "run.log").read_text()
@@ -587,7 +608,11 @@ def test_unusable_dataset_size_exits_before_any_compute(tmp_path, capsys, line):
 @pytest.mark.parametrize(
     "line, needle",
     [("fusion.angle_scope = global", "unknown config key 'fusion.angle_scope'"),
-     ("vsds.curve = constant", "unknown weight curve 'constant'")],
+     ("vsds.curve = constant", "unknown weight curve 'constant'"),
+     ("pipeline.variants = VS", "unknown config key 'pipeline.variants'"),
+     ("ablate.sweep = p", "unknown config key 'ablate.sweep'"),
+     ("ablate.p_grid = 0.4", "unknown config key 'ablate.p_grid'"),
+     ("ablate.curve_grid = LD", "unknown config key 'ablate.curve_grid'")],
 )
 def test_removed_settings_are_usage_errors(tmp_path, capsys, line, needle):
     cfg = tmp_path / "run.cfg"
@@ -668,6 +693,31 @@ def test_checkpoint_without_provenance_is_refused(workspace, tmp_path, capsys, k
     assert repr(key) in capsys.readouterr().err
     assert main(ablate_args(ws["cfg"], ws["ckpt"], tmp_path / "ablate")) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest, key",
+    [
+        (lambda m: {**m, "dataset": {k: v for k, v in m["dataset"].items() if k != "labels"}}, "'dataset.labels'"),
+        (lambda m: {**m, "dataset": list(m["dataset"].values())}, "'dataset.labels'"),
+        (lambda m: {**m, "dataset": {**m["dataset"], "labels": "right,left"}}, "'dataset.labels'"),
+        (lambda m: {**m, "dataset": {**m["dataset"], "labels": ["right", "sideways"]}}, "'dataset.labels'"),
+        (lambda m: [m], "not a JSON object"),
+    ],
+    ids=["labels-absent", "dataset-list", "labels-string", "labels-unknown", "manifest-list"],
+)
+def test_checkpoint_with_malformed_provenance_is_usage_error(workspace, tmp_path, capsys, manifest, key):
+    # A manifest whose provenance has the wrong form cannot be checked
+    # against the config; it is refused by path and key, not used or
+    # failed on at runtime.
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest(json.loads((ckpt / "manifest.json").read_text()))))
+    assert main(animate_args(dict(workspace, ckpt=ckpt), tmp_path / "anim", label="right")) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint manifest {ckpt / 'manifest.json'}" in err
+    assert key in err
+    assert not (tmp_path / "anim").exists()
 
 
 @pytest.mark.parametrize("dim", MODEL_DIMS)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latent_awaken.config import ConfigError, SweepKind, load_config, parse_config, parse_enum
+from latent_awaken.config import ConfigError, load_config, parse_config, parse_enum
 from latent_awaken.diffusion import NoiseSchedule
 from latent_awaken.fusion import FusionConfig
 from latent_awaken.motion import MOTION_LABELS
 from latent_awaken.pipeline import PipelineVariant
 from latent_awaken.proxy import SyntheticProviderParams
 from latent_awaken.toydenoiser import DatasetParams, ToyDenoiser, train
-from latent_awaken.vsds import CurveKind, VsdsConfig
+from latent_awaken.vsds import CurveKind, VsdsConfig, WeightCurve
 
 
 def test_defaults():
@@ -22,10 +22,8 @@ def test_defaults():
     assert cfg["seed"] == 42
     assert cfg["vsds.p"] == 0.6
     assert cfg["schedule.steps"] == 1000
-    assert [v.value for v in cfg["pipeline.variants"]] == ["Baseline", "V", "S", "VU", "VS"]
-    assert [k.value for k in cfg["ablate.curve_grid"]] == ["LD", "SD", "SI", "LI"]
+    assert [v.value for v in cfg["ablate.rows"]] == ["Baseline", "V", "S", "VU", "VS"]
     assert cfg.vsds_config().curve.kind is CurveKind.STEPWISE_DECREASING
-    assert cfg["ablate.sweep"] is SweepKind.VARIANTS
 
 
 def test_defaults_are_the_librarys_own():
@@ -89,7 +87,6 @@ def test_bad_value_names_key():
         ("dataset.frames = 1", "dataset.frames"),
         ("vsds.omega = sqrt", "'vsds.omega'"),
         ("pipeline.resume_from = mid", "pipeline.resume_from"),
-        ("ablate.sweep = widths", "ablate.sweep"),
         ("denoiser.t_embed = 3", "'denoiser.t_embed'"),
         ("denoiser.t_embed = 0", "'denoiser.t_embed'"),
         ("denoiser.hidden = 0", "'denoiser.hidden'"),
@@ -107,9 +104,16 @@ def test_bad_value_names_key():
         ("dataset.shapes = triangle", "unknown shape kind"),
         ("dataset.shapes = triangle", "config key 'dataset.shapes'"),
         ("dataset.labels = right, foo", "config key 'dataset.labels'"),
-        ("pipeline.variants = Baseline, XX", "unknown pipeline variant"),
+        # the four keys that ablate.rows replaced are refused by name
+        ("ablate.sweep = widths", "ablate.sweep"),
         ("ablate.p_grid = 0.0, 0.5", "ablate.p_grid"),
         ("ablate.curve_grid = LD, bogus", "ablate.curve_grid"),
+        ("pipeline.variants = VS", "unknown config key 'pipeline.variants'"),
+        ("ablate.rows = Baseline, XX", "config key 'ablate.rows': 'XX' is not a pipeline variant"),
+        ("ablate.rows = 0.0, 0.5", "config key 'ablate.rows': p must be in (0, 1], got 0.0"),
+        ("ablate.rows = VS, 1.5", "config key 'ablate.rows': p must be in (0, 1], got 1.5"),
+        ("ablate.rows = LD, bogus", "config key 'ablate.rows': 'bogus' is not"),
+        ("ablate.rows = nan", "config key 'ablate.rows': 'nan' is not"),
         ("proxy.strength = 1.5", "proxy.strength"),
         ("dataset.blob_sigma = 1.0", "blob_sigma"),
         ("dataset.blob_sigma = 1.0, 2.0, 3.0", "blob_sigma"),
@@ -145,13 +149,16 @@ def test_parse_variant_case_insensitive():
     for text, variant in [("baseline", PipelineVariant.BASELINE), ("  vs ", PipelineVariant.VS),
                           ("Vu", PipelineVariant.VU)]:
         assert parse_enum(PipelineVariant, text) is variant
-        assert parse_config(f"pipeline.variants = {text}\n")["pipeline.variants"] == (variant,)
+        assert parse_config(f"ablate.rows = {text}\n")["ablate.rows"] == (variant,)
     with pytest.raises(ValueError) as err:
         parse_enum(PipelineVariant, "VX")
     with pytest.raises(ConfigError) as cfg_err:
-        parse_config("pipeline.variants = VX\n")
+        parse_config("ablate.rows = VX\n")
     for known in ("Baseline", "V", "S", "VU", "VS"):
         assert known in str(err.value)
+        assert known in str(cfg_err.value)
+    # a row that is neither kind of name nor a number lists both kinds' names
+    for known in ("LD", "SD", "SI", "LI"):
         assert known in str(cfg_err.value)
 
 
@@ -161,6 +168,7 @@ def test_parse_curve_kind_aliases():
                        ("Si", CurveKind.STEPWISE_INCREASING), (" li ", CurveKind.LINEAR_INCREASING)]:
         assert parse_enum(CurveKind, text) is kind
         assert parse_config(f"vsds.curve = {text}\n")["vsds.curve"] is kind
+        assert parse_config(f"ablate.rows = {text}\n")["ablate.rows"] == (kind,)
     for name in ("stepwise-decreasing", "const", "constant", "CONSTANT", "quadratic"):
         with pytest.raises(ValueError, match="unknown weight curve"):
             parse_enum(CurveKind, name)
@@ -172,11 +180,9 @@ def test_parse_curve_kind_aliases():
     "key, a, b",
     [
         ("vsds.curve", "sd", "SD"),
-        ("pipeline.variants", "vs, baseline", "Baseline, VS"),
-        ("ablate.curve_grid", "ld, sd", "LD, SD"),
-        ("ablate.sweep", "Variants", "variants"),
-        ("ablate.sweep", "CURVES", "curves"),
-        ("ablate.sweep", "P", "p"),
+        ("ablate.rows", "vs, baseline", "VS, Baseline"),
+        ("ablate.rows", "ld, sd", "LD, SD"),
+        ("ablate.rows", "vu, li, 0.4", "VU, LI, 0.4"),
     ],
 )
 def test_enum_names_hash_in_canonical_spelling(key, a, b):
@@ -189,27 +195,40 @@ def test_enum_names_hash_in_canonical_spelling(key, a, b):
 
 
 def test_variant_list_is_canonical_in_row_order():
-    # The ablation runs each listed variant once, in row order, so the list
-    # parses that way: the same rows have one canonical text and one hash.
-    texts = ("VS, Baseline", "Baseline, VS", "Baseline, VS, VS")
-    cfgs = [parse_config(f"pipeline.variants = {text}\n") for text in texts]
-    assert all(cfg["pipeline.variants"] == (PipelineVariant.BASELINE, PipelineVariant.VS) for cfg in cfgs)
+    # The ablation runs each listed row once, in the order listed, so the
+    # canonical text keeps that order and drops repeats: rows that run the
+    # same way have one canonical text and one hash.
+    texts = ("VS, Baseline", "VS, Baseline, VS", "vs, BASELINE")
+    cfgs = [parse_config(f"ablate.rows = {text}\n") for text in texts]
+    assert all(cfg["ablate.rows"] == (PipelineVariant.VS, PipelineVariant.BASELINE) for cfg in cfgs)
     assert len({cfg.canonical() for cfg in cfgs}) == 1
     assert len({cfg.config_hash() for cfg in cfgs}) == 1
-    assert "pipeline.variants = Baseline,VS" in cfgs[0].canonical().splitlines()
-    # a list already in row order is written as it was given
-    for text in ("VS", "Baseline,V,S,VU,VS"):
-        assert f"pipeline.variants = {text}" in parse_config(f"pipeline.variants = {text}\n").canonical().splitlines()
-    assert parse_config("").canonical() == parse_config("pipeline.variants = Baseline,V,S,VU,VS\n").canonical()
+    assert "ablate.rows = VS,Baseline" in cfgs[0].canonical().splitlines()
+    assert list(cfgs[0].ablation_rows()) == ["VS", "Baseline"]
+    assert parse_config("").canonical() == parse_config("ablate.rows = Baseline,V,S,VU,VS\n").canonical()
+    # another order is another setting
+    assert parse_config("ablate.rows = Baseline, VS\n").config_hash() != cfgs[0].config_hash()
 
 
 def test_sweep_grids_run_each_value_once():
-    # A repeated grid value would run the same sweep point twice; the
-    # first-listed order is kept, as pipeline.variants keeps one row each.
-    cfg = parse_config("ablate.p_grid = 0.8, 0.5, 0.8, 0.50\nablate.curve_grid = SI, LD, si\n")
-    assert cfg["ablate.p_grid"] == (0.8, 0.5)
-    assert cfg["ablate.curve_grid"] == (CurveKind.STEPWISE_INCREASING, CurveKind.LINEAR_DECREASING)
-    assert cfg.config_hash() == parse_config("ablate.p_grid = 0.8, 0.5\nablate.curve_grid = SI, LD\n").config_hash()
+    # A repeated row would run the same row twice; the first-listed order is
+    # kept, whatever mix of variants, curves and stop fractions is listed.
+    cfg = parse_config("ablate.rows = vs, 0.4, ld, Baseline, 0.40, LD\n")
+    assert cfg["ablate.rows"] == (PipelineVariant.VS, 0.4, CurveKind.LINEAR_DECREASING, PipelineVariant.BASELINE)
+    assert "ablate.rows = VS,0.4,LD,Baseline" in cfg.canonical().splitlines()
+    assert cfg.config_hash() == parse_config("ablate.rows = VS, 0.4, LD, Baseline\n").config_hash()
+
+
+def test_ablation_rows_run_vs_with_each_curve_or_p():
+    # A variant row runs with the configured settings; a curve row or a p
+    # row runs VS with only that setting changed.
+    cfg = parse_config("vsds.p = 0.5\nvsds.curve = SI\nvsds.w_hi = 3.0\nablate.rows = VU, LD, 0.8\n")
+    base = cfg.vsds_config()
+    assert cfg.ablation_rows() == {
+        "VU": (PipelineVariant.VU, base),
+        "LD": (PipelineVariant.VS, VsdsConfig(p=0.5, curve=WeightCurve(CurveKind.LINEAR_DECREASING, w_hi=3.0))),
+        "0.8": (PipelineVariant.VS, VsdsConfig(p=0.8, curve=base.curve)),
+    }
 
 
 def test_config_hash_ignores_formatting():
@@ -234,9 +253,9 @@ override_lines = st.fixed_dictionaries({}, optional={
     "vsds.curve": st.sampled_from(["LD", "SD", "SI", "LI", " li "]),
     "fusion.epsilon_theta": st.floats(1e-9, np.pi / 2, exclude_max=True).map(repr),
     "proxy.strength": st.floats(0.0, 1.0).map(repr),
-    "pipeline.variants": st.lists(st.sampled_from(["Baseline", "V", "S", "VU", "VS"]), min_size=1).map(",".join),
-    "ablate.sweep": st.sampled_from(["variants", "Variants", "curves", "CURVES", "p", "P"]),
-    "ablate.p_grid": st.lists(unit_interval, min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
+    "ablate.rows": st.lists(
+        st.sampled_from(["Baseline", "vs", "VU", "ld", "SI"]) | unit_interval.map(repr), min_size=1, max_size=6
+    ).map(", ".join),
 })
 
 
@@ -264,10 +283,10 @@ def test_load_config(tmp_path):
 def test_typed_views():
     cfg = parse_config(
         "seed = 9\nschedule.steps = 120\nschedule.beta_end = 0.08\n"
-        "dataset.labels = right\nproxy.strength = 0.75\npipeline.variants = VS, Baseline\n"
+        "dataset.labels = right\nproxy.strength = 0.75\nablate.rows = VS, Baseline\n"
     )
     sched = cfg.schedule()
     assert sched.steps == 120
     assert cfg.dataset_params().labels == ("right",)
     assert cfg.proxy_params().motion_hint_strength == 0.75
-    assert cfg["pipeline.variants"] == (PipelineVariant.BASELINE, PipelineVariant.VS)
+    assert cfg["ablate.rows"] == (PipelineVariant.VS, PipelineVariant.BASELINE)

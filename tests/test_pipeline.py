@@ -1,5 +1,6 @@
 """End-to-end animate() runs and the ablation harness."""
 
+import re
 import threading
 from collections import Counter
 
@@ -317,6 +318,18 @@ def test_run_ablation_refuses_a_model_it_cannot_score():
     model = EchoOracle(np.zeros((2, 1, 16, 16)), frames=2)
     with pytest.raises(ValueError, match="at least 3 frames"):
         run_ablation(bench_items(2), list(VARIANT_ORDER), model, small_sched())
+    assert model.calls == 0
+
+
+@pytest.mark.parametrize("shape", [(6, 1, 8, 8), (4, 1, 16, 16)], ids=["other-frame-shape", "other-frame-count"])
+def test_run_ablation_refuses_reference_clips_of_another_shape(shape):
+    # Reference clips of another shape would be fitted and scored against
+    # the outputs (8x8) or fail once every task had run (4 frames); both
+    # are refused before the denoiser is first called.
+    model = EchoOracle(np.zeros((6, 1, 16, 16)), frames=6)
+    reference = [VideoLatent(np.zeros(shape)) for _ in range(3)]
+    with pytest.raises(ValueError, match=rf"reference video 0 has shape {re.escape(str(shape))}"):
+        run_ablation(bench_items(2), list(VARIANT_ORDER), model, small_sched(), reference_videos=reference)
     assert model.calls == 0
 
 

@@ -5,7 +5,7 @@
 Runs the CLI of the source tree ``DIR`` (default: this repository) on a
 small config: ``train``, ``animate`` for each pipeline variant, and
 ``ablate`` for each list of ``ROWS``: the variants, a ``p`` sweep, the
-curves, and a mixed list with repeats.  Every file is written
+curves, a mixed list with repeats, and three rows that name one run.  Every file is written
 under ``OUT``, which must not exist yet.  Prints ``sha256  path`` for every
 file except ``run.log``, which holds timings.  For each ``result.json`` and
 ``ablation.json`` it also prints ``sha256  path#payload``, the digest of its
@@ -32,6 +32,8 @@ ROWS = {
     "p": "0.2, 0.4, 0.6, 0.8, 1.0",
     "curves": "LD, SD, SI, LI",
     "mixed": "vs, 0.4, ld, Baseline, 0.40, LD",
+    # VS at the default vsds.p = 0.6 and vsds.curve = SD, three times over
+    "repeats": "VS, 0.6, SD",
 }
 CONFIG = """\
 seed = 42

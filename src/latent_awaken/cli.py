@@ -26,7 +26,7 @@ from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
 from .motion import label_id
 from .numerics import blas_threads, one_blas_thread, read_ltn1, write_ltn1
-from .pipeline import AblationReport, PipelineVariant, _run_rows, animate
+from .pipeline import PipelineVariant, animate, run_ablation
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
 from .rng import stream
 from .toydenoiser import ToyDenoiser, generate_dataset, load_checkpoint, save_checkpoint, schedule_digest, train
@@ -59,6 +59,24 @@ def _write_log(out_dir: Path, lines: list[str]) -> None:
     # Timings and timestamps live here, never in the deterministic artifacts.
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
     (out_dir / "run.log").write_text("\n".join([f"[{stamp}]", _blas_line()] + lines) + "\n")
+
+
+def _input_file(path, what: str) -> Path:
+    """``path``, refused unless it names a regular file; ``what`` names it in the message."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{what} {'is not a regular file' if path.exists() else 'not found'}: {path}")
+    return path
+
+
+def _out_dir(path) -> Path:
+    """``path`` as an output directory, not yet made: refused if a file
+    stands where it or one of its parents would be."""
+    path = Path(path)
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"output directory {path}: {part} is not a directory")
+    return path
 
 
 def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
@@ -94,8 +112,8 @@ def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out)
+    cfg = load_config(_input_file(args.config, "config file"))
+    out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     params = cfg.dataset_params()
@@ -127,22 +145,20 @@ def cmd_train(args) -> int:
 
 def _load_image(path, frame_shape: tuple[int, int, int], shape_name: str) -> FrameLatent:
     """The input image at ``path`` (PGM or LTN1), refused unless it has ``frame_shape``."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"input image not found: {path}")
-    image = load_proxy(path)
+    image = load_proxy(_input_file(path, "input image"))
     if image.shape != tuple(frame_shape):
         raise ConfigError(f"input image shape {image.shape} does not match the {shape_name} {tuple(frame_shape)}")
     return image
 
 
 def cmd_animate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(_input_file(args.config, "config file"))
+    out_dir = _out_dir(args.out)
     model = _load_model(args.ckpt, cfg, [args.label])
     image = _load_image(args.image, (model.channels, model.height, model.width), "checkpoint's frame shape")
     cond = Condition(image, label_id(args.label))
     variant = parse_enum(PipelineVariant, args.variant)
-    provider = FileProvider(args.proxy) if args.proxy else SyntheticProvider(cfg.proxy_params())
+    provider = FileProvider(_input_file(args.proxy, "proxy file")) if args.proxy else SyntheticProvider(cfg.proxy_params())
     if args.proxy:  # refuse a proxy of another shape before any compute, for every variant
         provider.synthesize(image, cond)
 
@@ -152,7 +168,6 @@ def cmd_animate(args) -> int:
         proxy_provider=provider, seed=cfg["seed"],
     )
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_ltn1(out_dir / "video.ltn1", run.output.frames)
     frame_files = []
@@ -182,16 +197,9 @@ def _settings_record(cfg: ExperimentConfig) -> dict:
     return {"config": cfg.canonical().splitlines(), "config_hash": cfg.config_hash()}
 
 
-def _sweep_rows(cfg: ExperimentConfig, model, benchmark, reference, threads: int) -> AblationReport:
-    """Run the configured ``ablate.rows`` as one task list, in listed order."""
-    return _run_rows(
-        benchmark, cfg.ablation_rows(), model, cfg.schedule(), reference, cfg["seed"], threads,
-        fusion_cfg=cfg.fusion_config(), proxy_provider=SyntheticProvider(cfg.proxy_params()),
-    )
-
-
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(_input_file(args.config, "config file"))
+    out_dir = _out_dir(args.out)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     model = _load_model(args.ckpt, cfg, cfg["dataset.labels"])
@@ -202,10 +210,12 @@ def cmd_ablate(args) -> int:
     reference = [s.video for s in bench.samples]
 
     t0 = time.perf_counter()
-    report = _sweep_rows(cfg, model, benchmark, reference, threads)
+    report = run_ablation(
+        benchmark, cfg["ablate.rows"], model, cfg.schedule(), cfg.vsds_config(), cfg.fusion_config(),
+        SyntheticProvider(cfg.proxy_params()), cfg["seed"], reference, threads,
+    )
     elapsed = time.perf_counter() - t0
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ablation.csv").write_text(report.to_csv())
     (out_dir / "ablation.json").write_text(report.to_json(extra=_settings_record(cfg)))
@@ -217,10 +227,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    video_path = Path(args.video)
-    if not video_path.exists():
-        raise ConfigError(f"video file not found: {video_path}")
-    video = VideoLatent(read_ltn1(video_path))
+    video = VideoLatent(read_ltn1(_input_file(args.video, "video file")))
     reference = _load_image(args.image, video.frame_shape, "video's frame shape") if args.image else None
     cond = Condition(reference if reference is not None else video.frame(0), label_id(args.label))
     report = diagnose_video(video, cond, reference)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import FusionConfig
-from .pipeline import PipelineVariant
+from .pipeline import PipelineVariant, ablation_runs
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams, dims_problem
 from .vsds import CurveKind, VsdsConfig, WeightCurve
@@ -153,20 +153,6 @@ class ExperimentConfig:
     def proxy_params(self) -> SyntheticProviderParams:
         return SyntheticProviderParams(motion_hint_strength=self.values["proxy.strength"])
 
-    def ablation_rows(self) -> dict[str, tuple[PipelineVariant, VsdsConfig]]:
-        """``ablate.rows`` as row key -> (variant, VsdsConfig), in listed order: a variant runs
-        with the configured settings, a weight curve or a stop fraction p runs VS with it."""
-        vsds_cfg = self.vsds_config()
-        runs = {}
-        for row in self.values["ablate.rows"]:
-            if isinstance(row, PipelineVariant):
-                runs[row.value] = (row, vsds_cfg)
-            elif isinstance(row, CurveKind):
-                runs[row.value] = (PipelineVariant.VS, replace(vsds_cfg, curve=replace(vsds_cfg.curve, kind=row)))
-            else:
-                runs[repr(row)] = (PipelineVariant.VS, replace(vsds_cfg, p=row))
-        return runs
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; ``#`` starts a comment, blanks ignored."""
@@ -223,7 +209,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         ("vsds.*", cfg.vsds_config),
         ("fusion.*", cfg.fusion_config),
         ("proxy.strength", cfg.proxy_params),
-        ("ablate.rows", cfg.ablation_rows),
+        ("ablate.rows", lambda: ablation_runs(v["ablate.rows"], cfg.vsds_config())),
     ]
     for key, build in checks:
         try:

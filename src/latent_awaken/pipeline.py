@@ -14,8 +14,10 @@ says which refinement and which fusion each variant runs:
     VU        dual-path refine + uniform (linear) fusion -> sample
     VS        dual-path refine + spherical fusion        -> sample
 
-``run_ablation`` scores variants over a benchmark set with the metrics
-module and serializes a fixed-column table.
+``run_ablation`` scores rows over a benchmark set with the metrics module
+and serializes a fixed-column table.  A row is a variant, a weight curve or
+a stop fraction p; ``ablation_runs`` says what each runs, and rows that run
+the same way share their runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -43,7 +45,7 @@ from .fusion import FusionConfig, slerp_fuse, uniform_fuse
 from .numerics import one_blas_thread
 from .proxy import ProxyProvider, SyntheticProvider
 from .rng import stream
-from .vsds import VsdsConfig, _keep_paths_serial, dual_path_refine, tau_step, vsds_refine
+from .vsds import CurveKind, VsdsConfig, _keep_paths_serial, dual_path_refine, tau_step, vsds_refine
 
 
 class PipelineVariant(Enum):
@@ -54,18 +56,8 @@ class PipelineVariant(Enum):
     VS = "VS"
 
 
-# Ablation rows follow the enum's definition order.
+# The paper's table order: the default ``ablate.rows`` and the benchmark's rows.
 VARIANT_ORDER = tuple(PipelineVariant)
-
-
-def ordered_variants(variants) -> tuple[PipelineVariant, ...]:
-    """``variants`` in VARIANT_ORDER, each once, however they were listed.
-    Anything that is not a ``PipelineVariant`` is refused."""
-    variants = tuple(variants)
-    for v in variants:
-        if not isinstance(v, PipelineVariant):
-            raise ValueError(f"not a pipeline variant: {v!r}")
-    return tuple(v for v in VARIANT_ORDER if v in variants)
 
 
 # variant -> (refinement: None/"real"/"dual", fusion: None/"slerp"/"uniform").
@@ -78,6 +70,26 @@ VARIANT_STAGES = {
     PipelineVariant.VU: ("dual", "uniform"),
     PipelineVariant.VS: ("dual", "slerp"),
 }
+
+
+def ablation_runs(rows, vsds_cfg: VsdsConfig) -> dict[str, tuple[PipelineVariant, VsdsConfig]]:
+    """Row key -> the ``(variant, VsdsConfig)`` the row runs, in listed
+    order; a repeated key keeps its first place.  A ``PipelineVariant`` runs
+    with ``vsds_cfg`` under its value, a ``CurveKind`` runs VS with that
+    curve under its value, and a float p runs VS with that p under
+    ``repr(float(p))``.  Anything else is refused by name."""
+    runs = {}
+    for row in rows:
+        if isinstance(row, PipelineVariant):
+            key, run = row.value, (row, vsds_cfg)
+        elif isinstance(row, CurveKind):
+            key, run = row.value, (PipelineVariant.VS, replace(vsds_cfg, curve=replace(vsds_cfg.curve, kind=row)))
+        elif isinstance(row, float):
+            key, run = repr(float(row)), (PipelineVariant.VS, replace(vsds_cfg, p=float(row)))
+        else:
+            raise ValueError(f"not a pipeline variant, a weight curve or a stop fraction p: {row!r}")
+        runs.setdefault(key, run)
+    return runs
 
 
 class StageError(RuntimeError):
@@ -210,7 +222,7 @@ class AblationReport:
     feature_dim: int
     n_items: int
     failures: list[dict]
-    # Threads the (item, variant) tasks ran on; 1 is the caller's own.  Kept
+    # Threads the (item, run) tasks ran on; 1 is the caller's own.  Kept
     # out of both artifacts, whose bytes must not depend on the pool.
     workers: int = 1
 
@@ -265,7 +277,8 @@ def _animate_items(
     with seed ``base_seed + i`` and ``settings``, the rest of ``animate``'s
     keyword arguments.
 
-    Each pair is one task, and the tasks share one pool of
+    Each item and distinct ``(variant, VsdsConfig)`` is one task, which
+    keys naming that run share; the tasks share one pool of
     ``max(threads, 2)`` workers, capped at the number of tasks.  The floor
     of two is what a single VS or VU run already takes for its two
     refinement paths, so ``threads`` 1 and 2 behave the same.  Pool workers
@@ -276,37 +289,46 @@ def _animate_items(
     """
 
     def run_task(task):
-        i, key = task
+        i, (variant, vsds_cfg) = task
         image, cond = items[i]
-        variant, vsds_cfg = runs[key]
         try:
             return animate(image, cond, variant, denoiser, sched, vsds_cfg, seed=base_seed + i, **settings).output
         except Exception as exc:  # noqa: BLE001 - returned, not silenced
             return exc
 
-    tasks = [(i, key) for i in range(len(items)) for key in runs]
+    tasks = [(i, run) for i in range(len(items)) for run in dict.fromkeys(runs.values())]
     workers = min(max(threads, 2), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
-            return dict(zip(tasks, pool.map(run_task, tasks))), workers
-    return dict(zip(tasks, map(run_task, tasks))), workers
+            done = dict(zip(tasks, pool.map(run_task, tasks)))
+    else:
+        done = dict(zip(tasks, map(run_task, tasks)))
+    return {(i, key): done[i, run] for i in range(len(items)) for key, run in runs.items()}, workers
 
 
 @one_blas_thread()
-def _run_rows(
-    benchmark: list[tuple[FrameLatent, Condition]], runs: dict[str, tuple[PipelineVariant, VsdsConfig]],
-    denoiser: Denoiser, sched: NoiseSchedule, reference_videos: list[VideoLatent] | None,
-    base_seed: int, threads: int, **settings,
+def run_ablation(
+    benchmark: list[tuple[FrameLatent, Condition]],
+    rows: list,
+    denoiser: Denoiser,
+    sched: NoiseSchedule,
+    vsds_cfg: VsdsConfig = VsdsConfig(),
+    fusion_cfg: FusionConfig = FusionConfig(),
+    proxy_provider: ProxyProvider = SyntheticProvider(),
+    base_seed: int = 42,
+    reference_videos: list[VideoLatent] | None = None,
+    threads: int = 1,
 ) -> AblationReport:
-    """Score each row of ``runs``, a map from row key to the ``(variant,
-    VsdsConfig)`` it runs, over the benchmark; rows follow ``runs``, and
-    ``settings`` are the rest of ``animate``'s keyword arguments.
-
-    Every (item, row) pair is one task of ``_animate_items``'s pool, and the
-    reference features are fitted once for all rows.  Results are taken
-    back in item order and scored on the caller's thread, so the report
-    does not depend on the pool.  Failures name the row key.
+    """Score each row of ``rows``, the kinds of entry ``ablate.rows``
+    parses to, over the benchmark, in listed order; ``ablation_runs`` says
+    what each row runs.  Item ``i`` runs with seed ``base_seed + i`` in
+    every row, on ``_animate_items``'s pool.  The reference features are
+    fitted once, and results are scored on the caller's thread in item
+    order, so the report does not depend on the pool.  Items whose run
+    raises are recorded in ``failures`` under the row key and left out of
+    that row's aggregates.
     """
+    runs = ablation_runs(rows, vsds_cfg)
     if not benchmark:
         raise ValueError("benchmark must be non-empty")
     if not runs:
@@ -324,9 +346,10 @@ def _run_rows(
         ref_feats = np.stack([metrics.video_features(v) for v in reference_videos])
         reference_stats = metrics.FeatureStats.from_features(ref_feats)
 
-    results, workers = _animate_items(benchmark, runs, denoiser, sched, base_seed, threads, **settings)
+    results, workers = _animate_items(benchmark, runs, denoiser, sched, base_seed, threads,
+                                      fusion_cfg=fusion_cfg, proxy_provider=proxy_provider)
 
-    rows, failures = [], []
+    report_rows, failures = [], []
     for key in runs:
         outputs, n_failed = [], 0
         for i, (image, cond) in enumerate(benchmark):
@@ -336,32 +359,6 @@ def _run_rows(
                 n_failed += 1
             else:
                 outputs.append((value, cond, image))
-        rows.append(_score_outputs(key, outputs, reference_stats, n_failed))
+        report_rows.append(_score_outputs(key, outputs, reference_stats, n_failed))
 
-    return AblationReport(rows, metrics.feature_length(frames), len(benchmark), failures, workers)
-
-
-def run_ablation(
-    benchmark: list[tuple[FrameLatent, Condition]],
-    variants: list[PipelineVariant],
-    denoiser: Denoiser,
-    sched: NoiseSchedule,
-    vsds_cfg: VsdsConfig = VsdsConfig(),
-    fusion_cfg: FusionConfig = FusionConfig(),
-    proxy_provider: ProxyProvider = SyntheticProvider(),
-    base_seed: int = 42,
-    reference_videos: list[VideoLatent] | None = None,
-    threads: int = 1,
-) -> AblationReport:
-    """Score each variant over the benchmark; rows follow VARIANT_ORDER.
-
-    Item ``i`` runs with seed ``base_seed + i`` for every variant, so variants
-    see identical noise streams and differ only in pipeline structure.  Items
-    whose run raises are recorded in ``failures`` and excluded from that
-    variant's aggregates.
-    """
-    return _run_rows(
-        benchmark, {v.value: (v, vsds_cfg) for v in ordered_variants(variants)}, denoiser, sched,
-        reference_videos, base_seed, threads,
-        fusion_cfg=fusion_cfg, proxy_provider=proxy_provider,
-    )
+    return AblationReport(report_rows, metrics.feature_length(frames), len(benchmark), failures, workers)

@@ -660,8 +660,8 @@ def save_checkpoint(
 def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     """Rebuild a ToyDenoiser from ``save_checkpoint`` output.
 
-    The manifest must give every dimension and the provenance, with the
-    training labels as a list; the model those dimensions build decides
+    The manifest must name the format ``toydenoiser-v1`` and give every
+    dimension and the provenance, with the training labels as a list; the model those dimensions build decides
     which parameter files are read and what shape each must have.
     """
     ckpt_dir = Path(ckpt_dir)
@@ -671,6 +671,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest {manifest_path} is not a JSON object")
+    if manifest.get("format") != "toydenoiser-v1":
+        raise ValueError(f"checkpoint manifest {manifest_path} gives 'format' as {manifest.get('format')!r}, "
+                         "not 'toydenoiser-v1'")
     for key in MODEL_DIMS + ("dataset", "schedule_digest"):
         if manifest.get(key) is None:
             raise ValueError(f"checkpoint manifest {manifest_path} has no value for {key!r}")

@@ -14,7 +14,7 @@ import pytest
 
 import latent_awaken
 from latent_awaken import metrics
-from latent_awaken.cli import _sweep_rows, main
+from latent_awaken.cli import main
 from latent_awaken.config import parse_config
 from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
 from latent_awaken.numerics import read_ltn1, write_ltn1
@@ -456,7 +456,10 @@ def test_sweep_failures_name_their_sweep_point(rows, keys):
     cfg = parse_config(CFG_TEXT + f"ablate.rows = {rows}\n")
     samples = generate_dataset(2, cfg.dataset_params(), seed=1).samples
     model = FailsAboveCutoff(cfg.dataset_params().frames, cutoff=cfg["schedule.steps"] // 2)
-    report = _sweep_rows(cfg, model, [(s.cond.image, s.cond) for s in samples], None, threads=1)
+    report = run_ablation(
+        [(s.cond.image, s.cond) for s in samples], cfg["ablate.rows"], model, cfg.schedule(), cfg.vsds_config(),
+        cfg.fusion_config(), SyntheticProvider(cfg.proxy_params()), cfg["seed"],
+    )
     assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [(key, 0, 2) for key in keys]
     assert [(f["item"], f["variant"]) for f in report.failures] == [(i, key) for key in keys for i in (0, 1)]
     assert all("above the cut-off" in f["error"] for f in report.failures)
@@ -477,7 +480,8 @@ class FailsOnCondition:
 
 def per_point_reports(cfg, model, benchmark, reference):
     """The sweep as one ``run_ablation`` call per point, its rows and
-    failures re-keyed by the point: the reference for ``_sweep_rows``."""
+    failures re-keyed by the point: the reference for one call over all
+    the points."""
     base = cfg.vsds_config()
     points = [
         (row.value, replace(base, curve=replace(base.curve, kind=row)))
@@ -513,7 +517,10 @@ def test_sweep_is_one_task_list_with_the_per_point_results(workspace, monkeypatc
         return featurize(video)
 
     monkeypatch.setattr(metrics, "video_features", counted)
-    report = _sweep_rows(cfg, model, benchmark, reference, threads=2)
+    report = run_ablation(
+        benchmark, cfg["ablate.rows"], model, cfg.schedule(), cfg.vsds_config(), cfg.fusion_config(),
+        SyntheticProvider(cfg.proxy_params()), cfg["seed"], reference, threads=2,
+    )
     assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [
         (row.key, 2, 1) for row in expected.rows
     ]
@@ -622,6 +629,38 @@ def test_removed_settings_are_usage_errors(tmp_path, capsys, line, needle):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option, command, kind", [
+    ("--config", "train", "dir"), ("--image", "animate", "dir"), ("--video", "diagnose", "dir"),
+    ("--proxy", "animate", "dir"),
+    *[("--out", command, kind) for command in ("train", "animate", "ablate") for kind in ("file", "under-a-file")],
+])
+def test_path_of_the_wrong_kind_is_usage_error(workspace, tmp_path, capsys, monkeypatch, option, command, kind):
+    # An input file that is a directory, or an output directory that is a
+    # file or lies below one, is refused by path before any compute.
+    computed = []
+    monkeypatch.setattr("latent_awaken.cli.generate_dataset", lambda *args, **kwargs: computed.append(args))
+    monkeypatch.setattr("latent_awaken.cli.animate", lambda *args, **kwargs: computed.append(args))
+    (tmp_path / "file").write_text("")
+    bad = {"dir": tmp_path / "dir", "file": tmp_path / "file", "under-a-file": tmp_path / "file" / "sub"}[kind]
+    if kind == "dir":
+        bad.mkdir()
+    video = tmp_path / "video.ltn1"
+    write_ltn1(video, replicate_static(quantized_blob(), 4).frames)
+    paths = {"--config": workspace["cfg"], "--image": workspace["image"], "--video": video,
+             "--out": tmp_path / "out", "--proxy": workspace["image"], option: bad}
+    args = {
+        "train": ["train", "--config", paths["--config"], "--out", paths["--out"]],
+        "animate": ["animate", "--config", paths["--config"], "--ckpt", workspace["ckpt"], "--image", paths["--image"],
+                    "--label", "right", "--proxy", paths["--proxy"], "--out", paths["--out"]],
+        "ablate": ["ablate", "--config", paths["--config"], "--ckpt", workspace["ckpt"], "--n", "1",
+                   "--out", paths["--out"]],
+        "diagnose": ["diagnose", "--video", paths["--video"], "--label", "right", "--image", paths["--image"]],
+    }[command]
+    assert main([str(a) for a in args]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not computed
+
+
 def test_missing_checkpoint_is_usage_error(workspace, tmp_path):
     rc = main(["animate", "--config", str(workspace["cfg"]), "--ckpt", str(tmp_path / "none"),
                "--image", str(workspace["image"]), "--label", "right", "--out", str(tmp_path / "out")])
@@ -703,8 +742,11 @@ def test_checkpoint_without_provenance_is_refused(workspace, tmp_path, capsys, k
         (lambda m: {**m, "dataset": {**m["dataset"], "labels": "right,left"}}, "'dataset.labels'"),
         (lambda m: {**m, "dataset": {**m["dataset"], "labels": ["right", "sideways"]}}, "'dataset.labels'"),
         (lambda m: [m], "not a JSON object"),
+        (lambda m: {**m, "format": "something-else-v9"}, "'format'"),
+        (lambda m: {k: v for k, v in m.items() if k != "format"}, "'format'"),
     ],
-    ids=["labels-absent", "dataset-list", "labels-string", "labels-unknown", "manifest-list"],
+    ids=["labels-absent", "dataset-list", "labels-string", "labels-unknown", "manifest-list", "format-other",
+         "format-absent"],
 )
 def test_checkpoint_with_malformed_provenance_is_usage_error(workspace, tmp_path, capsys, manifest, key):
     # A manifest whose provenance has the wrong form cannot be checked

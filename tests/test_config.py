@@ -11,7 +11,7 @@ from latent_awaken.config import ConfigError, load_config, parse_config, parse_e
 from latent_awaken.diffusion import NoiseSchedule
 from latent_awaken.fusion import FusionConfig
 from latent_awaken.motion import MOTION_LABELS
-from latent_awaken.pipeline import PipelineVariant
+from latent_awaken.pipeline import PipelineVariant, ablation_runs
 from latent_awaken.proxy import SyntheticProviderParams
 from latent_awaken.toydenoiser import DatasetParams, ToyDenoiser, train
 from latent_awaken.vsds import CurveKind, VsdsConfig, WeightCurve
@@ -204,7 +204,7 @@ def test_variant_list_is_canonical_in_row_order():
     assert len({cfg.canonical() for cfg in cfgs}) == 1
     assert len({cfg.config_hash() for cfg in cfgs}) == 1
     assert "ablate.rows = VS,Baseline" in cfgs[0].canonical().splitlines()
-    assert list(cfgs[0].ablation_rows()) == ["VS", "Baseline"]
+    assert list(ablation_runs(cfgs[0]["ablate.rows"], cfgs[0].vsds_config())) == ["VS", "Baseline"]
     assert parse_config("").canonical() == parse_config("ablate.rows = Baseline,V,S,VU,VS\n").canonical()
     # another order is another setting
     assert parse_config("ablate.rows = Baseline, VS\n").config_hash() != cfgs[0].config_hash()
@@ -224,7 +224,7 @@ def test_ablation_rows_run_vs_with_each_curve_or_p():
     # row runs VS with only that setting changed.
     cfg = parse_config("vsds.p = 0.5\nvsds.curve = SI\nvsds.w_hi = 3.0\nablate.rows = VU, LD, 0.8\n")
     base = cfg.vsds_config()
-    assert cfg.ablation_rows() == {
+    assert ablation_runs(cfg["ablate.rows"], base) == {
         "VU": (PipelineVariant.VU, base),
         "LD": (PipelineVariant.VS, VsdsConfig(p=0.5, curve=WeightCurve(CurveKind.LINEAR_DECREASING, w_hi=3.0))),
         "0.8": (PipelineVariant.VS, VsdsConfig(p=0.8, curve=base.curve)),

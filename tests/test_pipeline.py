@@ -6,9 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_recipe as recipe
 from doubles import EchoOracle, IdentityProvider, ThreadLog, ZeroDenoiser
+from latent_awaken.config import parse_config
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
 from latent_awaken.metrics import FeatureStats, feature_length, fidelity, motion_energy, video_features
@@ -18,9 +21,9 @@ from latent_awaken.pipeline import (
     AblationReport,
     PipelineVariant,
     StageError,
+    _animate_items,
     _score_outputs,
     animate,
-    ordered_variants,
     run_ablation,
 )
 from latent_awaken.rng import stream
@@ -30,7 +33,7 @@ from latent_awaken.toydenoiser import (
     generate_dataset,
     render_pattern,
 )
-from latent_awaken.vsds import VsdsConfig, tau_step, update_count
+from latent_awaken.vsds import CurveKind, VsdsConfig, WeightCurve, tau_step, update_count
 
 STEPS = 40
 
@@ -306,9 +309,7 @@ def test_variants_that_are_not_members_are_refused(variants):
     # A variant's value is not the variant: it is refused by name, not
     # dropped from the rows.
     bad = next(v for v in variants if not isinstance(v, PipelineVariant))
-    with pytest.raises(ValueError, match=f"not a pipeline variant: {bad!r}"):
-        ordered_variants(variants)
-    with pytest.raises(ValueError, match=f"not a pipeline variant: {bad!r}"):
+    with pytest.raises(ValueError, match=f"not a pipeline variant, a weight curve or a stop fraction p: {bad!r}"):
         run_ablation(bench_items(1), variants, ZeroDenoiser(frames=6), small_sched())
 
 
@@ -334,13 +335,14 @@ def test_run_ablation_refuses_reference_clips_of_another_shape(shape):
 
 
 def test_run_ablation_row_order_and_csv():
+    # Rows are written in the order listed, not in the table's order.
     sched = small_sched()
     model = ZeroDenoiser(frames=6)
     shuffled = [PipelineVariant.VS, PipelineVariant.BASELINE, PipelineVariant.S,
                 PipelineVariant.V, PipelineVariant.VU]
     report = run_ablation(bench_items(2), shuffled, model, sched,
                           vsds_cfg=VsdsConfig(p=0.5), base_seed=10)
-    assert [row.key for row in report.rows] == ["Baseline", "V", "S", "VU", "VS"]
+    assert [row.key for row in report.rows] == ["VS", "Baseline", "S", "V", "VU"]
     csv = report.to_csv()
     lines = csv.strip().splitlines()
     assert lines[0] == "variant,frechet,alignment,linearity_vr,linearity_mono,motion_energy,fidelity"
@@ -350,18 +352,24 @@ def test_run_ablation_row_order_and_csv():
     assert report.n_items == 2
 
 
-def direct_report(items, model, sched, vsds_cfg, base_seed, reference_videos):
-    """The five-variant table from animate calls on this thread, scored as
-    run_ablation scores them."""
+def direct_report(items, model, sched, runs, base_seed, reference_videos):
+    """The table of ``runs``, row key -> (variant, VsdsConfig), from animate
+    calls on this thread, scored as run_ablation scores them."""
     ref_stats = FeatureStats.from_features(np.stack([video_features(v) for v in reference_videos]))
     rows = []
-    for variant in VARIANT_ORDER:
+    for key, (variant, vsds_cfg) in runs.items():
         outputs = [
             (animate(image, cond, variant, model, sched, vsds_cfg, seed=base_seed + i).output, cond, image)
             for i, (image, cond) in enumerate(items)
         ]
-        rows.append(_score_outputs(variant.value, outputs, ref_stats, 0))
+        rows.append(_score_outputs(key, outputs, ref_stats, 0))
     return AblationReport(rows, feature_length(model.frames), len(items), [])
+
+
+def small_toy():
+    model = ToyDenoiser(frames=6, hidden=16, seed=8)
+    model.w2 = 0.05 * stream(8, "small-toy").standard_normal(model.w2.shape)
+    return model
 
 
 def test_run_ablation_threads_do_not_change_results():
@@ -369,19 +377,86 @@ def test_run_ablation_threads_do_not_change_results():
     # made on the test thread.  The ToyDenoiser's context memo is shared by
     # the pool's workers.
     sched = small_sched()
-    model = ToyDenoiser(frames=6, hidden=16, seed=8)
-    model.w2 = 0.05 * stream(8, "small-toy").standard_normal(model.w2.shape)
+    model = small_toy()
     params = DatasetParams(frames=6, shapes=("blob",), labels=("right", "up"))
     reference_videos = [s.video for s in generate_dataset(4, params, seed=5).samples]
     for n_items in (1, 2, 5):
         items = [(s.cond.image, s.cond) for s in generate_dataset(n_items, params, seed=4).samples]
         vsds_cfg = VsdsConfig(p=0.5)
-        expected = direct_report(items, model, sched, vsds_cfg, 20, reference_videos)
+        runs = {v.value: (v, vsds_cfg) for v in VARIANT_ORDER}
+        expected = direct_report(items, model, sched, runs, 20, reference_videos)
         for threads in (1, 2, 3):
             report = run_ablation(items, list(VARIANT_ORDER), model, sched, vsds_cfg=vsds_cfg, base_seed=20,
                                   reference_videos=reference_videos, threads=threads)
             assert report.to_csv() == expected.to_csv()
             assert report.to_json() == expected.to_json()
+
+
+def test_rows_that_name_one_run_share_its_tasks():
+    # VS, 0.6 and SD name one run under the default settings: it is made
+    # once per item, and its three rows differ only in their keys.
+    items = bench_items(2)
+    vs = (PipelineVariant.VS, VsdsConfig())
+    calls = {}
+    for keys in (["VS"], ["VS", "0.6", "SD"]):
+        model = EchoOracle(np.zeros((6, 1, 16, 16)), frames=6)
+        results, workers = _animate_items(items, dict.fromkeys(keys, vs), model, small_sched())
+        assert sorted(results) == sorted((i, key) for i in range(2) for key in keys)
+        assert all(results[i, key] is results[i, "VS"] for i in range(2) for key in keys)
+        calls[len(keys)] = model.calls
+    assert calls[3] == calls[1]
+
+    model = EchoOracle(np.zeros((6, 1, 16, 16)), frames=6)
+    report = run_ablation(items, [PipelineVariant.VS, 0.6, CurveKind.STEPWISE_DECREASING], model, small_sched())
+    assert model.calls == calls[1]
+    lines = report.to_csv().splitlines()[1:]
+    assert [line.split(",", 1)[0] for line in lines] == ["VS", "0.6", "SD"]
+    assert len({line.split(",", 1)[1] for line in lines}) == 1
+
+
+# ``ablate.rows`` entries as a config spells them -> (row key, variant, settings).
+ROW_MEANINGS = {
+    "Baseline": ("Baseline", PipelineVariant.BASELINE, VsdsConfig()),
+    "v": ("V", PipelineVariant.V, VsdsConfig()),
+    "vu": ("VU", PipelineVariant.VU, VsdsConfig()),
+    "VS": ("VS", PipelineVariant.VS, VsdsConfig()),
+    "ld": ("LD", PipelineVariant.VS, VsdsConfig(curve=WeightCurve(CurveKind.LINEAR_DECREASING))),
+    "SI": ("SI", PipelineVariant.VS, VsdsConfig(curve=WeightCurve(CurveKind.STEPWISE_INCREASING))),
+    "SD": ("SD", PipelineVariant.VS, VsdsConfig()),
+    "0.4": ("0.4", PipelineVariant.VS, VsdsConfig(p=0.4)),
+    "0.40": ("0.4", PipelineVariant.VS, VsdsConfig(p=0.4)),
+    "0.6": ("0.6", PipelineVariant.VS, VsdsConfig()),
+    "1": ("1.0", PipelineVariant.VS, VsdsConfig(p=1.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def row_lines():
+    """Two items, a small model, reference clips, and each row key's CSV
+    line from ``direct_report``."""
+    sched, model = small_sched(), small_toy()
+    params = DatasetParams(frames=6, shapes=("blob",), labels=("right", "up"))
+    items = [(s.cond.image, s.cond) for s in generate_dataset(2, params, seed=4).samples]
+    reference_videos = [s.video for s in generate_dataset(3, params, seed=5).samples]
+    runs = {key: (variant, cfg) for key, variant, cfg in ROW_MEANINGS.values()}
+    csv = direct_report(items, model, sched, runs, 20, reference_videos).to_csv().splitlines()
+    return items, model, reference_videos, csv[0], {line.split(",", 1)[0]: line for line in csv[1:]}
+
+
+@settings(max_examples=12)
+@given(texts=st.lists(st.sampled_from(sorted(ROW_MEANINGS)), min_size=1, max_size=6), numpy_p=st.booleans())
+def test_run_ablation_rows_match_the_direct_table(row_lines, texts, numpy_p):
+    # Any mix of variants, curves and p values, with repeats and
+    # respellings, gives each row the line of its own direct run, in the
+    # order first listed; a numpy p is keyed as the float it holds.
+    items, model, reference_videos, header, lines = row_lines
+    # One entry per text, so repeats reach run_ablation as listed.
+    rows = [parse_config(f"ablate.rows = {text}\n")["ablate.rows"][0] for text in texts]
+    if numpy_p:
+        rows = [np.float64(row) if isinstance(row, float) else row for row in rows]
+    report = run_ablation(items, rows, model, small_sched(), base_seed=20, reference_videos=reference_videos)
+    keys = dict.fromkeys(ROW_MEANINGS[text][0] for text in texts)
+    assert report.to_csv().splitlines() == [header] + [lines[key] for key in keys]
 
 
 def test_run_ablation_pool_keeps_both_paths_on_the_item_thread():

@@ -5,12 +5,13 @@
 Runs the CLI of the source tree ``DIR`` (default: this repository) on a
 small config: ``train``, ``animate`` for each pipeline variant, and
 ``ablate`` for each list of ``ROWS``: the variants, a ``p`` sweep, the
-curves, a mixed list with repeats, and three rows that name one run.  Every file is written
-under ``OUT``, which must not exist yet.  Prints ``sha256  path`` for every
-file except ``run.log``, which holds timings.  For each ``result.json`` and
-``ablation.json`` it also prints ``sha256  path#payload``, the digest of its
-JSON without ``config`` and ``config_hash``, so a change to the settings
-record alone leaves those lines equal.  Compare two trees with ``diff`` of
+curves, a mixed list with repeats, and three rows that name one run.
+Every file is written under ``OUT``, which must not exist yet.  Prints
+``sha256  path`` for every file except ``run.log``, which holds timings.
+For each ``result.json`` and ``ablation.json`` it also prints
+``sha256  path#payload``, the digest of its JSON without ``config`` and
+``config_hash``, so a change to the settings record alone leaves those
+lines equal.  Compare two trees with ``diff`` of
 two outputs; run it under ``taskset -c 0`` for the one-CPU case.
 """
 

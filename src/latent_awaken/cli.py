@@ -158,9 +158,11 @@ def cmd_animate(args) -> int:
     image = _load_image(args.image, (model.channels, model.height, model.width), "checkpoint's frame shape")
     cond = Condition(image, label_id(args.label))
     variant = parse_enum(PipelineVariant, args.variant)
-    provider = FileProvider(_input_file(args.proxy, "proxy file")) if args.proxy else SyntheticProvider(cfg.proxy_params())
     if args.proxy:  # refuse a proxy of another shape before any compute, for every variant
+        provider = FileProvider(_input_file(args.proxy, "proxy file"))
         provider.synthesize(image, cond)
+    else:
+        provider = SyntheticProvider(cfg.proxy_params())
 
     run = animate(
         image, cond, variant, model, cfg.schedule(),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config, parse_enum
+from .config import ConfigError, ExperimentConfig, _input_file, load_config, parse_enum
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
 from .motion import label_id
@@ -59,14 +59,6 @@ def _write_log(out_dir: Path, lines: list[str]) -> None:
     # Timings and timestamps live here, never in the deterministic artifacts.
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
     (out_dir / "run.log").write_text("\n".join([f"[{stamp}]", _blas_line()] + lines) + "\n")
-
-
-def _input_file(path, what: str) -> Path:
-    """``path``, refused unless it names a regular file; ``what`` names it in the message."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"{what} {'is not a regular file' if path.exists() else 'not found'}: {path}")
-    return path
 
 
 def _out_dir(path) -> Path:
@@ -112,7 +104,7 @@ def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(_input_file(args.config, "config file"))
+    cfg = load_config(args.config)
     out_dir = _out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -152,7 +144,7 @@ def _load_image(path, frame_shape: tuple[int, int, int], shape_name: str) -> Fra
 
 
 def cmd_animate(args) -> int:
-    cfg = load_config(_input_file(args.config, "config file"))
+    cfg = load_config(args.config)
     out_dir = _out_dir(args.out)
     model = _load_model(args.ckpt, cfg, [args.label])
     image = _load_image(args.image, (model.channels, model.height, model.width), "checkpoint's frame shape")
@@ -200,7 +192,7 @@ def _settings_record(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(_input_file(args.config, "config file"))
+    cfg = load_config(args.config)
     out_dir = _out_dir(args.out)
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")

@@ -181,11 +181,16 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _input_file(path, what: str) -> Path:
+    """``path``, refused unless it names a regular file; ``what`` names it in the message."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    if not path.is_file():
+        raise ConfigError(f"{what} {'is not a regular file' if path.exists() else 'not found'}: {path}")
+    return path
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(_input_file(path, "config file").read_text())
 
 
 def _validate(cfg: ExperimentConfig) -> None:

@@ -88,8 +88,9 @@ class Denoiser(Protocol):
     its static clips from it.  ``predict_noise`` may be called from several
     threads at once, with different conditions, in no fixed order:
     ``vsds.dual_path_refine`` runs its real and proxy paths concurrently,
-    and ``pipeline._animate_items`` runs each (item, row) task of ``ablate``
-    on a pool of ``max(threads, 2)`` workers (one per core ``ablate`` may use).
+    and ``pipeline._animate_items`` runs each (item, distinct run) task of
+    ``ablate`` on a pool of ``max(threads, 2)`` workers (one per core
+    ``ablate`` may use).
     It must not mutate its inputs, and what it returns must not depend on
     the calls of the other threads; state kept across calls needs a lock.
     """

@@ -17,7 +17,7 @@ says which refinement and which fusion each variant runs:
 ``run_ablation`` scores rows over a benchmark set with the metrics module
 and serializes a fixed-column table.  A row is a variant, a weight curve or
 a stop fraction p; ``ablation_runs`` says what each runs, and rows that run
-the same way share their runs.
+the same way share their tasks and their score.
 """
 
 from __future__ import annotations
@@ -248,44 +248,45 @@ class AblationReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _score_outputs(
-    key: str,
-    outputs: list[tuple[VideoLatent, Condition, FrameLatent]],
+def _score_run(
+    outcomes: list[VideoLatent | Exception],
+    benchmark: list[tuple[FrameLatent, Condition]],
     reference_stats: metrics.FeatureStats | None,
-    n_failed: int,
-) -> AblationRow:
-    """Per-item metrics averaged, ``frechet`` from the fit over all items;
-    every field is None when no item succeeded."""
+) -> tuple[metrics.MetricReport, int, int]:
+    """One run's (report, n_ok, n_failed) from its outcome per benchmark
+    item: per-item metrics averaged over the items that did not raise,
+    ``frechet`` from the fit over them; all None when none succeeded."""
+    outputs = [(v, cond, image) for v, (image, cond) in zip(outcomes, benchmark) if not isinstance(v, Exception)]
+    n_failed = len(outcomes) - len(outputs)
     if not outputs:
-        return AblationRow(key, metrics.MetricReport(**dict.fromkeys(CSV_COLUMNS[1:])), 0, n_failed)
+        return metrics.MetricReport(**dict.fromkeys(CSV_COLUMNS[1:])), 0, n_failed
     feats = np.stack([metrics.video_features(v) for v, _, _ in outputs])
     frechet = None
     if reference_stats is not None and len(outputs) >= 2:
         frechet = metrics.frechet_distance(metrics.FeatureStats.from_features(feats), reference_stats)
     per_item = [metrics.diagnose_video(v, cond, image) for v, cond, image in outputs]
     means = {n: float(np.mean([getattr(r, n) for r in per_item])) for n in CSV_COLUMNS[1:] if n != "frechet"}
-    return AblationRow(key, metrics.MetricReport(frechet=frechet, **means), len(outputs), n_failed)
+    return metrics.MetricReport(frechet=frechet, **means), len(outputs), n_failed
 
 
 def _animate_items(
-    items: list[tuple[FrameLatent, Condition]], runs: dict, denoiser: Denoiser, sched: NoiseSchedule,
+    items: list[tuple[FrameLatent, Condition]], runs, denoiser: Denoiser, sched: NoiseSchedule,
     base_seed: int = 42, threads: int = 1, **settings,
-) -> tuple[dict[tuple[int, object], VideoLatent | Exception], int]:
-    """``animate`` output of every (item, key) pair, or the exception its
-    run raised, and the number of threads the runs shared.  ``runs`` maps
-    each row key to the ``(variant, VsdsConfig)`` it runs.  Item ``i`` runs
-    with seed ``base_seed + i`` and ``settings``, the rest of ``animate``'s
+) -> tuple[dict[tuple[PipelineVariant, VsdsConfig], list[VideoLatent | Exception]], int]:
+    """``{run: [animate output or the exception it raised, per item]}``
+    for each distinct ``(variant, VsdsConfig)`` of ``runs`` in first-listed
+    order, and the number of threads the runs shared.  Item ``i`` runs with
+    seed ``base_seed + i`` and ``settings``, the rest of ``animate``'s
     keyword arguments.
 
-    Each item and distinct ``(variant, VsdsConfig)`` is one task, which
-    keys naming that run share; the tasks share one pool of
-    ``max(threads, 2)`` workers, capped at the number of tasks.  The floor
-    of two is what a single VS or VU run already takes for its two
-    refinement paths, so ``threads`` 1 and 2 behave the same.  Pool workers
-    run a dual refinement's paths one after the other, since the pool has
-    the cores.  A run of exactly one task stays on the caller's thread,
-    which keeps its two paths concurrent.  Each output is the bytes of the
-    same ``animate`` call made on its own.
+    Each item and distinct run is one task, in item-major order; the tasks
+    share one pool of ``max(threads, 2)`` workers, capped at the number of
+    tasks.  The floor of two is what a single VS or VU run already takes
+    for its two refinement paths, so ``threads`` 1 and 2 behave the same.
+    Pool workers run a dual refinement's paths one after the other, since
+    the pool has the cores.  A run of exactly one task stays on the
+    caller's thread, which keeps its two paths concurrent.  Each output is
+    the bytes of the same ``animate`` call made on its own.
     """
 
     def run_task(task):
@@ -296,14 +297,15 @@ def _animate_items(
         except Exception as exc:  # noqa: BLE001 - returned, not silenced
             return exc
 
-    tasks = [(i, run) for i in range(len(items)) for run in dict.fromkeys(runs.values())]
+    runs = list(dict.fromkeys(runs))
+    tasks = [(i, run) for i in range(len(items)) for run in runs]
     workers = min(max(threads, 2), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
-            done = dict(zip(tasks, pool.map(run_task, tasks)))
+            done = list(pool.map(run_task, tasks))
     else:
-        done = dict(zip(tasks, map(run_task, tasks)))
-    return {(i, key): done[i, run] for i in range(len(items)) for key, run in runs.items()}, workers
+        done = list(map(run_task, tasks))
+    return {run: done[k :: len(runs)] for k, run in enumerate(runs)}, workers
 
 
 @one_blas_thread()
@@ -323,10 +325,11 @@ def run_ablation(
     parses to, over the benchmark, in listed order; ``ablation_runs`` says
     what each row runs.  Item ``i`` runs with seed ``base_seed + i`` in
     every row, on ``_animate_items``'s pool.  The reference features are
-    fitted once, and results are scored on the caller's thread in item
-    order, so the report does not depend on the pool.  Items whose run
-    raises are recorded in ``failures`` under the row key and left out of
-    that row's aggregates.
+    fitted once, and each distinct run is scored once, on the caller's
+    thread in item order, so the report does not depend on the pool; rows
+    that name one run share its score.  Items whose run raises are recorded
+    in ``failures`` under each key that names the run, key-major and
+    item-minor, and left out of that run's aggregates.
     """
     runs = ablation_runs(rows, vsds_cfg)
     if not benchmark:
@@ -346,19 +349,10 @@ def run_ablation(
         ref_feats = np.stack([metrics.video_features(v) for v in reference_videos])
         reference_stats = metrics.FeatureStats.from_features(ref_feats)
 
-    results, workers = _animate_items(benchmark, runs, denoiser, sched, base_seed, threads,
-                                      fusion_cfg=fusion_cfg, proxy_provider=proxy_provider)
-
-    report_rows, failures = [], []
-    for key in runs:
-        outputs, n_failed = [], 0
-        for i, (image, cond) in enumerate(benchmark):
-            value = results[i, key]
-            if isinstance(value, Exception):
-                failures.append({"item": i, "variant": key, "error": str(value)})
-                n_failed += 1
-            else:
-                outputs.append((value, cond, image))
-        report_rows.append(_score_outputs(key, outputs, reference_stats, n_failed))
-
+    outcomes, workers = _animate_items(benchmark, runs.values(), denoiser, sched, base_seed, threads,
+                                       fusion_cfg=fusion_cfg, proxy_provider=proxy_provider)
+    scores = {run: _score_run(out, benchmark, reference_stats) for run, out in outcomes.items()}
+    report_rows = [AblationRow(key, *scores[run]) for key, run in runs.items()]
+    failures = [{"item": i, "variant": key, "error": str(out)}
+                for key, run in runs.items() for i, out in enumerate(outcomes[run]) if isinstance(out, Exception)]
     return AblationReport(report_rows, metrics.feature_length(frames), len(benchmark), failures, workers)

@@ -99,6 +99,8 @@ def load_proxy(path) -> FrameLatent:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"proxy file not found: {path}")
+    if not path.is_file():
+        raise ValueError(f"proxy file is not a regular file: {path}")
     with path.open("rb") as fh:
         magic = fh.read(4)
     if magic == LTN1_MAGIC:

@@ -410,7 +410,7 @@ def _batch_loss(
     z: np.ndarray,  # (B, L, frame_dim)
     ctx: np.ndarray,  # (B, ctx_dim)
     eps_flat: np.ndarray,  # (B, L, frame_dim)
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass and mean-squared-error loss over a batch: (loss,
     residual, h1, y, out), what the backward pass needs and the output.
 
@@ -661,8 +661,9 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     """Rebuild a ToyDenoiser from ``save_checkpoint`` output.
 
     The manifest must name the format ``toydenoiser-v1`` and give every
-    dimension and the provenance, with the training labels as a list; the model those dimensions build decides
-    which parameter files are read and what shape each must have.
+    dimension and the provenance, with the training labels as a list; the
+    model those dimensions build decides which parameter files are read and
+    what shape each must have.
     """
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
@@ -683,7 +684,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     for key in MODEL_DIMS:
         # not isinstance: a JSON true would pass as 1
         if type(manifest[key]) is not int or manifest[key] < 1:
-            raise ValueError(f"checkpoint manifest {manifest_path} gives {key!r} as {manifest[key]!r}, not an integer >= 1")
+            raise ValueError(f"checkpoint manifest {manifest_path} gives {key!r} as {manifest[key]!r}, "
+                             "not an integer >= 1")
     model = ToyDenoiser(**{dim: manifest[dim] for dim in MODEL_DIMS})
     for name, p in model.parameters().items():
         arr = read_ltn1(ckpt_dir / f"{name}.ltn1")

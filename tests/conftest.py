@@ -21,7 +21,7 @@ import pytest
 
 import fixture_recipe as recipe
 from latent_awaken.metrics import FeatureStats, video_features
-from latent_awaken.pipeline import PipelineVariant, _animate_items, _score_outputs
+from latent_awaken.pipeline import PipelineVariant, _animate_items, _score_run
 from latent_awaken.proxy import SyntheticProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,7 +81,8 @@ def held_out_runs(motion_model, static_model, sched):
 @pytest.fixture(scope="session")
 def bench_runs(motion_model, sched):
     """Baseline/VU/VS outputs over the 50-item benchmark, motion prior only,
-    and each variant's ``_score_outputs`` report against the benchmark clips.
+    and each variant's ``run_ablation`` report (``_score_run``) against the
+    benchmark clips.
 
     All variants of item i share seed BENCH_RUN_SEED + i, so they see the
     same noise streams and differ only in pipeline structure.
@@ -89,15 +90,14 @@ def bench_runs(motion_model, sched):
     model, train_secs = motion_model
     bench = recipe.motion_benchmark()
     items = [(s.cond.image, s.cond) for s in bench.samples]
-    variants = (PipelineVariant.BASELINE, PipelineVariant.VU, PipelineVariant.VS)
+    runs = [(v, recipe.VSDS_CFG) for v in (PipelineVariant.BASELINE, PipelineVariant.VU, PipelineVariant.VS)]
     t0 = time.perf_counter()
     results, _ = _animate_items(
-        items, {v: (v, recipe.VSDS_CFG) for v in variants}, model, sched, recipe.BENCH_RUN_SEED,
+        items, runs, model, sched, recipe.BENCH_RUN_SEED,
         fusion_cfg=recipe.FUSION_CFG, proxy_provider=SyntheticProvider(recipe.PROXY_PARAMS),
     )
-    outputs = recipe.outputs_in_order(results, len(items), variants)
+    outputs = recipe.outputs_in_order(results, runs)
     run_seconds = time.perf_counter() - t0
     gt_stats = FeatureStats.from_features(np.stack([video_features(s.video) for s in bench.samples]))
-    scored = {v: [(out, cond, image) for out, (image, cond) in zip(outputs[v], items)] for v in variants}
-    rows = {v: _score_outputs(v.value, scored[v], gt_stats, 0).report for v in variants}
+    rows = {v: _score_run(outputs[v], items, gt_stats)[0] for v in outputs}
     return {"bench": bench, "outputs": outputs, "rows": rows, "run_seconds": run_seconds, "train_seconds": train_secs}

@@ -84,16 +84,15 @@ def held_out_set() -> MotionDataset:
     return generate_dataset(HELD_OUT_N, MOTION_PARAMS, seed=HELD_OUT_DATA_SEED)
 
 
-def outputs_in_order(results, n_items, variants) -> dict[PipelineVariant, list[VideoLatent]]:
-    """``_animate_items`` results as one output list per variant; raises the
-    failure a loop over the items, each running ``variants`` in order, would
-    meet first, naming its item and variant."""
-    for i in range(n_items):
-        for variant in variants:
-            failure = results[i, variant]
-            if isinstance(failure, Exception):
-                raise RuntimeError(f"item {i}, variant {variant.value}: {failure}") from failure
-    return {variant: [results[i, variant] for i in range(n_items)] for variant in variants}
+def outputs_in_order(results, runs) -> dict[PipelineVariant, list[VideoLatent]]:
+    """``_animate_items`` results as one output list per run's variant;
+    raises the failure a loop over the items, each running ``runs`` in
+    order, would meet first, naming its item and variant."""
+    for i, outcomes in enumerate(zip(*(results[run] for run in runs))):
+        for (variant, _), outcome in zip(runs, outcomes):
+            if isinstance(outcome, Exception):
+                raise RuntimeError(f"item {i}, variant {variant.value}: {outcome}") from outcome
+    return {variant: results[variant, cfg] for variant, cfg in runs}
 
 
 def held_out_runs(motion_model, static_model, sched) -> tuple[list[VideoLatent], list[VideoLatent]]:
@@ -101,14 +100,14 @@ def held_out_runs(motion_model, static_model, sched) -> tuple[list[VideoLatent],
     item; item i runs with seed HELD_OUT_RUN_SEED + i under the full
     refinement/fusion settings."""
     items = [(s.cond.image, s.cond) for s in held_out_set().samples]
-    vs, base = PipelineVariant.VS, PipelineVariant.BASELINE
+    vs, base = (PipelineVariant.VS, VSDS_CFG), (PipelineVariant.BASELINE, VsdsConfig())
     vs_runs, _ = _animate_items(
-        items, {vs: (vs, VSDS_CFG)}, motion_model, sched, HELD_OUT_RUN_SEED,
+        items, [vs], motion_model, sched, HELD_OUT_RUN_SEED,
         fusion_cfg=FUSION_CFG, proxy_provider=SyntheticProvider(PROXY_PARAMS),
     )
-    base_runs, _ = _animate_items(items, {base: (base, VsdsConfig())}, static_model, sched, HELD_OUT_RUN_SEED)
-    runs = outputs_in_order({**vs_runs, **base_runs}, len(items), (vs, base))
-    return runs[vs], runs[base]
+    base_runs, _ = _animate_items(items, [base], static_model, sched, HELD_OUT_RUN_SEED)
+    runs = outputs_in_order({**vs_runs, **base_runs}, (vs, base))
+    return runs[PipelineVariant.VS], runs[PipelineVariant.BASELINE]
 
 
 def _train_two_phase(model: ToyDenoiser, dataset, sched, seeds: tuple[int, int]):

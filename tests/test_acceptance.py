@@ -204,13 +204,13 @@ def test_criterion_4b_static_prior_motion(held_out_runs, static_model, sched):
     # The Baseline outputs are criterion 4's; only the VS runs are new.
     model, _ = static_model
     items = [(s.cond.image, s.cond) for s in recipe.held_out_set().samples]
-    vs = PipelineVariant.VS
+    vs = (PipelineVariant.VS, recipe.VSDS_CFG)
     t0 = time.perf_counter()
     results, _ = _animate_items(
-        items, {vs: (vs, recipe.VSDS_CFG)}, model, sched, recipe.HELD_OUT_RUN_SEED,
+        items, [vs], model, sched, recipe.HELD_OUT_RUN_SEED,
         fusion_cfg=recipe.FUSION_CFG, proxy_provider=SyntheticProvider(recipe.PROXY_PARAMS),
     )
-    outputs = {"vs": recipe.outputs_in_order(results, len(items), (vs,))[vs], "base": held_out_runs["baseline"]}
+    outputs = {"vs": recipe.outputs_in_order(results, [vs])[PipelineVariant.VS], "base": held_out_runs["baseline"]}
     elapsed = time.perf_counter() - t0
     energy = {k: np.mean([motion_energy(v) for v in outs]) for k, outs in outputs.items()}
     align = {k: np.mean([alignment_score(v, cond) for v, (_, cond) in zip(outs, items)]) for k, outs in outputs.items()}

@@ -1,6 +1,7 @@
 """Config parsing, validation, canonical hashing, typed views."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,11 @@ def test_load_config(tmp_path):
     assert load_config(path)["seed"] == 11
     with pytest.raises(ConfigError, match="nope.cfg"):
         load_config(tmp_path / "nope.cfg")
+
+
+def test_load_config_refuses_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match=f"config file is not a regular file: {re.escape(str(tmp_path))}$"):
+        load_config(tmp_path)
 
 
 def test_typed_views():

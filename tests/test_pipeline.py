@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fixture_recipe as recipe
 from doubles import EchoOracle, IdentityProvider, ThreadLog, ZeroDenoiser
+from latent_awaken import metrics
 from latent_awaken.config import parse_config
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
 from latent_awaken.fusion import slerp_fuse, uniform_fuse
@@ -19,10 +20,11 @@ from latent_awaken.motion import label_id
 from latent_awaken.pipeline import (
     VARIANT_ORDER,
     AblationReport,
+    AblationRow,
     PipelineVariant,
     StageError,
     _animate_items,
-    _score_outputs,
+    _score_run,
     animate,
     run_ablation,
 )
@@ -359,10 +361,10 @@ def direct_report(items, model, sched, runs, base_seed, reference_videos):
     rows = []
     for key, (variant, vsds_cfg) in runs.items():
         outputs = [
-            (animate(image, cond, variant, model, sched, vsds_cfg, seed=base_seed + i).output, cond, image)
+            animate(image, cond, variant, model, sched, vsds_cfg, seed=base_seed + i).output
             for i, (image, cond) in enumerate(items)
         ]
-        rows.append(_score_outputs(key, outputs, ref_stats, 0))
+        rows.append(AblationRow(key, *_score_run(outputs, items, ref_stats)))
     return AblationReport(rows, feature_length(model.frames), len(items), [])
 
 
@@ -392,26 +394,51 @@ def test_run_ablation_threads_do_not_change_results():
             assert report.to_json() == expected.to_json()
 
 
-def test_rows_that_name_one_run_share_its_tasks():
+def test_rows_that_name_one_run_share_its_tasks(monkeypatch):
     # VS, 0.6 and SD name one run under the default settings: it is made
-    # once per item, and its three rows differ only in their keys.
+    # and scored once per item, and its three rows differ only in their keys.
     items = bench_items(2)
     vs = (PipelineVariant.VS, VsdsConfig())
     calls = {}
-    for keys in (["VS"], ["VS", "0.6", "SD"]):
+    for runs in ([vs], [vs, vs, vs]):
         model = EchoOracle(np.zeros((6, 1, 16, 16)), frames=6)
-        results, workers = _animate_items(items, dict.fromkeys(keys, vs), model, small_sched())
-        assert sorted(results) == sorted((i, key) for i in range(2) for key in keys)
-        assert all(results[i, key] is results[i, "VS"] for i in range(2) for key in keys)
-        calls[len(keys)] = model.calls
+        results, workers = _animate_items(items, runs, model, small_sched())
+        assert list(results) == [vs] and len(results[vs]) == 2
+        calls[len(runs)] = model.calls
     assert calls[3] == calls[1]
 
+    counts = Counter()
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in ("video_features", "diagnose_video"):
+        monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
+    reference = [VideoLatent(stream(k, "reference").standard_normal((6, 1, 16, 16))) for k in range(2)]
     model = EchoOracle(np.zeros((6, 1, 16, 16)), frames=6)
-    report = run_ablation(items, [PipelineVariant.VS, 0.6, CurveKind.STEPWISE_DECREASING], model, small_sched())
+    rows = [PipelineVariant.VS, 0.6, CurveKind.STEPWISE_DECREASING]
+    report = run_ablation(items, rows, model, small_sched(), reference_videos=reference)
     assert model.calls == calls[1]
+    # the two reference clips, then each of the run's two outputs once
+    assert counts == {"video_features": 4, "diagnose_video": 2}
     lines = report.to_csv().splitlines()[1:]
     assert [line.split(",", 1)[0] for line in lines] == ["VS", "0.6", "SD"]
     assert len({line.split(",", 1)[1] for line in lines}) == 1
+
+
+def test_a_failing_shared_run_fails_under_every_key():
+    # VS and 0.6 name one run; the item it fails on is recorded under both
+    # keys, key-major, and both rows count it.
+    items = bench_items(2)
+    model = RefusingDenoiser(6, items[1][0])
+    report = run_ablation(items, [PipelineVariant.VS, 0.6], model, small_sched())
+    assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [("VS", 1, 1), ("0.6", 1, 1)]
+    assert [(f["item"], f["variant"]) for f in report.failures] == [(1, "VS"), (1, "0.6")]
+    assert all("refused condition" in f["error"] for f in report.failures)
 
 
 # ``ablate.rows`` entries as a config spells them -> (row key, variant, settings).

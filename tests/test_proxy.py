@@ -1,5 +1,6 @@
 """Procedural proxy synthesis and the file-based proxy loaders."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -153,6 +154,11 @@ def test_load_proxy_rejects_other_ranks(tmp_path):
 def test_load_proxy_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError, match="no-such"):
         load_proxy(tmp_path / "no-such.ltn1")
+
+
+def test_load_proxy_refuses_a_directory(tmp_path):
+    with pytest.raises(ValueError, match=f"proxy file is not a regular file: {re.escape(str(tmp_path))}$"):
+        load_proxy(tmp_path)
 
 
 def test_file_provider_ignores_condition(tmp_path):

@@ -151,7 +151,7 @@ def cmd_animate(args) -> int:
     cond = Condition(image, label_id(args.label))
     variant = parse_enum(PipelineVariant, args.variant)
     if args.proxy:  # refuse a proxy of another shape before any compute, for every variant
-        provider = FileProvider(_input_file(args.proxy, "proxy file"))
+        provider = FileProvider(args.proxy)
         provider.synthesize(image, cond)
     else:
         provider = SyntheticProvider(cfg.proxy_params())

@@ -16,6 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .motion import MOTION_LABELS
 from .numerics import read_only
 
 
@@ -71,14 +72,17 @@ class VideoLatent:
 
 @dataclass(frozen=True, eq=False)
 class Condition:
-    """Generation conditioning: the input image plus a motion-label id."""
+    """Generation conditioning: the input image plus a motion-label id, an
+    index into ``motion.MOTION_LABELS``.  An id outside that vocabulary is
+    refused here, when the condition is made, so nothing that reads one
+    checks it again."""
 
     image: FrameLatent
     motion_label: int
 
     def __post_init__(self):
-        if self.motion_label < 0:
-            raise ValueError(f"motion_label must be >= 0, got {self.motion_label}")
+        if not 0 <= self.motion_label < len(MOTION_LABELS):
+            raise ValueError(f"unknown motion label id {self.motion_label}")
 
 
 class Denoiser(Protocol):

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import Condition, FrameLatent, VideoLatent
-from .motion import DIRECTIONS, label_name, wrapped_delta
+from .motion import DIRECTIONS, MOTION_LABELS, wrapped_delta
 from .numerics import principal_axis_stats, read_only, spearman_rho
 
 # A symmetric matrix counts as PSD if its least eigenvalue is no lower than
@@ -195,14 +195,14 @@ def alignment_score(v: VideoLatent, cond: Condition) -> float:
     video's own spatial variance, so a perfectly still video scores 1.
     Grow: Pearson correlation between per-frame pattern size and frame index.
     """
-    label = label_name(cond.motion_label)
+    label = MOTION_LABELS[cond.motion_label]
 
     if label == "static":
         me = motion_energy(v)
-        ref = float(v.frames.reshape(v.frame_count, -1).var(axis=1).mean())
         if me == 0.0:
             return 1.0
-        return 1.0 - 2.0 * me / (me + ref) if (me + ref) > 0.0 else 1.0
+        ref = float(v.frames.reshape(v.frame_count, -1).var(axis=1).mean())
+        return 1.0 - 2.0 * me / (me + ref)
 
     if label == "grow":
         sizes = per_frame_sizes(v)

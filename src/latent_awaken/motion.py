@@ -1,9 +1,10 @@
 """The motion vocabulary: label names, their ids and directions, and the
 toroidal displacement that moving patterns and motion estimates share.
 
-A condition's ``motion_label`` indexes ``MOTION_LABELS``.  The proxy, the
-metrics and the toy model's dataset all read labels from here, so the
-method modules need not load the toy model.
+A condition's ``motion_label`` indexes ``MOTION_LABELS``; ``Condition``
+refuses any other id when it is made.  The proxy, the metrics and the toy
+model all read labels from here, so the method modules need not load the
+toy model.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ def label_id(name: str) -> int:
         return MOTION_LABELS.index(name)
     except ValueError:
         raise ValueError(f"unknown motion label {name!r}; known: {MOTION_LABELS}") from None
-
-
-def label_name(i: int) -> str:
-    """The motion label whose id is ``i``."""
-    if not 0 <= i < len(MOTION_LABELS):
-        raise ValueError(f"unknown motion label id {i}")
-    return MOTION_LABELS[i]
 
 
 def wrapped_delta(coords, center, period: int):

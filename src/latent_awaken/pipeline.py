@@ -128,6 +128,8 @@ def animate(
     Baseline, which has neither.  Intermediate latents are kept in
     ``RunResult.stages``.
     """
+    if not isinstance(variant, PipelineVariant):
+        raise ValueError(f"not a pipeline variant: {variant!r}")
     frames = getattr(denoiser, "frames", None)
     if frames is None:
         raise ValueError("denoiser must expose its frame count")

@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .diffusion import Condition, FrameLatent
-from .motion import DIRECTIONS, label_name
+from .motion import DIRECTIONS, MOTION_LABELS
 from .numerics import LTN1_MAGIC, read_ltn1
 
 
@@ -54,11 +54,10 @@ def synthesize_proxy(
     zero.  Sharpening scales values away from 0 by ``1 + 0.2 * strength``
     and clamps to [-1, 1], so strength 0 is an exact identity.
     """
-    label = label_name(cond.motion_label)
     strength = params.motion_hint_strength
 
     grid = image.grid
-    ux, uy = DIRECTIONS.get(label, (0.0, 0.0))
+    ux, uy = DIRECTIONS.get(MOTION_LABELS[cond.motion_label], (0.0, 0.0))
     cells = round(strength * max_displacement(grid.shape[1], grid.shape[2]))
     shifted = np.roll(grid, shift=(int(cells * uy), int(cells * ux)), axis=(1, 2))
 

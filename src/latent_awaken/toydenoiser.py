@@ -228,7 +228,7 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
 
 PARAMETER_NAMES = ("w1", "b1", "w2", "b2", "mix")
 # The constructor arguments a checkpoint manifest records.
-MODEL_DIMS = ("frames", "channels", "height", "width", "hidden", "t_embed", "n_labels")
+MODEL_DIMS = ("frames", "channels", "height", "width", "hidden", "t_embed")
 
 
 def dims_problem(hidden: int, t_embed: int) -> tuple[str, str] | None:
@@ -249,6 +249,11 @@ class ToyDenoiser:
     Y = H1 W2 + b2; the final prediction mixes frames: OUT = M Y.  W2 starts
     at zero so an untrained model predicts exactly zero noise, and M starts
     at identity so early training is frame-local.
+
+    The one-hot spans ``MOTION_LABELS``, so W1's row count is the label
+    count and a checkpoint's manifest records no other.  ``Condition``
+    range-checks a label id when it is made; the model checks only a
+    condition's image shape.
 
     The context columns [cond image | t-embed | one-hot] are the same for
     every frame of a video, so layer 1 is evaluated by row block of W1: the
@@ -287,10 +292,9 @@ class ToyDenoiser:
         width: int = 16,
         hidden: int = 128,
         t_embed: int = 16,
-        n_labels: int = len(MOTION_LABELS),
         seed: int = 0,
     ):
-        if min(frames, channels, height, width, n_labels) < 1:
+        if min(frames, channels, height, width) < 1:
             raise ValueError("all model dimensions must be >= 1")
         problem = dims_problem(hidden, t_embed)
         if problem:
@@ -301,9 +305,8 @@ class ToyDenoiser:
         self.width = width
         self.hidden = hidden
         self.t_embed = t_embed
-        self.n_labels = n_labels
         self.frame_dim = channels * height * width
-        self.in_dim = 2 * self.frame_dim + t_embed + n_labels
+        self.in_dim = 2 * self.frame_dim + t_embed + len(MOTION_LABELS)
 
         rng = stream(seed, "denoiser-init")
         initial = {
@@ -339,8 +342,6 @@ class ToyDenoiser:
     def _check_cond(self, cond: Condition) -> None:
         if cond.image.shape != (self.channels, self.height, self.width):
             raise ValueError(f"condition image shape {cond.image.shape} != {(self.channels, self.height, self.width)}")
-        if cond.motion_label >= self.n_labels:
-            raise ValueError(f"motion_label {cond.motion_label} out of range (< {self.n_labels})")
 
     def _forward(self, z: np.ndarray, ctx_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """z: (..., L, frame_dim) latents; ctx_rows: (..., hidden), each
@@ -467,8 +468,8 @@ def _batch_loss_and_grads(
 
 def _check_samples(model: ToyDenoiser, dataset: MotionDataset) -> None:
     """Refuse, before any step, a dataset ``model`` cannot learn from: one
-    with no samples, a clip of another shape, or a condition the model
-    does not take.  Shapes are read from each clip's settings; nothing is
+    with no samples, a clip of another shape, or a condition image of
+    another shape.  Shapes are read from each clip's settings; nothing is
     rendered."""
     if len(dataset) == 0:
         raise ValueError("dataset has no samples")
@@ -486,7 +487,7 @@ def _stack_samples(
     rendering the videos straight into their stack."""
     z0 = render_clips(samples).reshape(len(samples), model.frames, -1)
     cond_img = np.stack([s.cond.image.grid.reshape(-1) for s in samples])
-    onehot = np.eye(model.n_labels)[[s.cond.motion_label for s in samples]]
+    onehot = np.eye(len(MOTION_LABELS))[[s.cond.motion_label for s in samples]]
     return z0, cond_img, onehot
 
 

@@ -55,23 +55,6 @@ class WeightCurve:
             raise ValueError(f"need w_hi >= w_lo > 0, got w_hi={self.w_hi}, w_lo={self.w_lo}")
 
 
-def alpha_at(curve: WeightCurve, i: int, n: int) -> float:
-    """Update weight at iteration ``i`` of ``n`` (0-based)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= i < n:
-        raise ValueError(f"iteration {i} outside [0, {n})")
-    kind, hi, lo = curve.kind, curve.w_hi, curve.w_lo
-    if kind is CurveKind.STEPWISE_DECREASING:
-        return hi if i < n / 2 else lo
-    if kind is CurveKind.STEPWISE_INCREASING:
-        return lo if i < n / 2 else hi
-    frac = i / (n - 1) if n > 1 else 0.0
-    if kind is CurveKind.LINEAR_DECREASING:
-        return hi + (lo - hi) * frac
-    return lo + (hi - lo) * frac  # LINEAR_INCREASING
-
-
 @dataclass(frozen=True)
 class VsdsConfig:
     """Refinement hyper-parameters.
@@ -110,6 +93,19 @@ def update_count(steps: int, p: float) -> int:
     return steps - tau_step(steps, p) + 1
 
 
+def update_weights(curve: WeightCurve, n: int) -> list[float]:
+    """The update weight of each of ``n`` iterations, first to last."""
+    kind, hi, lo = curve.kind, curve.w_hi, curve.w_lo
+    if kind is CurveKind.STEPWISE_DECREASING:
+        return [hi if i < n / 2 else lo for i in range(n)]
+    if kind is CurveKind.STEPWISE_INCREASING:
+        return [lo if i < n / 2 else hi for i in range(n)]
+    last = max(n - 1, 1)  # one iteration sits at the curve's start
+    if kind is CurveKind.LINEAR_DECREASING:
+        return [hi + (lo - hi) * (i / last) for i in range(n)]
+    return [lo + (hi - lo) * (i / last) for i in range(n)]  # LINEAR_INCREASING
+
+
 # Set on the workers of ``pipeline._animate_items``'s task pool, whose cores
 # the pool already keeps busy: there the two paths of ``dual_path_refine``
 # run one after the other instead of starting a thread each.
@@ -136,14 +132,13 @@ def _refine(
 ) -> VideoLatent:
     steps = sched.steps
     tau = tau_step(steps, cfg.p)
-    n = steps - tau + 1
-    for i, t in enumerate(range(steps, tau - 1, -1)):
+    for t, weight in zip(range(steps, tau - 1, -1), update_weights(cfg.curve, steps - tau + 1)):
         z_t = forward_noise(z, t, eps, sched)
         pred = denoiser.predict_noise(z_t, cond, t)
         if pred.shape != z.shape:
             raise ValueError(f"denoiser returned shape {pred.shape}, expected {z.shape}")
         grad = (1.0 - sched.alpha_bars[t - 1]) * (pred.frames - eps)
-        frames = z.frames - alpha_at(cfg.curve, i, n) * grad
+        frames = z.frames - weight * grad
         if not np.isfinite(frames).all():
             raise RefinementDiverged(f"non-finite latent at refinement step t={t}")
         z = VideoLatent(frames)

@@ -13,6 +13,7 @@ import threading
 import numpy as np
 
 from latent_awaken.diffusion import VideoLatent
+from latent_awaken.proxy import synthesize_proxy
 
 # Frame shape of the videos the vector helpers build, and its flat length.
 FRAME_SHAPE = (1, 4, 4)
@@ -92,3 +93,16 @@ class IdentityProvider:
 
     def synthesize(self, image, cond):
         return image
+
+
+class RefusingProvider:
+    """A proxy provider that raises for the conditions it was given, by
+    identity, and makes the default synthetic proxy for any other."""
+
+    def __init__(self, *refused):
+        self.refused = refused
+
+    def synthesize(self, image, cond):
+        if any(cond is c for c in self.refused):
+            raise ValueError("refused proxy")
+        return synthesize_proxy(image, cond)

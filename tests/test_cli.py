@@ -17,6 +17,7 @@ from latent_awaken import metrics
 from latent_awaken.cli import main
 from latent_awaken.config import parse_config
 from latent_awaken.diffusion import FrameLatent, VideoLatent, replicate_static
+from latent_awaken.motion import MOTION_LABELS
 from latent_awaken.numerics import read_ltn1, write_ltn1
 from latent_awaken.pipeline import AblationReport, PipelineVariant, run_ablation
 from latent_awaken.proxy import SyntheticProvider, write_pgm
@@ -631,7 +632,7 @@ def test_removed_settings_are_usage_errors(tmp_path, capsys, line, needle):
 
 @pytest.mark.parametrize("option, command, kind", [
     ("--config", "train", "dir"), ("--image", "animate", "dir"), ("--video", "diagnose", "dir"),
-    ("--proxy", "animate", "dir"),
+    ("--proxy", "animate", "dir"), ("--proxy", "animate", "missing"),
     *[("--out", command, kind) for command in ("train", "animate", "ablate") for kind in ("file", "under-a-file")],
 ])
 def test_path_of_the_wrong_kind_is_usage_error(workspace, tmp_path, capsys, monkeypatch, option, command, kind):
@@ -641,7 +642,8 @@ def test_path_of_the_wrong_kind_is_usage_error(workspace, tmp_path, capsys, monk
     monkeypatch.setattr("latent_awaken.cli.generate_dataset", lambda *args, **kwargs: computed.append(args))
     monkeypatch.setattr("latent_awaken.cli.animate", lambda *args, **kwargs: computed.append(args))
     (tmp_path / "file").write_text("")
-    bad = {"dir": tmp_path / "dir", "file": tmp_path / "file", "under-a-file": tmp_path / "file" / "sub"}[kind]
+    bad = {"dir": tmp_path / "dir", "file": tmp_path / "file", "under-a-file": tmp_path / "file" / "sub",
+           "missing": tmp_path / "missing"}[kind]
     if kind == "dir":
         bad.mkdir()
     video = tmp_path / "video.ltn1"
@@ -774,6 +776,26 @@ def test_checkpoint_with_a_dimension_that_is_not_a_positive_integer_is_usage_err
     ws = copy_with_manifest_edit(workspace, tmp_path / "ckpt", lambda m: m.update(hidden=value))
     assert main(animate_args(ws, tmp_path / "anim")) == 2
     assert "'hidden'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_labels", [4, len(MOTION_LABELS)])
+def test_checkpoint_that_records_a_label_count(workspace, tmp_path, capsys, n_labels):
+    # A manifest written before the label count was fixed carries "n_labels".
+    # At the vocabulary's count the checkpoint animates to the same bytes; a
+    # W1 built for another count is refused by its shape.
+    ws = copy_with_manifest_edit(workspace, tmp_path / "ckpt", lambda m: m.update(n_labels=n_labels))
+    w1 = read_ltn1(ws["ckpt"] / "w1.ltn1")
+    shape = (w1.shape[0] - len(MOTION_LABELS) + n_labels, w1.shape[1])
+    write_ltn1(ws["ckpt"] / "w1.ltn1", w1[: shape[0]])
+    rc = main(animate_args(ws, tmp_path / "anim"))
+    if n_labels == len(MOTION_LABELS):
+        assert rc == 0
+        assert main(animate_args(workspace, tmp_path / "fresh")) == 0
+        assert read_bytes_map(tmp_path / "anim") == read_bytes_map(tmp_path / "fresh")
+    else:
+        assert rc == 2
+        assert f"'w1' has shape {shape}, the manifest's model needs {w1.shape}" in capsys.readouterr().err
+        assert not (tmp_path / "anim").exists()
 
 
 def test_checkpoint_missing_a_parameter_file_is_usage_error(workspace, tmp_path, capsys):

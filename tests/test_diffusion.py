@@ -13,6 +13,7 @@ from latent_awaken.diffusion import (
     replicate_static,
     reverse_sample,
 )
+from latent_awaken.motion import MOTION_LABELS
 from latent_awaken.rng import stream
 
 
@@ -263,5 +264,12 @@ def test_adopted_array_is_handed_over():
 
 def test_condition_rejects_negative_label():
     image = FrameLatent(np.zeros((1, 4, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown motion label id -1$"):
         Condition(image, -1)
+
+
+@pytest.mark.parametrize("label", [len(MOTION_LABELS), 17])
+def test_condition_refuses_an_unknown_label_id_when_made(label):
+    image = FrameLatent(np.zeros((1, 4, 4)))
+    with pytest.raises(ValueError, match=f"^unknown motion label id {label}$"):
+        Condition(image, label)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixture_recipe as recipe
-from doubles import EchoOracle, IdentityProvider, ThreadLog, ZeroDenoiser
+from doubles import EchoOracle, IdentityProvider, RefusingProvider, ThreadLog, ZeroDenoiser
 from latent_awaken import metrics
 from latent_awaken.config import parse_config
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent, replicate_static
@@ -235,12 +235,23 @@ def test_animate_validates_inputs():
         animate(image, cond, PipelineVariant.BASELINE, NoFrameCount(), sched)
 
 
+@pytest.mark.parametrize("variant", ["VS", None, "Baseline"])
+def test_animate_refuses_what_is_not_a_variant_before_any_stage(variant):
+    # A variant's name is not a variant.  The refusal is a ValueError, not a
+    # StageError, so it came before the first stage; it names what was passed.
+    image = blob_image()
+    model = CallHistogram(frames=6)
+    with pytest.raises(ValueError, match=re.escape(f"not a pipeline variant: {variant!r}")):
+        animate(image, Condition(image, label_id("right")), variant, model, small_sched())
+    assert not model.by_t
+
+
 def test_stage_errors_name_the_stage():
     sched = small_sched()
     image = blob_image()
-    bad_cond = Condition(image, 17)  # passes Condition checks, fails in proxy
+    cond = Condition(image, label_id("right"))
     with pytest.raises(StageError, match="stage 'proxy'"):
-        animate(image, bad_cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched)
+        animate(image, cond, PipelineVariant.VS, ZeroDenoiser(frames=6), sched, proxy_provider=RefusingProvider(cond))
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +548,15 @@ def test_run_ablation_gives_one_item_two_pool_threads_at_threads_1():
 def test_run_ablation_leaves_no_thread_running(case):
     items = bench_items(1 if case == "single-task" else 2)
     variants = [PipelineVariant.VS] if case == "single-task" else list(VARIANT_ORDER)
+    provider = RefusingProvider()
     if case == "failing-proxy":
         image = items[0][0]
-        items.append((image, Condition(image, 17)))  # every proxy stage of this item fails
+        items.append((image, Condition(image, items[0][1].motion_label)))
+        provider = RefusingProvider(items[-1][1])  # every proxy stage of this item fails
         variants = [PipelineVariant.S, PipelineVariant.VU, PipelineVariant.VS]
     before = set(threading.enumerate())
     report = run_ablation(items, variants, ZeroDenoiser(frames=6), small_sched(),
-                          vsds_cfg=VsdsConfig(p=0.5), threads=3)
+                          vsds_cfg=VsdsConfig(p=0.5), proxy_provider=provider, threads=3)
     assert set(threading.enumerate()) == before
     assert bool(report.failures) == (case == "failing-proxy")
 
@@ -553,9 +566,10 @@ def test_run_ablation_records_failures():
     model = ZeroDenoiser(frames=6)
     items = bench_items(1)
     bad_image = items[0][0]
-    items.append((bad_image, Condition(bad_image, 17)))  # proxy stage will fail
+    items.append((bad_image, Condition(bad_image, items[0][1].motion_label)))
+    refusing = RefusingProvider(items[1][1])  # proxy stage will fail
     report = run_ablation(items, [PipelineVariant.VS], model, sched,
-                          vsds_cfg=VsdsConfig(p=0.5), base_seed=30)
+                          vsds_cfg=VsdsConfig(p=0.5), proxy_provider=refusing, base_seed=30)
     row = report.rows[0]
     assert row.n_ok == 1
     assert row.n_failed == 1
@@ -569,9 +583,10 @@ def test_run_ablation_row_without_successes_is_empty():
     # and its JSON fields null, not zeros that read as a still video.
     sched = small_sched()
     image = bench_items(1)[0][0]
-    items = [(image, Condition(image, 17)), (image, Condition(image, 17))]  # proxy stage fails
+    items = [(image, Condition(image, 0)), (image, Condition(image, 0))]
+    refusing = RefusingProvider(*(cond for _, cond in items))  # every proxy stage fails
     report = run_ablation(items, [PipelineVariant.VS], ZeroDenoiser(frames=6), sched,
-                          vsds_cfg=VsdsConfig(p=0.5), base_seed=30)
+                          vsds_cfg=VsdsConfig(p=0.5), proxy_provider=refusing, base_seed=30)
     assert [(row.key, row.n_ok, row.n_failed) for row in report.rows] == [("VS", 0, 2)]
     assert report.to_csv().splitlines()[1] == "VS,,,,,,"
     import json

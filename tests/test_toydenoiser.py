@@ -17,6 +17,7 @@ from latent_awaken import toydenoiser
 from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from latent_awaken.metrics import displacement_estimate, per_frame_sizes
 from latent_awaken.motion import DIRECTIONS, MOTION_LABELS, label_id, wrapped_delta
+from latent_awaken.numerics import write_ltn1
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import (
     MODEL_DIMS,
@@ -356,7 +357,7 @@ def _reference_rows(model, z, cond_img, ts, labels):
     """(B, L, in_dim) rows: each frame's latent next to its video's context."""
     rows = []
     for b in range(len(ts)):
-        onehot = np.zeros(model.n_labels)
+        onehot = np.zeros(len(MOTION_LABELS))
         onehot[labels[b]] = 1.0
         ctx = np.concatenate([cond_img[b], time_embedding(int(ts[b]), model.t_embed), onehot])
         rows.append(np.concatenate([z[b], np.tile(ctx, (model.frames, 1))], axis=1))
@@ -418,7 +419,7 @@ def test_batch_forward_and_gradients_match_concatenated_reference(random_model, 
     gen = stream(seed, "batch-equivalence")
     z0 = gen.uniform(-1.0, 1.0, (len(labels), model.frames, model.frame_dim))
     cond_img = gen.uniform(-1.0, 1.0, (len(labels), model.frame_dim))
-    onehot = np.eye(model.n_labels)[labels]
+    onehot = np.eye(len(MOTION_LABELS))[labels]
     # _assemble_batch draws each sample's step first, then the noise; a
     # copy of the generator replays the step draw for the reference rows.
     ts = copy.deepcopy(gen).integers(1, sched.steps + 1, size=len(labels))
@@ -581,7 +582,7 @@ def _serial_train(model, dataset, sched, epochs, lr, seed, batch_size):
     rng = stream(seed, "train")
     z0 = np.stack([s.video.frames.reshape(model.frames, -1) for s in dataset.samples])
     cond_img = np.stack([s.cond.image.grid.reshape(-1) for s in dataset.samples])
-    onehot = np.zeros((len(dataset), model.n_labels))
+    onehot = np.zeros((len(dataset), len(MOTION_LABELS)))
     for i, s in enumerate(dataset.samples):
         onehot[i, s.cond.motion_label] = 1.0
     n = len(dataset)
@@ -725,7 +726,7 @@ def test_train_refuses_a_rate_that_is_not_positive(lr, small_dataset, sched):
 
 
 @pytest.mark.parametrize("cpus", ["two", "one"])
-@pytest.mark.parametrize("fault", ["label", "video"])
+@pytest.mark.parametrize("fault", ["label", "video", "image"])
 def test_train_refuses_a_bad_last_sample_before_any_step(fault, cpus, small_dataset, sched, monkeypatch):
     # Batches are stacked as they are drawn, but every sample is checked
     # before the first of them.
@@ -733,9 +734,15 @@ def test_train_refuses_a_bad_last_sample_before_any_step(fault, cpus, small_data
         _one_cpu(monkeypatch)
     last = small_dataset.samples[7]
     if fault == "label":
-        bad, message = replace(last, cond=Condition(last.cond.image, len(MOTION_LABELS))), "out of range"
-    else:
+        # An unknown label id is refused where it enters, so no sample holds one.
+        with pytest.raises(ValueError, match=f"unknown motion label id {len(MOTION_LABELS)}"):
+            Condition(last.cond.image, len(MOTION_LABELS))
+        return
+    if fault == "video":
         bad, message = replace(last, params=replace(last.params, frames=8)), "video shape"
+    else:
+        image = FrameLatent(np.zeros((1, 4, 4)))
+        bad, message = replace(last, cond=Condition(image, last.cond.motion_label)), "condition image shape"
     data = MotionDataset(small_dataset.samples[:7] + (bad,))
     model = _perturbed_model(14)
     before = {name: p.tobytes() for name, p in model.parameters().items()}
@@ -778,6 +785,7 @@ def test_checkpoint_round_trip(trained_small, sched, tmp_path):
     assert manifest["hidden"] == 256
     assert manifest["schedule_digest"] == schedule_digest(sched)
     assert "layers" not in manifest
+    assert "n_labels" not in manifest  # w1's shape holds the label count
 
 
 def test_checkpoint_missing_manifest(tmp_path):
@@ -788,21 +796,20 @@ def test_checkpoint_missing_manifest(tmp_path):
 @settings(max_examples=15)
 @given(
     dims=st.tuples(st.integers(1, 4), st.integers(2, 4), st.integers(2, 4), st.integers(1, 8),
-                   st.sampled_from([2, 4, 8]), st.integers(1, len(MOTION_LABELS))),
+                   st.sampled_from([2, 4, 8])),
     seed=st.integers(0, 2**16),
     keep=st.floats(0.0, 0.999),
 )
 def test_checkpoint_round_trip_is_exact(dims, seed, keep, sched):
-    frames, height, width, hidden, t_embed, n_labels = dims
-    model = ToyDenoiser(frames=frames, height=height, width=width, hidden=hidden, t_embed=t_embed,
-                        n_labels=n_labels, seed=seed)
+    frames, height, width, hidden, t_embed = dims
+    model = ToyDenoiser(frames=frames, height=height, width=width, hidden=hidden, t_embed=t_embed, seed=seed)
     gen = stream(seed, "checkpoint-round-trip")
     for name, p in model.parameters().items():
         setattr(model, name, gen.standard_normal(p.shape))
-    cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, (1, height, width))), int(gen.integers(n_labels)))
+    cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, (1, height, width))), int(gen.integers(len(MOTION_LABELS))))
     z_t = VideoLatent(gen.standard_normal(model.video_shape))
     with tempfile.TemporaryDirectory() as tmp:
-        params = DatasetParams(frames=frames, height=height, width=width, labels=MOTION_LABELS[:n_labels])
+        params = DatasetParams(frames=frames, height=height, width=width)
         ckpt = save_checkpoint(model, Path(tmp) / "ckpt", params, sched)
         loaded, _ = load_checkpoint(ckpt)
         for name, p in model.parameters().items():
@@ -862,17 +869,38 @@ def test_checkpoint_missing_parameter_file_is_refused(name, sched, tmp_path):
         load_checkpoint(tmp_path)
 
 
-def test_checkpoint_with_layers_table_loads_bit_identically(sched, tmp_path):
-    # Checkpoints written before the layers table was dropped still load.
-    model = _random_checkpoint(tmp_path, sched)
-    _edit_manifest(tmp_path, lambda m: m.update(layers=_layers_table(model)))
-    loaded, _ = load_checkpoint(tmp_path)
+def _assert_loads_bit_identically(model, ckpt):
+    loaded, _ = load_checkpoint(ckpt)
     for name, p in model.parameters().items():
         assert loaded.parameters()[name].tobytes() == p.tobytes(), name
     gen = stream(8, "checkpoint-random")
     cond = Condition(FrameLatent(gen.uniform(-1.0, 1.0, (1, 4, 4))), 2)
     z_t = VideoLatent(gen.standard_normal(model.video_shape))
     assert loaded.predict_noise(z_t, cond, 9).frames.tobytes() == model.predict_noise(z_t, cond, 9).frames.tobytes()
+
+
+def test_checkpoint_with_layers_table_loads_bit_identically(sched, tmp_path):
+    # Checkpoints written before the layers table was dropped still load.
+    model = _random_checkpoint(tmp_path, sched)
+    _edit_manifest(tmp_path, lambda m: m.update(layers=_layers_table(model)))
+    _assert_loads_bit_identically(model, tmp_path)
+
+
+@pytest.mark.parametrize("n_labels", [4, len(MOTION_LABELS), 8])
+def test_checkpoint_that_records_a_label_count(n_labels, sched, tmp_path):
+    # Manifests written before the label count was fixed carry "n_labels",
+    # which is not read: W1's rows are the label count.  A checkpoint of the
+    # vocabulary's count loads bit-identically, one built for another count
+    # is refused by W1's shape.
+    model = _random_checkpoint(tmp_path, sched)
+    _edit_manifest(tmp_path, lambda m: m.update(n_labels=n_labels))
+    if n_labels == len(MOTION_LABELS):
+        _assert_loads_bit_identically(model, tmp_path)
+        return
+    shape = (model.w1.shape[0] - len(MOTION_LABELS) + n_labels, model.w1.shape[1])
+    write_ltn1(tmp_path / "w1.ltn1", np.resize(model.w1, shape))
+    with pytest.raises(ValueError, match=re.escape(f"'w1' has shape {shape}, the manifest's model needs {model.w1.shape}")):
+        load_checkpoint(tmp_path)
 
 
 @pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])

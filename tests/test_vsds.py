@@ -22,10 +22,10 @@ from latent_awaken.vsds import (
     VsdsConfig,
     WeightCurve,
     _keep_paths_serial,
-    alpha_at,
     dual_path_refine,
     tau_step,
     update_count,
+    update_weights,
     vsds_refine,
 )
 
@@ -59,50 +59,71 @@ class CondCapture(ZeroDenoiser):
 # ---------------------------------------------------------------------------
 
 
+# alpha_i is the update weight of iteration i; update_weights lists them.
+
+
 def test_alpha_at_stepwise_decreasing():
-    curve = WeightCurve(CurveKind.STEPWISE_DECREASING, w_hi=2.0, w_lo=1.0)
-    assert alpha_at(curve, 2, 10) == 2.0
-    assert alpha_at(curve, 7, 10) == 1.0
+    weights = update_weights(WeightCurve(CurveKind.STEPWISE_DECREASING, w_hi=2.0, w_lo=1.0), 10)
+    assert weights[2] == 2.0
+    assert weights[7] == 1.0
     # the break sits at n/2: i=4 is still high, i=5 already low
-    assert alpha_at(curve, 4, 10) == 2.0
-    assert alpha_at(curve, 5, 10) == 1.0
+    assert weights[4] == 2.0
+    assert weights[5] == 1.0
 
 
 def test_alpha_at_stepwise_increasing():
-    curve = WeightCurve(CurveKind.STEPWISE_INCREASING, w_hi=2.0, w_lo=1.0)
-    assert alpha_at(curve, 2, 10) == 1.0
-    assert alpha_at(curve, 7, 10) == 2.0
+    weights = update_weights(WeightCurve(CurveKind.STEPWISE_INCREASING, w_hi=2.0, w_lo=1.0), 10)
+    assert weights[2] == 1.0
+    assert weights[7] == 2.0
 
 
 def test_alpha_at_linear_curves():
     ld = WeightCurve(CurveKind.LINEAR_DECREASING, w_hi=2.0, w_lo=0.5)
     li = WeightCurve(CurveKind.LINEAR_INCREASING, w_hi=2.0, w_lo=0.5)
     n = 11
-    assert alpha_at(ld, 0, n) == 2.0
-    assert alpha_at(ld, n - 1, n) == 0.5
-    assert alpha_at(li, 0, n) == 0.5
-    assert alpha_at(li, n - 1, n) == 2.0
-    assert abs(alpha_at(ld, 5, n) - 1.25) < 1e-12
+    assert update_weights(ld, n)[0] == 2.0
+    assert update_weights(ld, n)[n - 1] == 0.5
+    assert update_weights(li, n)[0] == 0.5
+    assert update_weights(li, n)[n - 1] == 2.0
+    assert abs(update_weights(ld, n)[5] - 1.25) < 1e-12
     # a single-iteration run sits at the curve's left end
-    assert alpha_at(ld, 0, 1) == 2.0
-    assert alpha_at(li, 0, 1) == 0.5
+    assert update_weights(ld, 1) == [2.0]
+    assert update_weights(li, 1) == [0.5]
 
 
 def test_alpha_at_equal_ends_is_constant():
     # A constant weight is any curve whose two ends are equal.
     for kind in CurveKind:
         curve = WeightCurve(kind, w_hi=0.25, w_lo=0.25)
-        assert all(alpha_at(curve, i, 7) == 0.25 for i in range(7))
+        assert update_weights(curve, 7) == [0.25] * 7
 
 
-def test_alpha_at_validates_indices():
-    curve = WeightCurve()
-    with pytest.raises(ValueError):
-        alpha_at(curve, 0, 0)
-    with pytest.raises(ValueError):
-        alpha_at(curve, 5, 5)
-    with pytest.raises(ValueError):
-        alpha_at(curve, -1, 5)
+def _weight_at(curve, i, n):
+    """The weight of iteration ``i`` of ``n``, computed on its own."""
+    kind, hi, lo = curve.kind, curve.w_hi, curve.w_lo
+    if kind is CurveKind.STEPWISE_DECREASING:
+        return hi if i < n / 2 else lo
+    if kind is CurveKind.STEPWISE_INCREASING:
+        return lo if i < n / 2 else hi
+    frac = i / (n - 1) if n > 1 else 0.0
+    if kind is CurveKind.LINEAR_DECREASING:
+        return hi + (lo - hi) * frac
+    return lo + (hi - lo) * frac
+
+
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(CurveKind),
+    ends=st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)).map(sorted),
+    n=st.integers(1, 1001),
+)
+def test_update_weights_are_the_per_iteration_weights(kind, ends, n):
+    # Listing the weights once must give each iteration the very float it
+    # would get on its own, so the refinement keeps its bytes.
+    curve = WeightCurve(kind, w_hi=ends[1], w_lo=ends[0])
+    weights = update_weights(curve, n)
+    assert len(weights) == n
+    assert all(w == _weight_at(curve, i, n) and type(w) is float for i, w in enumerate(weights))
 
 
 def test_weight_curve_validation():
@@ -205,8 +226,8 @@ def test_residual_is_weighted_by_one_minus_alpha_bar():
     out = vsds_refine(z0, cond_for(z0), ZeroDenoiser(frames=SHAPE[0]), sched, cfg, stream(4, "vsds/real"))
     eps = stream(4, "vsds/real").standard_normal(SHAPE)
     levels = range(sched.steps, tau_step(sched.steps, cfg.p) - 1, -1)
-    n = update_count(sched.steps, cfg.p)
-    pull = sum(alpha_at(cfg.curve, i, n) * (1.0 - sched.alpha_bars[t - 1]) for i, t in enumerate(levels))
+    weights = update_weights(cfg.curve, update_count(sched.steps, cfg.p))
+    pull = sum(w * (1.0 - sched.alpha_bars[t - 1]) for w, t in zip(weights, levels, strict=True))
     np.testing.assert_allclose(out.frames, z0.frames + pull * eps, rtol=0, atol=1e-12)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _input_file, load_config, parse_enum
+from .config import ConfigError, ExperimentConfig, load_config, parse_enum, regular_file
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
 from .motion import label_id
@@ -137,7 +137,7 @@ def cmd_train(args) -> int:
 
 def _load_image(path, frame_shape: tuple[int, int, int], shape_name: str) -> FrameLatent:
     """The input image at ``path`` (PGM or LTN1), refused unless it has ``frame_shape``."""
-    image = load_proxy(_input_file(path, "input image"))
+    image = load_proxy(regular_file(path, "input image"))
     if image.shape != tuple(frame_shape):
         raise ConfigError(f"input image shape {image.shape} does not match the {shape_name} {tuple(frame_shape)}")
     return image
@@ -221,7 +221,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    video = VideoLatent(read_ltn1(_input_file(args.video, "video file")))
+    video = VideoLatent(read_ltn1(regular_file(args.video, "video file")))
     reference = _load_image(args.image, video.frame_shape, "video's frame shape") if args.image else None
     cond = Condition(reference if reference is not None else video.frame(0), label_id(args.label))
     report = diagnose_video(video, cond, reference)

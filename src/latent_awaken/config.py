@@ -181,7 +181,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _input_file(path, what: str) -> Path:
+def regular_file(path, what: str) -> Path:
     """``path``, refused unless it names a regular file; ``what`` names it in the message."""
     path = Path(path)
     if not path.is_file():
@@ -190,7 +190,7 @@ def _input_file(path, what: str) -> Path:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(_input_file(path, "config file").read_text())
+    return parse_config(regular_file(path, "config file").read_text())
 
 
 def _validate(cfg: ExperimentConfig) -> None:

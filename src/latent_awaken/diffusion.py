@@ -11,6 +11,7 @@ owner must then not turn writing back on), else a read-only copy
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -73,16 +74,21 @@ class VideoLatent:
 @dataclass(frozen=True, eq=False)
 class Condition:
     """Generation conditioning: the input image plus a motion-label id, an
-    index into ``motion.MOTION_LABELS``.  An id outside that vocabulary is
-    refused here, when the condition is made, so nothing that reads one
-    checks it again."""
+    index into ``motion.MOTION_LABELS``, stored as an ``int``.  An id that
+    is not an integer or lies outside that vocabulary is refused here, when
+    the condition is made, so nothing that reads one checks it again."""
 
     image: FrameLatent
     motion_label: int
 
     def __post_init__(self):
-        if not 0 <= self.motion_label < len(MOTION_LABELS):
-            raise ValueError(f"unknown motion label id {self.motion_label}")
+        try:
+            label = operator.index(self.motion_label)
+        except TypeError:
+            raise TypeError(f"motion label id must be an integer, got {self.motion_label!r}") from None
+        if not 0 <= label < len(MOTION_LABELS):
+            raise ValueError(f"unknown motion label id {label}")
+        object.__setattr__(self, "motion_label", label)
 
 
 class Denoiser(Protocol):
@@ -91,10 +97,9 @@ class Denoiser(Protocol):
     ``frames`` is the clip length it denoises; ``pipeline.animate`` builds
     its static clips from it.  ``predict_noise`` may be called from several
     threads at once, with different conditions, in no fixed order:
-    ``vsds.dual_path_refine`` runs its real and proxy paths concurrently,
-    and ``pipeline._animate_items`` runs each (item, distinct run) task of
-    ``ablate`` on a pool of ``max(threads, 2)`` workers (one per core
-    ``ablate`` may use).
+    ``vsds.dual_path_refine`` runs its real and proxy paths concurrently
+    when called on the main thread, and ``pipeline.run_ablation`` runs its
+    (item, distinct run) tasks on a pool of at least two workers.
     It must not mutate its inputs, and what it returns must not depend on
     the calls of the other threads; state kept across calls needs a lock.
     """

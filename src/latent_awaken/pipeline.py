@@ -45,7 +45,7 @@ from .fusion import FusionConfig, slerp_fuse, uniform_fuse
 from .numerics import one_blas_thread
 from .proxy import ProxyProvider, SyntheticProvider
 from .rng import stream
-from .vsds import CurveKind, VsdsConfig, _keep_paths_serial, dual_path_refine, tau_step, vsds_refine
+from .vsds import CurveKind, VsdsConfig, dual_path_refine, tau_step, vsds_refine
 
 
 class PipelineVariant(Enum):
@@ -96,6 +96,13 @@ class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
+def _frame_count(denoiser: Denoiser) -> int:
+    frames = getattr(denoiser, "frames", None)
+    if frames is None:
+        raise ValueError("denoiser must expose its frame count")
+    return frames
+
+
 @dataclass(eq=False)
 class RunResult:
     output: VideoLatent
@@ -130,9 +137,7 @@ def animate(
     """
     if not isinstance(variant, PipelineVariant):
         raise ValueError(f"not a pipeline variant: {variant!r}")
-    frames = getattr(denoiser, "frames", None)
-    if frames is None:
-        raise ValueError("denoiser must expose its frame count")
+    frames = _frame_count(denoiser)
 
     timing: dict[str, float] = {}
     stages: dict[str, VideoLatent | FrameLatent] = {}
@@ -285,10 +290,10 @@ def _animate_items(
     share one pool of ``max(threads, 2)`` workers, capped at the number of
     tasks.  The floor of two is what a single VS or VU run already takes
     for its two refinement paths, so ``threads`` 1 and 2 behave the same.
-    Pool workers run a dual refinement's paths one after the other, since
-    the pool has the cores.  A run of exactly one task stays on the
-    caller's thread, which keeps its two paths concurrent.  Each output is
-    the bytes of the same ``animate`` call made on its own.
+    On a pool worker, as on any thread but the main one, a dual refinement
+    runs its paths one after the other.  A run of exactly one task stays
+    on the caller's thread.  Each output is the bytes of the same
+    ``animate`` call made on its own.
     """
 
     def run_task(task):
@@ -303,7 +308,7 @@ def _animate_items(
     tasks = [(i, run) for i in range(len(items)) for run in runs]
     workers = min(max(threads, 2), len(tasks))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers, initializer=_keep_paths_serial) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_task, tasks))
     else:
         done = list(map(run_task, tasks))
@@ -338,7 +343,7 @@ def run_ablation(
         raise ValueError("benchmark must be non-empty")
     if not runs:
         raise ValueError("need at least one variant or sweep point")
-    frames = denoiser.frames
+    frames = _frame_count(denoiser)
     if frames < metrics.LINEARITY_MIN_FRAMES:
         raise ValueError(f"scoring needs at least {metrics.LINEARITY_MIN_FRAMES} frames; the model makes {frames}")
     clip = (frames, *benchmark[0][0].shape)

@@ -12,6 +12,7 @@ by hand and optimized with plain SGD; no autograd framework is involved.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import os
 from collections.abc import Iterator, Sequence
@@ -241,6 +242,27 @@ def dims_problem(hidden: int, t_embed: int) -> tuple[str, str] | None:
     return None
 
 
+def _context_rows(w1: np.ndarray, b1: np.ndarray, frame_dim: int, t_embed: int):
+    """The two parts of ``[cond image | t-embed | one-hot] @ W1[frame_dim:]
+    + b1`` as cached functions: ``cond_row(cond)`` projects the cond image,
+    label and b1, for the last two conditions used, and ``t_row(t)`` the
+    t-embed, for every t.  Both caches are safe to call from several
+    threads; a race can only project a row twice."""
+    fd, te = frame_dim, t_embed
+
+    # A Condition hashes by identity, and the cache holds the conditions it
+    # keys, so a collected object's id is never mistaken for a live one.
+    @functools.lru_cache(maxsize=2)
+    def cond_row(cond: Condition) -> np.ndarray:
+        return cond.image.grid.reshape(-1) @ w1[fd : 2 * fd] + w1[2 * fd + te + cond.motion_label] + b1
+
+    @functools.cache
+    def t_row(t: int) -> np.ndarray:
+        return time_embedding(t, te) @ w1[2 * fd : 2 * fd + te]
+
+    return cond_row, t_row
+
+
 class ToyDenoiser:
     """Per-frame tanh MLP with a learned temporal mixing matrix.
 
@@ -263,25 +285,9 @@ class ToyDenoiser:
     Parameters are read-only arrays; an update replaces an array instead of
     writing into it, and assigning one stores a read-only copy unless the
     array is already read-only and owns its memory, in which case it is
-    handed over and its owner must not turn writing back on.  This is what
-    makes it safe for ``predict_noise`` to memoise its context projection: the
-    condition part (cond image, label and b1) is kept for the last two
-    ``Condition`` objects seen, the time part for every ``t`` seen, and both
-    are dropped as soon as ``w1`` or ``b1`` is a different object.
-
-    The memo also lets several threads call one model at once.  The two
-    conditions it holds are exactly the live ones in the two-thread cases:
-    the two paths of a dual refinement, or the two workers of the
-    ``pipeline._animate_items`` pool, each running its paths one by one.
-    A wider pool can evict a worker's condition between its calls.
-    Each miss recomputes one condition row, which cost about 7 % of one
-    ``predict_noise`` call at hidden 600 and 11 % at hidden 128 (2-vCPU
-    Xeon, one BLAS thread), so the memo is not sized to the pool.  Every
-    entry is a pure function of read-only weights and its key: the memo
-    tuple is replaced whole, never edited, its ``t`` dict only gains rows,
-    and a row written by two threads is written with the same value.  A race
-    can only cost a recomputation, never change a prediction; the forward
-    pass itself writes only into arrays it allocates.
+    handed over and its owner must not turn writing back on.  Assigning
+    ``w1`` or ``b1`` rebuilds the context cache (``_context_rows``), so a
+    cached row is never read with weights other than its own.
     """
 
     def __init__(
@@ -319,13 +325,13 @@ class ToyDenoiser:
         for name, p in initial.items():
             p.flags.writeable = False  # nothing else holds p, so it need not be copied
             setattr(self, name, p)
-        # (w1, b1, ((cond, row), ...), {t: row}): see _context_row.
-        self._memo = (None, None, (), {})
 
     def __setattr__(self, name, value):
         if name in PARAMETER_NAMES:
             value = read_only(value)
         object.__setattr__(self, name, value)
+        if name in ("w1", "b1") and hasattr(self, "b1"):  # __init__ assigns w1 first
+            self._context = _context_rows(self.w1, self.b1, self.frame_dim, self.t_embed)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Read-only parameter arrays, keyed by layer name.
@@ -361,33 +367,14 @@ class ToyDenoiser:
         out = self.mix @ y
         return out, h1, y
 
-    def _context_row(self, cond: Condition, t: int) -> np.ndarray:
-        """``[cond image | t-embed | one-hot] @ W1[frame_dim:] + b1`` from
-        the memo: cond image, label and b1 per condition, t-embed per step."""
-        w1, b1, conds, t_rows = self._memo
-        if w1 is not self.w1 or b1 is not self.b1:
-            w1, b1, conds, t_rows = self._memo = (self.w1, self.b1, (), {})
-        fd, te = self.frame_dim, self.t_embed
-        # Conditions are compared by identity while the memo holds them, so
-        # a collected object's id can never be mistaken for a live one.
-        for held, cond_row in conds:
-            if held is cond:
-                break
-        else:
-            cond_row = cond.image.grid.reshape(-1) @ w1[fd : 2 * fd] + w1[2 * fd + te + cond.motion_label] + b1
-            self._memo = (w1, b1, conds[-1:] + ((cond, cond_row),), t_rows)
-        t_row = t_rows.get(t)
-        if t_row is None:
-            t_row = t_rows[t] = time_embedding(t, te) @ w1[2 * fd : 2 * fd + te]
-        return cond_row + t_row
-
     def predict_noise(self, z_t: VideoLatent, cond: Condition, t: int) -> VideoLatent:
         if z_t.shape != self.video_shape:
             raise ValueError(f"latent shape {z_t.shape} != model shape {self.video_shape}")
         self._check_cond(cond)
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-        out, _, _ = self._forward(z_t.frames.reshape(self.frames, -1), self._context_row(cond, int(t)))
+        cond_row, t_row = self._context
+        out, _, _ = self._forward(z_t.frames.reshape(self.frames, -1), cond_row(cond) + t_row(int(t)))
         return VideoLatent(out.reshape(self.video_shape))
 
 

@@ -13,7 +13,8 @@ idea of a plausible video).
 latent and on a synthetic proxy latent, each path conditioned on its own
 first frame, so the two refined results stay anchored to their respective
 images and can be fused downstream.  The two paths share nothing but the
-read-only denoiser, so they run on two threads.
+read-only denoiser, so called on the main thread they run on two threads;
+called on any other thread they run one after the other.
 """
 
 from __future__ import annotations
@@ -106,18 +107,6 @@ def update_weights(curve: WeightCurve, n: int) -> list[float]:
     return [lo + (hi - lo) * (i / last) for i in range(n)]  # LINEAR_INCREASING
 
 
-# Set on the workers of ``pipeline._animate_items``'s task pool, whose cores
-# the pool already keeps busy: there the two paths of ``dual_path_refine``
-# run one after the other instead of starting a thread each.
-_pool_thread = threading.local()
-
-
-def _keep_paths_serial() -> None:
-    """Make ``dual_path_refine`` run its paths serially on this thread
-    (a thread-pool initializer for pools that already use every core)."""
-    _pool_thread.serial = True
-
-
 class RefinementDiverged(RuntimeError):
     """Raised when a refinement update stops being finite."""
 
@@ -175,15 +164,14 @@ def dual_path_refine(
     ``rng_real`` first, then the proxy path from ``rng_proxy``, each exactly
     once.
 
-    The noise draws stay on the caller's thread.  The proxy path then runs
-    on one worker thread while the real path runs on the caller's, so
-    ``denoiser.predict_noise`` sees the two conditions from two threads at
-    once; the worker is joined before this returns or raises.  On a thread
-    marked by ``_keep_paths_serial`` (a worker of ``_animate_items``'s task
-    pool, which already has the cores) the paths run one after the other.
-    Either way each path's result is computed exactly as it is serially,
-    and a failure is the one the serial order raises first: the real
-    path's, else the proxy path's.
+    The noise draws stay on the caller's thread.  Called on the main
+    thread, the proxy path then runs on one worker thread while the real
+    path runs on the caller's, and the worker is joined before this returns
+    or raises.  Called on any other thread, such as a worker of a pool that
+    already has the cores, the paths run one after the other.  Either way
+    each path's result is computed exactly as it is serially, and a failure
+    is the one the serial order raises first: the real path's, else the
+    proxy path's.
     """
     if real_static.shape != proxy_static.shape:
         raise ValueError(f"path shape mismatch: {real_static.shape} vs {proxy_static.shape}")
@@ -194,7 +182,7 @@ def dual_path_refine(
 
     real_args = (real_static, cond, denoiser, sched, cfg, eps_real)
     proxy_args = (proxy_static, proxy_cond, denoiser, sched, cfg, eps_proxy)
-    if getattr(_pool_thread, "serial", False):
+    if threading.current_thread() is not threading.main_thread():
         return _refine(*real_args), _refine(*proxy_args)
     # Leaving the ``with`` joins the worker, also when the real path raises.
     with ThreadPoolExecutor(max_workers=1) as pool:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -273,3 +275,19 @@ def test_condition_refuses_an_unknown_label_id_when_made(label):
     image = FrameLatent(np.zeros((1, 4, 4)))
     with pytest.raises(ValueError, match=f"^unknown motion label id {label}$"):
         Condition(image, label)
+
+
+@pytest.mark.parametrize("label", [1.0, "1", None], ids=["float", "str", "none"])
+def test_condition_refuses_a_label_id_that_is_not_an_integer_when_made(label):
+    # Built, such a condition would fail later and elsewhere: indexing the
+    # label names or the model's one-hot rows.
+    image = FrameLatent(np.zeros((1, 4, 4)))
+    with pytest.raises(TypeError, match=rf"^motion label id must be an integer, got {re.escape(repr(label))}$"):
+        Condition(image, label)
+
+
+def test_condition_stores_an_integer_label_id_as_an_int():
+    image = FrameLatent(np.zeros((1, 4, 4)))
+    for label in (np.int64(2), np.uint8(2), 2):
+        cond = Condition(image, label)
+        assert type(cond.motion_label) is int and cond.motion_label == 2

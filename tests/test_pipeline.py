@@ -335,6 +335,21 @@ def test_run_ablation_refuses_a_model_it_cannot_score():
     assert model.calls == 0
 
 
+def test_run_ablation_refuses_a_model_without_a_frame_count_before_any_call():
+    # The refusal is animate's, made once before any task runs.
+    class NoFrameCount:
+        calls = 0
+
+        def predict_noise(self, z_t, cond, t):
+            self.calls += 1
+            return VideoLatent(np.zeros_like(z_t.frames))
+
+    model = NoFrameCount()
+    with pytest.raises(ValueError, match="^denoiser must expose its frame count$"):
+        run_ablation(bench_items(2), list(VARIANT_ORDER), model, small_sched())
+    assert model.calls == 0
+
+
 @pytest.mark.parametrize("shape", [(6, 1, 8, 8), (4, 1, 16, 16)], ids=["other-frame-shape", "other-frame-count"])
 def test_run_ablation_refuses_reference_clips_of_another_shape(shape):
     # Reference clips of another shape would be fitted and scored against
@@ -387,7 +402,7 @@ def small_toy():
 
 def test_run_ablation_threads_do_not_change_results():
     # Every pool size gives the bytes of one animate call per (item, variant)
-    # made on the test thread.  The ToyDenoiser's context memo is shared by
+    # made on the test thread.  The ToyDenoiser's context cache is shared by
     # the pool's workers.
     sched = small_sched()
     model = small_toy()

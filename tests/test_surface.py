@@ -1,4 +1,5 @@
-"""The library's surface: no name in ``src/`` that only the tests use."""
+"""The library's surface: no name in ``src/`` that only the tests use, and
+no module that imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,15 @@ def test_every_library_name_is_used_by_the_library_or_the_benchmark():
         )
     ]
     assert unused == []
+
+
+def test_no_library_module_imports_another_modules_private_name():
+    imports = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.name} from {node.module}"
+        for path in (ROOT / "src" / "latent_awaken").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports == []

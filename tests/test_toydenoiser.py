@@ -2,9 +2,11 @@ import copy
 import json
 import os
 import re
+import sys
 import tempfile
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from latent_awaken.diffusion import Condition, FrameLatent, NoiseSchedule, Video
 from latent_awaken.metrics import displacement_estimate, per_frame_sizes
 from latent_awaken.motion import DIRECTIONS, MOTION_LABELS, label_id, wrapped_delta
 from latent_awaken.numerics import write_ltn1
+from latent_awaken.pipeline import PipelineVariant, animate
 from latent_awaken.rng import stream
 from latent_awaken.toydenoiser import (
     MODEL_DIMS,
@@ -398,8 +401,8 @@ batch_labels = st.lists(st.integers(0, len(MOTION_LABELS) - 1), min_size=1, max_
 )
 def test_predict_noise_matches_concatenated_reference(random_model, calls, labels, seed):
     # Calls draw from three conditions and repeat steps, so they hit and miss
-    # the context memo in every combination; the module-wide model also
-    # carries memo entries over from earlier examples.
+    # the context cache in every combination; the module-wide model also
+    # carries cache entries over from earlier examples.
     model = random_model
     gen = stream(seed, "forward-equivalence")
     conds = [Condition(FrameLatent(gen.uniform(-1.0, 1.0, model.video_shape[1:])), label) for label in labels]
@@ -450,7 +453,7 @@ def test_gradient_check_on_mixed_label_batch(random_model, sched, labels, seed):
 
 
 # --------------------------------------------------------------------------
-# context memo and read-only parameters
+# context cache and read-only parameters
 # --------------------------------------------------------------------------
 
 
@@ -461,7 +464,7 @@ def _perturbed_model(seed):
 
 
 def _copy_of(model):
-    """A fresh model holding the same parameters, so its memo is empty."""
+    """A fresh model holding the same parameters, so its cache is empty."""
     fresh = ToyDenoiser(hidden=model.hidden, t_embed=model.t_embed, seed=0)
     for name, p in model.parameters().items():
         setattr(fresh, name, p)
@@ -490,6 +493,41 @@ def test_memo_call_order_does_not_change_bytes(small_dataset):
         z_t = VideoLatent(gen.standard_normal(model.video_shape))
         alone = _copy_of(model).predict_noise(z_t, conds[which], t)
         assert model.predict_noise(z_t, conds[which], t).frames.tobytes() == alone.frames.tobytes()
+
+
+def test_context_cache_traffic_of_vs_animate(small_dataset, sched):
+    # On the main thread, one VS call projects one condition row per path,
+    # the real and the proxy; its refinement and reverse pass visit every
+    # step, so a second call on the same model projects no new time row.
+    model = _perturbed_model(14)
+    cond_row, t_row = model._context
+    s = small_dataset.samples[0]
+    animate(s.cond.image, s.cond, PipelineVariant.VS, model, sched, seed=1)
+    assert cond_row.cache_info().misses == 2
+    assert t_row.cache_info().currsize == sched.steps
+    time_rows = t_row.cache_info().misses
+    animate(s.cond.image, s.cond, PipelineVariant.VS, model, sched, seed=2)
+    assert t_row.cache_info().misses == time_rows
+    assert model._context == (cond_row, t_row)
+
+
+def test_threads_sharing_the_context_cache_get_the_bytes_of_a_fresh_model(small_dataset):
+    # Four threads on one model, with a tiny switch interval, take turns on
+    # three conditions, so the two-row condition cache evicts and races.
+    model = _perturbed_model(15)
+    conds = [small_dataset.samples[i].cond for i in range(3)]
+    gen = stream(15, "cache-stress")
+    calls = [(VideoLatent(gen.standard_normal(model.video_shape)), conds[k % 3], int(t))
+             for k, t in enumerate(gen.integers(1, 121, 48))]
+    want = [_copy_of(model).predict_noise(*call).frames.tobytes() for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda call: model.predict_noise(*call).frames.tobytes(), calls, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def _assert_read_only(model):

@@ -21,7 +21,6 @@ from latent_awaken.vsds import (
     RefinementDiverged,
     VsdsConfig,
     WeightCurve,
-    _keep_paths_serial,
     dual_path_refine,
     tau_step,
     update_count,
@@ -402,10 +401,9 @@ def test_refinement_refuses_a_prediction_of_the_wrong_shape():
         assert str(err.value) == f"stage 'vsds': {message}"
 
 
-def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():
-    # The proxy path gets its own thread whether the caller is the main
-    # thread or not; a pool thread marked by _keep_paths_serial (run_ablation
-    # marks its task pool so) runs both paths itself.
+def test_paths_share_a_thread_only_on_the_main_thread():
+    # Called on the main thread, the proxy path gets a thread of its own;
+    # on any other thread, such as a pool worker, one thread runs both paths.
     sched, cfg = small_sched(), VsdsConfig(p=0.5)
     zr, zs = small_latent(1), small_latent(2)
 
@@ -416,17 +414,16 @@ def test_paths_share_a_thread_only_where_keep_paths_serial_says_so():
         )
         return len(model.threads)
 
+    assert threading.current_thread() is threading.main_thread()
     assert threads_used() == 2
     with ThreadPoolExecutor(max_workers=1) as plain:
-        assert plain.submit(threads_used).result() == 2
-    with ThreadPoolExecutor(max_workers=1, initializer=_keep_paths_serial) as marked:
-        assert marked.submit(threads_used).result() == 1
+        assert plain.submit(threads_used).result() == 1
     assert threads_used() == 2
 
 
 def perturbed_model(seed, shape, hidden):
     """A ``ToyDenoiser`` whose prediction depends on every input, with its
-    memo still cold (``w2`` starts at zero, which would predict zero)."""
+    context cache still cold (``w2`` starts at zero, which would predict zero)."""
     model = ToyDenoiser(*shape, hidden=hidden, seed=seed)
     gen = stream(seed, "test-weights")
     model.b1 = gen.standard_normal(model.b1.shape) * 0.1
@@ -435,7 +432,7 @@ def perturbed_model(seed, shape, hidden):
 
 
 def test_concurrent_paths_match_the_serial_bytes():
-    # Each round, both paths race on a fresh model's cold memo.  The model is
+    # Each round, both paths race on a fresh model's cold context cache.  The model is
     # wide enough that its matmuls release the GIL for long stretches, so
     # the paths overlap; a tiny switch interval interleaves their Python
     # code too.  Each path must come out byte for byte as vsds_refine

@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config, parse_enum, regular_file
+from .config import ConfigError, ExperimentConfig, load_config, parse_enum
 from .diffusion import Condition, FrameLatent, VideoLatent
 from .metrics import diagnose_video
 from .motion import label_id
-from .numerics import blas_threads, one_blas_thread, read_ltn1, write_ltn1
+from .numerics import blas_threads, one_blas_thread, read_input, read_ltn1, write_ltn1
 from .pipeline import PipelineVariant, animate, run_ablation
 from .proxy import FileProvider, SyntheticProvider, load_proxy, write_pgm
 from .rng import stream
@@ -71,26 +71,27 @@ def _out_dir(path) -> Path:
     return path
 
 
+# The config key that sets each model dimension; the dimension is its last part.
+_DIM_KEYS = ("dataset.frames", "dataset.channels", "dataset.height", "dataset.width",
+             "denoiser.hidden", "denoiser.t_embed")
+
+
 def _load_model(ckpt: str, cfg: ExperimentConfig, labels) -> ToyDenoiser:
     """Load a checkpoint and refuse it if it was trained under another
     schedule, never saw one of ``labels``, or differs from the config in a
     model dimension the config sets."""
-    ckpt_path = Path(ckpt)
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    model, manifest = load_checkpoint(ckpt_path)
+    model, manifest = load_checkpoint(ckpt)
     trained, configured = manifest["schedule_digest"], schedule_digest(cfg.schedule())
     if trained != configured:
         raise ConfigError(
-            f"checkpoint {ckpt_path} was trained under schedule digest {trained}, "
+            f"checkpoint {ckpt} was trained under schedule digest {trained}, "
             f"but the config's schedule has digest {configured}"
         )
     trained_labels = manifest["dataset"]["labels"]
     missing = [label for label in labels if label not in trained_labels]
     if missing:
-        raise ConfigError(f"checkpoint {ckpt_path} was never trained on label(s) {missing}; it knows {trained_labels}")
-    for key in ("dataset.frames", "dataset.channels", "dataset.height", "dataset.width",
-                "denoiser.hidden", "denoiser.t_embed"):
+        raise ConfigError(f"checkpoint {ckpt} was never trained on label(s) {missing}; it knows {trained_labels}")
+    for key in _DIM_KEYS:
         dim = key.split(".")[1]
         configured, trained = cfg[key], getattr(model, dim)
         if configured != trained:
@@ -111,15 +112,7 @@ def cmd_train(args) -> int:
     params = cfg.dataset_params()
     sched = cfg.schedule()
     dataset = generate_dataset(cfg["dataset.n"], params, seed=stream(cfg["seed"], "dataset/train"))
-    model = ToyDenoiser(
-        frames=params.frames,
-        channels=params.channels,
-        height=params.height,
-        width=params.width,
-        hidden=cfg["denoiser.hidden"],
-        t_embed=cfg["denoiser.t_embed"],
-        seed=cfg["seed"],
-    )
+    model = ToyDenoiser(**{key.split(".")[1]: cfg[key] for key in _DIM_KEYS}, seed=cfg["seed"])
     t0 = time.perf_counter()
     model, result = train(
         model, dataset, sched,
@@ -137,7 +130,7 @@ def cmd_train(args) -> int:
 
 def _load_image(path, frame_shape: tuple[int, int, int], shape_name: str) -> FrameLatent:
     """The input image at ``path`` (PGM or LTN1), refused unless it has ``frame_shape``."""
-    image = load_proxy(regular_file(path, "input image"))
+    image = load_proxy(path, "input image")
     if image.shape != tuple(frame_shape):
         raise ConfigError(f"input image shape {image.shape} does not match the {shape_name} {tuple(frame_shape)}")
     return image
@@ -146,9 +139,10 @@ def _load_image(path, frame_shape: tuple[int, int, int], shape_name: str) -> Fra
 def cmd_animate(args) -> int:
     cfg = load_config(args.config)
     out_dir = _out_dir(args.out)
+    label = label_id(args.label)
     model = _load_model(args.ckpt, cfg, [args.label])
     image = _load_image(args.image, (model.channels, model.height, model.width), "checkpoint's frame shape")
-    cond = Condition(image, label_id(args.label))
+    cond = Condition(image, label)
     variant = parse_enum(PipelineVariant, args.variant)
     if args.proxy:  # refuse a proxy of another shape before any compute, for every variant
         provider = FileProvider(args.proxy)
@@ -176,8 +170,8 @@ def cmd_animate(args) -> int:
         "frames": run.output.frame_count,
         "video": "video.ltn1",
         "frame_files": frame_files,
-        "image_sha256": hashlib.sha256(Path(args.image).read_bytes()).hexdigest(),
-        "proxy_sha256": hashlib.sha256(Path(args.proxy).read_bytes()).hexdigest() if args.proxy else None,
+        "image_sha256": hashlib.sha256(read_input(args.image, "input image")).hexdigest(),
+        "proxy_sha256": hashlib.sha256(read_input(args.proxy, "proxy file")).hexdigest() if args.proxy else None,
     }
     (out_dir / "result.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     _write_log(out_dir, [f"{name}: {secs:.3f}s" for name, secs in run.timing.items()])
@@ -221,7 +215,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    video = VideoLatent(read_ltn1(regular_file(args.video, "video file")))
+    video = VideoLatent(read_ltn1(args.video, "video file"))
     reference = _load_image(args.image, video.frame_shape, "video's frame shape") if args.image else None
     cond = Condition(reference if reference is not None else video.frame(0), label_id(args.label))
     report = diagnose_video(video, cond, reference)

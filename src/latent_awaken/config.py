@@ -15,10 +15,10 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from enum import Enum
-from pathlib import Path
 
 from .diffusion import NoiseSchedule
 from .fusion import FusionConfig
+from .numerics import read_input
 from .pipeline import PipelineVariant, ablation_runs
 from .proxy import SyntheticProviderParams
 from .toydenoiser import DatasetParams, dims_problem
@@ -181,16 +181,16 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def regular_file(path, what: str) -> Path:
-    """``path``, refused unless it names a regular file; ``what`` names it in the message."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"{what} {'is not a regular file' if path.exists() else 'not found'}: {path}")
-    return path
-
-
 def load_config(path) -> ExperimentConfig:
-    return parse_config(regular_file(path, "config file").read_text())
+    """Parse the config file at ``path``; a refusal names the file."""
+    try:
+        raw = read_input(path, "config file")
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        return parse_config(raw.decode())
+    except ValueError as exc:  # not UTF-8, or a refused line or value
+        raise ConfigError(f"config file {path}: {exc}") from exc
 
 
 def _validate(cfg: ExperimentConfig) -> None:

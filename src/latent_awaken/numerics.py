@@ -2,9 +2,9 @@
 
 The one rule for freezing an array, vector angles, the principal-axis
 statistics and the Spearman rank correlation behind the
-trajectory-linearity metric, the LTN1 tensor file format used for
-checkpoints and latent videos, and the pin to one BLAS thread that keeps
-every result independent of the core count.
+trajectory-linearity metric, the one reader of input files and the LTN1
+tensor format of checkpoints and latent videos, and the pin to one BLAS
+thread that keeps every result independent of the core count.
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ def write_ltn1(path, array) -> None:
     arr = np.asarray(array, dtype="<f8", order="C")  # ascontiguousarray would make a 0-d array 1-d
     if not np.isfinite(arr).all():
         raise ValueError("refusing to write non-finite values to an LTN1 file")
-    path = Path(path)
     with open(path, "wb") as fh:
         fh.write(LTN1_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
@@ -135,10 +134,19 @@ def write_ltn1(path, array) -> None:
         fh.write(arr.tobytes())
 
 
-def read_ltn1(path) -> np.ndarray:
-    """Read an LTN1 tensor, validating magic, dims, payload size and finiteness."""
+def read_input(path, what: str) -> bytes:
+    """The bytes of the input file at ``path``, refused by name (``what``)
+    unless it is a regular file: the one place that reads an input file."""
     path = Path(path)
-    raw = path.read_bytes()
+    if not path.is_file():
+        if not path.exists():
+            raise FileNotFoundError(f"{what} not found: {path}")
+        raise ValueError(f"{what} is not a regular file: {path}")
+    return path.read_bytes()
+
+
+def parse_ltn1(raw: bytes, path) -> np.ndarray:
+    """The tensor in ``raw``, the LTN1 file at ``path``: magic, dims, size and finiteness checked."""
     if raw[:4] != LTN1_MAGIC:
         raise ValueError(f"not an LTN1 file (bad magic): {path}")
     if len(raw) < 8:
@@ -159,6 +167,11 @@ def read_ltn1(path) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in LTN1 payload: {path}")
     return arr
+
+
+def read_ltn1(path, what: str = "LTN1 file") -> np.ndarray:
+    """Read the LTN1 tensor at ``path``; ``what`` names the file if it is refused."""
+    return parse_ltn1(read_input(path, what), path)
 
 
 # OpenBLAS's thread-count functions as numpy's wheels (scipy-openblas, ILP64),

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
 from .diffusion import Condition, FrameLatent
 from .motion import DIRECTIONS, MOTION_LABELS
-from .numerics import LTN1_MAGIC, read_ltn1
+from .numerics import LTN1_MAGIC, parse_ltn1, read_input
 
 
 @dataclass(frozen=True)
@@ -90,26 +89,18 @@ class FileProvider:
         return self.frame
 
 
-def load_proxy(path) -> FrameLatent:
-    """Load a proxy image from an LTN1 tensor or an 8-bit PGM file.
-
-    LTN1 payloads of rank 2 are promoted to a single channel.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"proxy file not found: {path}")
-    if not path.is_file():
-        raise ValueError(f"proxy file is not a regular file: {path}")
-    with path.open("rb") as fh:
-        magic = fh.read(4)
-    if magic == LTN1_MAGIC:
-        arr = read_ltn1(path)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3:
-            raise ValueError(f"proxy tensor must be rank 2 or 3, got rank {arr.ndim}: {path}")
-        return FrameLatent(arr)
-    return read_pgm(path)
+def load_proxy(path, what: str = "proxy file") -> FrameLatent:
+    """An image from an LTN1 tensor, rank 2 promoted to one channel, or an
+    8-bit PGM file, told apart by their first bytes; ``what`` names the file."""
+    raw = read_input(path, what)
+    if raw[:4] != LTN1_MAGIC:
+        return _parse_pgm(raw, path)
+    arr = parse_ltn1(raw, path)
+    if arr.ndim == 2:
+        arr = arr[None]
+    if arr.ndim != 3:
+        raise ValueError(f"{what} must be a tensor of rank 2 or 3, got rank {arr.ndim}: {path}")
+    return FrameLatent(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +108,8 @@ def load_proxy(path) -> FrameLatent:
 # ---------------------------------------------------------------------------
 
 
-def read_pgm(path) -> FrameLatent:
-    """Read a binary 8-bit PGM into a single-channel FrameLatent."""
-    raw = Path(path).read_bytes()
+def _parse_pgm(raw: bytes, path) -> FrameLatent:
+    """The one-channel FrameLatent in ``raw``, the bytes of the 8-bit binary PGM file at ``path``."""
     # Header: "P5", whitespace/comments, width, height, maxval, single ws byte.
     header = re.match(rb"P5\s+(?:#.*\s+)*(\d+)\s+(?:#.*\s+)*(\d+)\s+(?:#.*\s+)*(\d+)\s", raw)
     if not header:

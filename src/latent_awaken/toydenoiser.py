@@ -25,7 +25,7 @@ import numpy as np
 
 from .diffusion import Condition, FrameLatent, NoiseSchedule, VideoLatent
 from .motion import DIRECTIONS, MOTION_LABELS, label_id, wrapped_delta
-from .numerics import one_blas_thread, read_ltn1, read_only, write_ltn1
+from .numerics import one_blas_thread, read_input, read_ltn1, read_only, write_ltn1
 from .rng import stream
 
 # ---------------------------------------------------------------------------
@@ -217,14 +217,14 @@ def generate_dataset(
 # ---------------------------------------------------------------------------
 
 
-def time_embedding(t: int, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of a diffusion step, dim/2 sin + dim/2 cos."""
+def time_embedding(t, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of a diffusion step, dim/2 sin + dim/2 cos; one row per step of an array."""
     if dim % 2 != 0 or dim < 2:
         raise ValueError("embedding dim must be even and >= 2")
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
-    ang = t * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    ang = np.multiply.outer(t, freqs)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 PARAMETER_NAMES = ("w1", "b1", "w2", "b2", "mix")
@@ -492,7 +492,7 @@ def _assemble_batch(
     eps = rng.standard_normal((len(z0), model.frames, model.frame_dim))
     ab = sched.alpha_bars[ts - 1][:, None, None]
     z_t = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
-    temb = np.stack([time_embedding(int(t), model.t_embed) for t in ts])
+    temb = time_embedding(ts, model.t_embed)
     return z_t, np.concatenate([cond_img, temb, onehot], axis=1), eps
 
 
@@ -655,9 +655,11 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
     """
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no manifest.json in checkpoint dir: {ckpt_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    raw = read_input(manifest_path, "checkpoint manifest")
+    try:
+        manifest = json.loads(raw.decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"checkpoint manifest {manifest_path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest {manifest_path} is not a JSON object")
     if manifest.get("format") != "toydenoiser-v1":
@@ -676,7 +678,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ToyDenoiser, dict]:
                              "not an integer >= 1")
     model = ToyDenoiser(**{dim: manifest[dim] for dim in MODEL_DIMS})
     for name, p in model.parameters().items():
-        arr = read_ltn1(ckpt_dir / f"{name}.ltn1")
+        arr = read_ltn1(ckpt_dir / f"{name}.ltn1", "checkpoint parameter file")
         if arr.shape != p.shape:
             raise ValueError(f"checkpoint parameter {name!r} has shape {arr.shape}, the manifest's model needs {p.shape}")
         arr.flags.writeable = False

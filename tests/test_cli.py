@@ -670,9 +670,34 @@ def test_missing_checkpoint_is_usage_error(workspace, tmp_path):
 
 
 def test_unknown_label_is_usage_error(workspace, tmp_path, capsys):
+    # The label is refused as unknown before the checkpoint is asked about it.
     rc = main(animate_args(workspace, tmp_path / "out", label="diagonal"))
     assert rc == 2
-    assert "diagonal" in capsys.readouterr().err
+    assert f"unknown motion label 'diagonal'; known: {MOTION_LABELS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("manifest.json", None), ("w2.ltn1", None), ("manifest.json", b"not json\n"),
+     ("manifest.json", b"\xff{}\n"), ("run.cfg", b"\xffseed = 42\n")],
+    ids=["manifest-dir", "parameter-dir", "manifest-not-json", "manifest-not-utf8", "config-not-utf8"],
+)
+def test_malformed_input_file_is_refused_by_name(workspace, tmp_path, capsys, name, content):
+    # A checkpoint or config file that is a directory, or whose bytes do not
+    # decode, is a usage error that names the file, not a runtime failure.
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    cfg = tmp_path / "run.cfg"
+    shutil.copy(workspace["cfg"], cfg)
+    bad = cfg if name == "run.cfg" else ckpt / name
+    bad.unlink()
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    assert main(animate_args(dict(workspace, cfg=cfg, ckpt=ckpt), tmp_path / "anim")) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "anim").exists()
 
 
 def ablate_args(cfg, ckpt, out):

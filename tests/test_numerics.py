@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from latent_awaken.numerics import (
     blas_threads,
     one_blas_thread,
     principal_axis_stats,
+    read_input,
     read_ltn1,
     spearman_rho,
     write_ltn1,
@@ -181,6 +183,18 @@ def test_ltn1_bad_magic_names_file(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="bad.ltn1"):
         read_ltn1(path)
+
+
+def test_read_input_refuses_what_is_not_a_regular_file_by_name(tmp_path):
+    with pytest.raises(FileNotFoundError, match=f"^video file not found: {re.escape(str(tmp_path / 'no'))}$"):
+        read_input(tmp_path / "no", "video file")
+    with pytest.raises(ValueError, match=f"^video file is not a regular file: {re.escape(str(tmp_path))}$"):
+        read_input(tmp_path, "video file")
+
+
+def test_read_ltn1_refuses_a_directory_by_name(tmp_path):
+    with pytest.raises(ValueError, match=f"^LTN1 file is not a regular file: {re.escape(str(tmp_path))}$"):
+        read_ltn1(tmp_path)
 
 
 def test_ltn1_truncated_payload(tmp_path):

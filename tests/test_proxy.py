@@ -18,7 +18,6 @@ from latent_awaken.proxy import (
     SyntheticProviderParams,
     load_proxy,
     max_displacement,
-    read_pgm,
     synthesize_proxy,
     write_pgm,
 )
@@ -182,7 +181,7 @@ def test_file_provider_ignores_condition(tmp_path):
 def test_read_pgm_value_mapping(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n4 2\n255\n" + bytes([0, 255, 128, 64, 10, 20, 30, 40]))
-    out = read_pgm(path)
+    out = load_proxy(path)
     assert out.shape == (1, 2, 4)
     assert out.grid[0, 0, 0] == -1.0
     assert out.grid[0, 0, 1] == 1.0
@@ -192,7 +191,7 @@ def test_read_pgm_value_mapping(tmp_path):
 def test_read_pgm_skips_comments(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 2\n# another note\n255\n" + bytes([0, 64, 128, 255]))
-    out = read_pgm(path)
+    out = load_proxy(path)
     assert out.shape == (1, 2, 2)
     assert out.grid[0, 1, 1] == 1.0
 
@@ -201,21 +200,21 @@ def test_read_pgm_rejects_wrong_depth(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(ValueError, match="8-bit"):
-        read_pgm(path)
+        load_proxy(path)
 
 
 def test_read_pgm_rejects_truncated(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(8))
     with pytest.raises(ValueError, match="truncated"):
-        read_pgm(path)
+        load_proxy(path)
 
 
 def test_read_pgm_rejects_other_formats(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
     with pytest.raises(ValueError, match="P5"):
-        read_pgm(path)
+        load_proxy(path)
 
 
 @st.composite
@@ -234,12 +233,12 @@ def test_pgm_round_trip_on_byte_lattice(ks, cut):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "img.pgm"
         write_pgm(path, FrameLatent(grid))
-        out = read_pgm(path)
+        out = load_proxy(path)
         assert np.array_equal(out.grid, grid)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - ks.size + int(cut * ks.size)])
         with pytest.raises(ValueError, match="truncated"):
-            read_pgm(path)
+            load_proxy(path)
 
 
 def test_load_proxy_reads_pgm_too(tmp_path):

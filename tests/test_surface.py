@@ -1,5 +1,6 @@
-"""The library's surface: no name in ``src/`` that only the tests use, and
-no module that imports another's private name."""
+"""The library's surface: no name in ``src/`` that only the tests use, no
+module that imports another's private name, and one module that reads
+input files."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,35 @@ def test_no_library_module_imports_another_modules_private_name():
         if alias.name.startswith("_")
     ]
     assert imports == []
+
+
+def _reads_a_file(call):
+    """Whether ``call`` is ``x.read_bytes()``, ``x.read_text()``, or
+    ``open``/``x.open`` in a mode that reads (the default one included)."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("read_bytes", "read_text"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode_at = 1  # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode_at = 0  # path.open(mode)
+    else:
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[mode_at : mode_at + 1]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set("r+"))
+
+
+def test_only_numerics_reads_files():
+    # numerics.read_input refuses an input file by name; a read elsewhere
+    # would bypass that rule.
+    reads = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in (ROOT / "src" / "latent_awaken").rglob("*.py")
+        if path.name != "numerics.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _reads_a_file(node)
+    ]
+    assert reads == []

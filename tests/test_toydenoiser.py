@@ -305,6 +305,16 @@ def test_time_embedding_shape_and_range():
         time_embedding(1, 7)
 
 
+@settings(max_examples=200)
+@given(
+    ts=st.lists(st.integers(1, 10_000), min_size=1, max_size=64),
+    half=st.integers(1, 16),
+)
+def test_time_embedding_of_an_array_stacks_the_per_step_rows(ts, half):
+    rows = time_embedding(np.array(ts), 2 * half)
+    assert rows.tobytes() == np.stack([time_embedding(t, 2 * half) for t in ts]).tobytes()
+
+
 def test_parameter_count_under_budget():
     for model in (ToyDenoiser(), ToyDenoiser(hidden=600, t_embed=16), ToyDenoiser(hidden=600, t_embed=32)):
         assert sum(p.size for p in model.parameters().values()) < 500_000
